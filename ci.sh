@@ -41,39 +41,18 @@ cargo run -q --release -p bf-lint -- --json | tee target/lint-report.json
 echo "==> bf-race model suite (deterministic schedule exploration)"
 cargo test -q -p bf-race --features model -- --nocapture
 
-# Datapath copy-accounting smoke: the small-size ladder must reproduce the
-# archived per-round-trip copy counts exactly (wall-clock is informational;
-# only the deterministic copy fields are compared).
-echo "==> datapath bench (smoke + archive check)"
-cargo run -q --release -p bf-bench --bin datapath -- --smoke --check experiments/BENCH_datapath.json
-
-# Gateway batching smoke: the open-loop sweep subset must reproduce the
-# archived deterministic rows exactly, and batched peak throughput must
-# stay strictly above unbatched (the headline batching win).
-echo "==> gateway bench (smoke + archive check)"
-cargo run -q --release -p bf-bench --bin gateway -- --smoke --check experiments/BENCH_gateway.json
-
-# Production-day scale smoke: the small ladder point (100 nodes / 1k
-# functions, full fault battery) must reproduce the archived counters and
-# the FNV-1a trace digest exactly — the deterministic-replay certificate
-# for the control-plane hot paths (ready-list poller, sharded metrics,
-# coalesced watch delivery).
-echo "==> scale bench (smoke + archive check)"
-cargo run -q --release -p bf-bench --bin scale -- --smoke --check experiments/BENCH_scale.json
-
-# Payload-cache smoke: the hot + churn points must reproduce the archived
-# wire-byte/hit/miss/eviction accounting exactly, and the hot-set
-# wire-bytes-per-request reduction must stay at or above the 5x floor.
-echo "==> cache bench (smoke + archive check)"
-cargo run -q --release -p bf-bench --bin cache -- --smoke --check experiments/BENCH_cache.json
-
-# Federation smoke: both 100-node points (1 and 16 shards) must reproduce
-# the archived placement/outcome/contention counters and trace digests
-# exactly, keep the allocation-quality floor (configured+warm share of
-# placements), and keep the 16-shard max per-lock span at least 4x below
-# the single-registry baseline.
-echo "==> federation bench (smoke + archive check)"
-cargo run -q --release -p bf-bench --bin federation -- --smoke --check experiments/BENCH_federation.json
+# Archive gates: each harness reruns its --smoke ladder subset and must
+# reproduce the deterministic fields of its archived
+# experiments/BENCH_<name>.json exactly, then hold its own invariants.
+#   datapath    per-round-trip copy counts (wall-clock is informational).
+#   gateway     open-loop sweep rows; batched peak throughput strictly above unbatched.
+#   scale       100-node production day: counters and the FNV-1a trace digest, the replay certificate for the control-plane hot paths.
+#   cache       hot + churn wire-byte/hit/miss/eviction accounting; hot-set wire-bytes-per-request reduction at or above the 5x floor.
+#   federation  1- and 16-shard placement/outcome/contention counters and digests; quality floor; 16-shard max lock span at least 4x below one shard.
+for harness in datapath gateway scale cache federation; do
+  echo "==> $harness bench (smoke + archive check)"
+  cargo run -q --release -p bf-bench --bin "$harness" -- --smoke --check "experiments/BENCH_$harness.json"
+done
 
 # Virtual-time conformance: the data-path refactor must never move the
 # paper's Fig. 4(a) numbers — regenerate and require byte-identical JSON.

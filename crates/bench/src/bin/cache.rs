@@ -15,56 +15,23 @@ use std::process::ExitCode;
 
 use bf_bench::{
     cache_rows, check_cache_archive, check_cache_invariants, parse_cache_archive, render_cache,
-    save_json, CACHE_LADDER, CACHE_SMOKE,
+    ArchiveGate, CACHE_LADDER, CACHE_SMOKE,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke { &CACHE_SMOKE } else { &CACHE_LADDER };
-    let rows = cache_rows(labels);
-    print!(
-        "{}",
-        render_cache(
-            "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_cache", &rows);
-        println!("\nJSON artifact: {}", path.display());
+    ArchiveGate {
+        name: "cache",
+        title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
+        ladder: &CACHE_LADDER,
+        smoke: &CACHE_SMOKE,
+        rows: cache_rows,
+        render: render_cache,
+        invariants: Some(check_cache_invariants),
+        violated: "cache invariant violated",
+        parse: parse_cache_archive,
+        check: check_cache_archive,
+        drifted: "cache sweep",
+        matched: "cache sweep",
     }
-
-    if let Err(msg) = check_cache_invariants(&rows) {
-        eprintln!("cache invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived cache JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived cache JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_cache_archive(&doc).expect("archived cache JSON shape");
-        let mismatches = check_cache_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("cache sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("cache sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+    .run()
 }

@@ -13,51 +13,24 @@
 use std::process::ExitCode;
 
 use bf_bench::{
-    check_against_archive, datapath_rows, parse_archive, render_datapath, save_json, LADDER, SMOKE,
+    check_against_archive, datapath_rows, parse_archive, render_datapath, ArchiveGate, LADDER,
+    SMOKE,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let sizes: &[u64] = if smoke { &SMOKE } else { &LADDER };
-    let rows = datapath_rows(sizes);
-    print!(
-        "{}",
-        render_datapath(
-            "Datapath — host bytes memcpy'd and wall-clock per write+read round trip",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_datapath", &rows);
-        println!("\nJSON artifact: {}", path.display());
+    ArchiveGate {
+        name: "datapath",
+        title: "Datapath — host bytes memcpy'd and wall-clock per write+read round trip",
+        ladder: &LADDER,
+        smoke: &SMOKE,
+        rows: datapath_rows,
+        render: render_datapath,
+        invariants: None,
+        violated: "",
+        parse: parse_archive,
+        check: check_against_archive,
+        drifted: "datapath copy accounting",
+        matched: "copy accounting",
     }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived datapath JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived datapath JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_archive(&doc).expect("archived datapath JSON shape");
-        let mismatches = check_against_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("datapath copy accounting drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("copy accounting matches {path}");
-    }
-    ExitCode::SUCCESS
+    .run()
 }

@@ -15,60 +15,23 @@ use std::process::ExitCode;
 
 use bf_bench::{
     check_federation_archive, check_federation_invariants, federation_rows,
-    parse_federation_archive, render_federation, save_json, FEDERATION_LADDER, FEDERATION_SMOKE,
+    parse_federation_archive, render_federation, ArchiveGate, FEDERATION_LADDER, FEDERATION_SMOKE,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke {
-        &FEDERATION_SMOKE
-    } else {
-        &FEDERATION_LADDER
-    };
-    let rows = federation_rows(labels);
-    print!(
-        "{}",
-        render_federation(
-            "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_federation", &rows);
-        println!("\nJSON artifact: {}", path.display());
+    ArchiveGate {
+        name: "federation",
+        title: "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
+        ladder: &FEDERATION_LADDER,
+        smoke: &FEDERATION_SMOKE,
+        rows: federation_rows,
+        render: render_federation,
+        invariants: Some(check_federation_invariants),
+        violated: "federation invariant violated",
+        parse: parse_federation_archive,
+        check: check_federation_archive,
+        drifted: "federation ladder",
+        matched: "federation ladder",
     }
-
-    if let Err(msg) = check_federation_invariants(&rows) {
-        eprintln!("federation invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived federation JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived federation JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_federation_archive(&doc).expect("archived federation JSON shape");
-        let mismatches = check_federation_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("federation ladder drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("federation ladder matches {path}");
-    }
-    ExitCode::SUCCESS
+    .run()
 }

@@ -16,60 +16,23 @@ use std::process::ExitCode;
 
 use bf_bench::{
     check_batching_wins, check_gateway_archive, gateway_rows, parse_gateway_archive,
-    render_gateway, save_json, GATEWAY_LADDER, GATEWAY_SMOKE,
+    render_gateway, ArchiveGate, GATEWAY_LADDER, GATEWAY_SMOKE,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let rates: &[f64] = if smoke {
-        &GATEWAY_SMOKE
-    } else {
-        &GATEWAY_LADDER
-    };
-    let rows = gateway_rows(rates);
-    print!(
-        "{}",
-        render_gateway(
-            "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_gateway", &rows);
-        println!("\nJSON artifact: {}", path.display());
+    ArchiveGate {
+        name: "gateway",
+        title: "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
+        ladder: &GATEWAY_LADDER,
+        smoke: &GATEWAY_SMOKE,
+        rows: gateway_rows,
+        render: render_gateway,
+        invariants: Some(check_batching_wins),
+        violated: "batching regression",
+        parse: parse_gateway_archive,
+        check: check_gateway_archive,
+        drifted: "gateway sweep",
+        matched: "gateway sweep",
     }
-
-    if let Err(msg) = check_batching_wins(&rows) {
-        eprintln!("batching regression: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived gateway JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived gateway JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_gateway_archive(&doc).expect("archived gateway JSON shape");
-        let mismatches = check_gateway_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("gateway sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("gateway sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+    .run()
 }

@@ -15,57 +15,24 @@
 use std::process::ExitCode;
 
 use bf_bench::{
-    check_scale_archive, check_scale_invariants, parse_scale_archive, render_scale, save_json,
-    scale_rows, SCALE_LADDER, SCALE_SMOKE,
+    check_scale_archive, check_scale_invariants, parse_scale_archive, render_scale, scale_rows,
+    ArchiveGate, SCALE_LADDER, SCALE_SMOKE,
 };
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let check_path = args
-        .iter()
-        .position(|a| a == "--check")
-        .and_then(|i| args.get(i + 1));
-
-    let labels: &[&str] = if smoke { &SCALE_SMOKE } else { &SCALE_LADDER };
-    let rows = scale_rows(labels);
-    print!(
-        "{}",
-        render_scale(
-            "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
-            &rows
-        )
-    );
-
-    if !smoke {
-        let path = save_json("BENCH_scale", &rows);
-        println!("\nJSON artifact: {}", path.display());
+    ArchiveGate {
+        name: "scale",
+        title: "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
+        ladder: &SCALE_LADDER,
+        smoke: &SCALE_SMOKE,
+        rows: scale_rows,
+        render: render_scale,
+        invariants: Some(check_scale_invariants),
+        violated: "scale invariant violated",
+        parse: parse_scale_archive,
+        check: check_scale_archive,
+        drifted: "scale sweep",
+        matched: "scale sweep",
     }
-
-    if let Err(msg) = check_scale_invariants(&rows) {
-        eprintln!("scale invariant violated: {msg}");
-        return ExitCode::FAILURE;
-    }
-
-    if let Some(path) = check_path {
-        // bf-lint: allow(panic): a missing or malformed archive must fail
-        // the CI step loudly.
-        let raw = std::fs::read_to_string(path).expect("read archived scale JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let doc = serde_json::from_str(&raw).expect("parse archived scale JSON");
-        // bf-lint: allow(panic): same rationale — drifted or malformed
-        // archives must fail CI loudly.
-        let archived = parse_scale_archive(&doc).expect("archived scale JSON shape");
-        let mismatches = check_scale_archive(&rows, &archived);
-        if !mismatches.is_empty() {
-            eprintln!("scale sweep drifted from {path}:");
-            for m in &mismatches {
-                eprintln!("  {m}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!("scale sweep matches {path}");
-    }
-    ExitCode::SUCCESS
+    .run()
 }

@@ -22,6 +22,7 @@
 mod cache;
 mod datapath;
 mod federation;
+mod gate;
 mod gateway;
 mod scale;
 
@@ -40,6 +41,7 @@ pub use crate::federation::{
     FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR, FEDERATION_SMOKE, FEDERATION_SPAN_DROP,
     FEDERATION_SPAN_RATIO,
 };
+pub use crate::gate::ArchiveGate;
 pub use crate::gateway::{
     check_batching_wins, check_gateway_archive, gateway_duration, gateway_rows,
     parse_gateway_archive, peak_throughput, render_gateway, ArchivedGatewayRow, GatewayMode,

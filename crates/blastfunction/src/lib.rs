@@ -91,8 +91,7 @@ pub mod prelude {
         NdRange,
     };
     pub use bf_registry::{
-        attach_placement, AllocationPolicy, DeviceQuery, PlacementService, Registry,
-        ShardedRegistry,
+        attach_placement, AllocationPolicy, DeviceQuery, PlacementService, ShardedRegistry,
     };
     pub use bf_remote::{RemoteBackend, Router};
     pub use bf_rpc::PathCosts;

@@ -37,20 +37,23 @@ pub const HIERARCHY: &[&str] = &[
     "batch_state",
     // Autoscaler policy table (bf-serverless).
     "policies",
-    // Federation shard membership + shard handles (bf-registry). Held
-    // across a whole federated placement or rebalance, both of which
-    // take shard registry locks (and `federation`) underneath — so it
-    // outranks everything the placement path touches.
+    // Registry shard membership + the shards (bf-registry). Held across
+    // the bookkeeping half of a placement and across a rebalance, both
+    // of which take shard `registry` locks (and `federation`)
+    // underneath — so it outranks everything the placement path
+    // touches. Released before tenants are migrated through the cluster
+    // (the admission hook re-enters `ShardedRegistry::place_instance`).
     "shard_map",
-    // Federation instance→shard index and function catalog
+    // Registry instance→shard index and function catalog
     // (bf-registry). Acquired while `shard_map` is held, always between
     // shard operations — never with a shard's `registry` lock live.
     "federation",
-    // Registry's cluster handle (bf-registry). Taken only for a clone;
-    // ranks above `registry` because the cluster admission hook calls
-    // back into `Registry::place_instance`.
+    // Registry's cluster handle (bf-registry). Taken only for a clone,
+    // with no other registry lock held; ranks above `registry` because
+    // the cluster admission hook calls back into
+    // `ShardedRegistry::place_instance`.
     "cluster",
-    // Registry state map (bf-registry). Held while placing instances,
+    // One shard's state map (bf-registry). Held while Algorithm 1 runs,
     // which reads board views and bumps metrics — so it outranks both.
     "registry",
     // Cluster node/allocation tables (bf-cluster). Never held across the

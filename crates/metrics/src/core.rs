@@ -5,6 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use bf_model::Fnv1a;
 use parking_lot::Mutex;
 
 /// A label set attached to a metric series, kept sorted for a canonical
@@ -279,23 +280,17 @@ impl MetricsRegistry {
     /// randomized hasher — shard assignment must be identical across runs
     /// so the scale harness's work counters replay exactly).
     fn shard(&self, key: &SeriesKey) -> &Mutex<BTreeMap<SeriesKey, Metric>> {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(key.name.as_bytes());
+        let mut h = Fnv1a::new();
+        h.write(key.name.as_bytes());
         for (k, v) in &key.labels {
-            eat(&[0xFF]);
-            eat(k.as_bytes());
-            eat(&[0xFE]);
-            eat(v.as_bytes());
+            h.write(&[0xFF]);
+            h.write(k.as_bytes());
+            h.write(&[0xFE]);
+            h.write(v.as_bytes());
         }
         // bf-flow: allow(hot_panic): the modulo keeps the index within
         // the fixed SHARDS-length array
-        &self.shards[(h % SHARDS as u64) as usize]
+        &self.shards[(h.finish() % SHARDS as u64) as usize]
     }
 
     /// Returns (registering on first use) the counter series

@@ -18,6 +18,9 @@
 //!   paper's Fig. 4 measurements;
 //! * [`NodeSpec`] / [`paper_cluster`] — the three-node testbed.
 //!
+//! It also holds [`Fnv1a`], the one deterministic hash behind replay
+//! digests, rendezvous shard ownership and metrics shard assignment.
+//!
 //! ```
 //! use bf_model::{paper_cluster, VirtualClock, VirtualDuration};
 //!
@@ -29,6 +32,7 @@
 //! ```
 
 mod clock;
+mod hash;
 mod link;
 mod node;
 mod time;
@@ -36,6 +40,7 @@ mod timing;
 mod wire;
 
 pub use clock::VirtualClock;
+pub use hash::Fnv1a;
 pub use link::{EthernetModel, MemcpyModel, PcieGeneration, PcieLink};
 pub use node::{node_a, node_b, node_c, paper_cluster, NodeId, NodeSpec};
 pub use time::{VirtualDuration, VirtualTime};

@@ -505,20 +505,35 @@ fn payload_cache_snapshot_survives_concurrent_insert_and_evict() {
 /// two paths; this model proves the serialization is complete in both
 /// orders (place-then-rebalance carries the binding to the new owner,
 /// rebalance-then-place routes against the post-join membership).
+///
+/// Run twice: on boards already configured for the function, and on
+/// blank boards — where the placement marks a reconfiguration pending,
+/// releases the shard map, programs the board and re-takes the map to
+/// clear the mark, so the rebalance can also land *between* the two
+/// halves and move the pending device to another shard.
 #[test]
 fn shard_rebalance_never_double_places_or_strands() {
+    for (name, configured) in [
+        ("shard_rebalance_vs_place", Some("sobel")),
+        ("shard_rebalance_vs_reprogramming_place", None),
+    ] {
+        rebalance_vs_place(name, configured);
+    }
+}
+
+fn rebalance_vs_place(name: &'static str, configured: Option<&'static str>) {
     use bf_registry::{
         AllocationPolicy, DeviceQuery, PlacementService, ShardedRegistry, StaticDevice,
     };
 
-    let stats = explore("shard_rebalance_vs_place", || {
+    let stats = explore(name, move || {
         let sharded = ShardedRegistry::new(AllocationPolicy::paper(), 2);
         for (i, node) in [bf_model::node_a(), bf_model::node_b(), bf_model::node_c()]
             .into_iter()
             .enumerate()
         {
             sharded.register_device_handle(
-                StaticDevice::new(format!("fpga-{i}"), node, Some("sobel")).handle(),
+                StaticDevice::new(format!("fpga-{i}"), node, configured).handle(),
             );
         }
         sharded.register_function("f", DeviceQuery::for_accelerator("sobel"));
@@ -544,8 +559,18 @@ fn shard_rebalance_never_double_places_or_strands() {
         );
         let ids = sharded.device_ids();
         assert_eq!(ids.len(), 3, "rebalance must not duplicate or drop devices");
-        let bound: usize = sharded
-            .device_views()
+        let views = sharded.device_views();
+        for view in &views {
+            assert!(
+                !view.pending_reconfiguration,
+                "{} is left pending after its board was programmed",
+                view.id
+            );
+            if view.id == allocation.device_id {
+                assert_eq!(view.bitstream.as_deref(), Some("sobel"));
+            }
+        }
+        let bound: usize = views
             .iter()
             .flat_map(|v| v.connected.iter())
             .filter(|(instance, _)| instance.as_str() == "inst-0")
@@ -560,9 +585,6 @@ fn shard_rebalance_never_double_places_or_strands() {
         assert_eq!(sharded.binding("inst-0"), None, "release after rebalance");
     })
     .expect("no schedule may double-place or strand an instance across a rebalance");
-    println!(
-        "shard_rebalance_vs_place: {} schedules explored",
-        stats.schedules
-    );
+    println!("{name}: {} schedules explored", stats.schedules);
     assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
 }

@@ -6,8 +6,8 @@
 //! 1000-device DES ladder or a bf-race model schedule. The registry
 //! therefore stores devices as [`RegistryDevice`] trait objects: the
 //! manager implements it, and simulation/model harnesses register
-//! lightweight stand-ins through
-//! [`Registry::register_device_handle`](crate::Registry::register_device_handle).
+//! lightweight stand-ins through the same
+//! [`PlacementService::register_device_handle`](crate::PlacementService::register_device_handle).
 
 use std::sync::Arc;
 
@@ -48,6 +48,13 @@ pub trait RegistryDevice: Send + Sync {
 
     /// Prometheus text exposition for the Metrics Gatherer.
     fn scrape(&self) -> String;
+
+    /// The live manager function instances dial after reading
+    /// `DEVICE_MANAGER_ADDRESS`; `None` for stand-ins that front no
+    /// manager event loop.
+    fn manager(&self) -> Option<DeviceManager> {
+        None
+    }
 }
 
 impl RegistryDevice for DeviceManager {
@@ -73,6 +80,10 @@ impl RegistryDevice for DeviceManager {
 
     fn scrape(&self) -> String {
         DeviceManager::scrape(self)
+    }
+
+    fn manager(&self) -> Option<DeviceManager> {
+        Some(self.clone())
     }
 }
 

@@ -1,14 +1,16 @@
-//! The Accelerators Registry (paper §III-C): the master component that
-//! registers functions and devices, aggregates performance metrics,
-//! allocates devices to function instances and validates reconfigurations.
+//! One shard of the Accelerators Registry (paper §III-C): the device,
+//! function and binding tables behind one lock, the Metrics Gatherer and
+//! Algorithm 1 over them. Crate-private — the public registry is
+//! [`ShardedRegistry`](crate::ShardedRegistry), which owns one or more
+//! of these and does everything that leaves the shard (routing, cluster
+//! migration, board programming).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use bf_cluster::Cluster;
-use bf_devmgr::{DeviceManager, ReconfigRequest};
+use bf_devmgr::DeviceManager;
 use bf_metrics::MetricsRegistry;
 use bf_model::NodeId;
 use bf_race::sync::Mutex;
@@ -41,10 +43,6 @@ struct ManagedDevice {
     /// through — a [`DeviceManager`] in production, a lightweight
     /// stand-in in simulation harnesses.
     device: Arc<dyn RegistryDevice>,
-    /// The concrete manager, when the device was registered with one
-    /// (what function instances dial after reading
-    /// `DEVICE_MANAGER_ADDRESS`).
-    manager: Option<DeviceManager>,
     utilization: f64,
     mean_op_latency_ms: f64,
     pending_reconfiguration: Option<String>,
@@ -91,16 +89,40 @@ impl RegistryInner {
         let span = (self.devices.len() + self.bindings.len()) as u64;
         self.contention.note(span);
     }
+
+    /// Drops `instance`'s binding and prunes it from its function's
+    /// record. Returns the function it belonged to.
+    fn unbind(&mut self, instance: &str) -> Option<String> {
+        let (function, _) = self.bindings.remove(instance)?;
+        if let Some(rec) = self.functions.get_mut(&function) {
+            rec.instances.retain(|i| i != instance);
+        }
+        Some(function)
+    }
+
+    /// Unbinds every instance bound to `device_id`; returns them as
+    /// `(instance, function)` pairs in instance order.
+    fn take_tenants(&mut self, device_id: &str) -> Vec<(String, String)> {
+        let tenants: Vec<String> = self
+            .bindings
+            .iter()
+            .filter(|(_, (_, d))| d == device_id)
+            .map(|(i, _)| i.clone())
+            .collect();
+        let mut taken = Vec::with_capacity(tenants.len());
+        for instance in tenants {
+            if let Some(function) = self.unbind(&instance) {
+                taken.push((instance, function));
+            }
+        }
+        taken
+    }
 }
 
 /// A device's bindings detached for a shard-map rebalance: everything the
 /// receiving shard needs to re-home the device without re-placement.
 pub(crate) struct DeviceExport {
-    pub(crate) device: Arc<dyn RegistryDevice>,
-    pub(crate) manager: Option<DeviceManager>,
-    pub(crate) utilization: f64,
-    pub(crate) mean_op_latency_ms: f64,
-    pub(crate) pending_reconfiguration: Option<String>,
+    managed: ManagedDevice,
     /// `(instance, function)` bindings that move with the device.
     pub(crate) bindings: Vec<(String, String)>,
 }
@@ -140,54 +162,37 @@ impl From<AllocateError> for RegistryError {
     }
 }
 
-/// The central controller. Cloning yields another handle to the same
-/// registry.
-#[derive(Clone)]
-pub struct Registry {
-    registry: Arc<Mutex<RegistryInner>>,
-    cluster: Arc<Mutex<Option<Cluster>>>,
+/// One shard: its tables behind the `registry` lock, plus the placement
+/// outcome counters. The lock is never held across `program`, `scrape`
+/// or a cluster call — programming and migration belong to the owning
+/// [`ShardedRegistry`](crate::ShardedRegistry).
+pub(crate) struct Shard {
+    registry: Mutex<RegistryInner>,
     metrics: MetricsRegistry,
 }
 
-impl Registry {
-    /// Creates a registry with the given allocation policy.
-    pub fn new(policy: AllocationPolicy) -> Self {
-        Registry {
-            registry: Arc::new(Mutex::new(RegistryInner {
+impl Shard {
+    /// An empty shard with the given allocation policy.
+    pub(crate) fn new(policy: AllocationPolicy) -> Self {
+        Shard {
+            registry: Mutex::new(RegistryInner {
                 devices: BTreeMap::new(),
                 functions: BTreeMap::new(),
                 bindings: BTreeMap::new(),
                 policy,
                 contention: ContentionStats::default(),
-            })),
-            cluster: Arc::new(Mutex::new(None)),
+            }),
             metrics: MetricsRegistry::default(),
         }
     }
 
-    /// The registry's own metrics (placement outcome counters).
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
-    }
-
-    /// Registers a device fronted by a live manager (Devices Service).
-    pub fn register_device(&self, manager: DeviceManager) {
-        self.insert_device(Arc::new(manager.clone()), Some(manager));
-    }
-
-    /// Registers a device through a bare [`RegistryDevice`] handle — the
-    /// simulation/model path, where no manager event loop exists.
-    pub fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
-        self.insert_device(device, None);
-    }
-
-    fn insert_device(&self, device: Arc<dyn RegistryDevice>, manager: Option<DeviceManager>) {
+    /// Registers a device (Devices Service).
+    pub(crate) fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
         let id = device.device_id().to_string();
         self.registry.lock().devices.insert(
             id,
             ManagedDevice {
                 device,
-                manager,
                 utilization: 0.0,
                 mean_op_latency_ms: 0.0,
                 pending_reconfiguration: None,
@@ -196,12 +201,11 @@ impl Registry {
     }
 
     /// Registers a function and its device query (Functions Service).
-    pub fn register_function(&self, name: impl Into<String>, query: DeviceQuery) {
-        let name = name.into();
+    pub(crate) fn register_function(&self, name: &str, query: DeviceQuery) {
         self.registry.lock().functions.insert(
-            name.clone(),
+            name.to_string(),
             FunctionRecord {
-                name,
+                name: name.to_string(),
                 query,
                 instances: Vec::new(),
             },
@@ -209,23 +213,25 @@ impl Registry {
     }
 
     /// Fetches a function record.
-    pub fn function(&self, name: &str) -> Option<FunctionRecord> {
+    pub(crate) fn function(&self, name: &str) -> Option<FunctionRecord> {
         self.registry.lock().functions.get(name).cloned()
     }
 
-    /// The manager handle for a device id (what a function instance dials
-    /// after reading `DEVICE_MANAGER_ADDRESS`). `None` for devices
-    /// registered through a bare handle.
-    pub fn manager(&self, device_id: &str) -> Option<DeviceManager> {
-        self.registry
+    /// The manager fronting a device id (what a function instance dials
+    /// after reading `DEVICE_MANAGER_ADDRESS`). `None` for unknown ids
+    /// and for devices no live manager fronts.
+    pub(crate) fn manager(&self, device_id: &str) -> Option<DeviceManager> {
+        let device = self
+            .registry
             .lock()
             .devices
             .get(device_id)
-            .and_then(|d| d.manager.clone())
+            .map(|d| d.device.clone())?;
+        device.manager()
     }
 
     /// All registered device ids, pre-sized off the device table.
-    pub fn device_ids(&self) -> Vec<String> {
+    pub(crate) fn device_ids(&self) -> Vec<String> {
         let inner = self.registry.lock();
         let mut ids = Vec::with_capacity(inner.devices.len());
         ids.extend(inner.devices.keys().cloned());
@@ -233,7 +239,7 @@ impl Registry {
     }
 
     /// The device an instance is bound to.
-    pub fn binding(&self, instance: &str) -> Option<String> {
+    pub(crate) fn binding(&self, instance: &str) -> Option<String> {
         self.registry
             .lock()
             .bindings
@@ -263,7 +269,7 @@ impl Registry {
     /// own locks): the lock is held twice for pre-sized point work — the
     /// handle snapshot and the gauge write-back — never across a device
     /// round-trip.
-    pub fn gather_metrics(&self) {
+    pub(crate) fn gather_metrics(&self) {
         let handles = self.device_handles();
         let mut scrapes = Vec::with_capacity(handles.len());
         for (id, device) in handles {
@@ -327,246 +333,147 @@ impl Registry {
         views
     }
 
-    /// Runs Algorithm 1 for a new instance of `function` and applies the
-    /// decision: binds the instance, and — when the chosen device needs a
-    /// different bitstream — migrates the displaced tenants (through the
-    /// cluster when attached) and reprograms the board.
+    /// Runs Algorithm 1 for a new instance of `function` and records the
+    /// decision: binds the instance, unbinds the displaced tenants and —
+    /// when the chosen device needs a different bitstream — marks the
+    /// reconfiguration pending so concurrent allocations see the
+    /// device's future bitstream.
     ///
-    /// Returns the applied allocation.
+    /// Returns the allocation and the chosen device's handle. When
+    /// `reconfigure` is set the caller migrates the displaced tenants,
+    /// programs the handle and calls
+    /// [`finish_reconfiguration`](Self::finish_reconfiguration).
     ///
     /// # Errors
     ///
-    /// Fails when the function is unknown, no device survives Algorithm 1,
-    /// or the reprogramming/migration fails.
-    pub fn place_instance(
+    /// Fails when the function is unknown or no device survives
+    /// Algorithm 1.
+    pub(crate) fn place_instance(
         &self,
         instance: &str,
         function: &str,
-    ) -> Result<Allocation, RegistryError> {
-        let (decision, device) = {
-            let mut inner = self.registry.lock();
-            inner.note_full_span();
-            let query = inner
-                .functions
-                .get(function)
-                .ok_or_else(|| RegistryError::UnknownFunction(function.to_string()))?
-                .query
-                .clone();
-            let views = Self::views(&inner);
-            let decision = allocate(&query, &views, &inner.policy)?;
-            // Placement warmth accounting: did Algorithm 1 land on a
-            // configured board, a warm-staged one, or a cold reprogram?
-            let outcome = match &decision.reconfigure {
-                None => "configured",
-                Some(bitstream) => {
-                    let warm = views.iter().any(|v| {
-                        v.id == decision.device_id
-                            && v.warm_bitstreams.iter().any(|w| w == bitstream)
-                    });
-                    if warm {
-                        "warm"
-                    } else {
-                        "cold"
-                    }
-                }
-            };
-            self.metrics
-                .counter("bf_registry_placements_total", &[("outcome", outcome)])
-                .inc();
-            // Bookkeeping: bind the new instance, unbind the displaced,
-            // mark the pending reconfiguration so concurrent allocations
-            // see the device's future bitstream.
-            inner.bindings.insert(
-                instance.to_string(),
-                (function.to_string(), decision.device_id.clone()),
-            );
-            if let Some(rec) = inner.functions.get_mut(function) {
-                rec.instances.push(instance.to_string());
-            }
-            for displaced in &decision.displaced {
-                if let Some((func, _)) = inner.bindings.remove(displaced) {
-                    if let Some(rec) = inner.functions.get_mut(&func) {
-                        rec.instances.retain(|i| i != displaced);
-                    }
+    ) -> Result<(Allocation, Arc<dyn RegistryDevice>), RegistryError> {
+        let mut inner = self.registry.lock();
+        inner.note_full_span();
+        let query = inner
+            .functions
+            .get(function)
+            .ok_or_else(|| RegistryError::UnknownFunction(function.to_string()))?
+            .query
+            .clone();
+        let views = Self::views(&inner);
+        let decision = allocate(&query, &views, &inner.policy)?;
+        // Placement warmth accounting: did Algorithm 1 land on a
+        // configured board, a warm-staged one, or a cold reprogram?
+        let outcome = match &decision.reconfigure {
+            None => "configured",
+            Some(bitstream) => {
+                let warm = views.iter().any(|v| {
+                    v.id == decision.device_id && v.warm_bitstreams.iter().any(|w| w == bitstream)
+                });
+                if warm {
+                    "warm"
+                } else {
+                    "cold"
                 }
             }
-            if let Some(bitstream) = &decision.reconfigure {
-                if let Some(dev) = inner.devices.get_mut(&decision.device_id) {
-                    dev.pending_reconfiguration = Some(bitstream.clone());
-                }
-            }
-            // bf-taint: sanitized(decision.device_id was selected by the allocator from this very map's views under the same lock)
-            let device = inner.devices[&decision.device_id].device.clone();
-            (decision, device)
         };
-
+        self.metrics
+            .counter("bf_registry_placements_total", &[("outcome", outcome)])
+            .inc();
+        inner.bindings.insert(
+            instance.to_string(),
+            (function.to_string(), decision.device_id.clone()),
+        );
+        if let Some(rec) = inner.functions.get_mut(function) {
+            rec.instances.push(instance.to_string());
+        }
+        for displaced in &decision.displaced {
+            inner.unbind(displaced);
+        }
         if let Some(bitstream) = &decision.reconfigure {
-            // Migrate displaced tenants with create-before-delete (§III-C).
-            let cluster = self.cluster.lock().clone();
-            if let Some(cluster) = cluster {
-                for displaced in &decision.displaced {
-                    if let Some(id) = parse_pod_id(displaced) {
-                        cluster
-                            .replace_instance(bf_cluster::InstanceId(id))
-                            .map_err(|e| RegistryError::Cluster(e.to_string()))?;
-                    }
-                }
-            }
-            device.program(bitstream).map_err(RegistryError::Program)?;
-            if let Some(device) = self.registry.lock().devices.get_mut(&decision.device_id) {
-                device.pending_reconfiguration = None;
+            if let Some(dev) = inner.devices.get_mut(&decision.device_id) {
+                dev.pending_reconfiguration = Some(bitstream.clone());
             }
         }
-        Ok(decision)
+        // bf-taint: sanitized(decision.device_id was selected by the allocator from this very map's views under the same lock)
+        let device = inner.devices[&decision.device_id].device.clone();
+        Ok((decision, device))
     }
 
     /// Removes an instance's binding (called when its pod is deleted).
-    pub fn release_instance(&self, instance: &str) {
-        let mut inner = self.registry.lock();
-        if let Some((function, _)) = inner.bindings.remove(instance) {
-            if let Some(rec) = inner.functions.get_mut(&function) {
-                rec.instances.retain(|i| i != instance);
-            }
-        }
+    pub(crate) fn release_instance(&self, instance: &str) {
+        self.registry.lock().unbind(instance);
     }
 
-    /// Registry-driven reconfiguration of a whole device: migrates every
-    /// bound tenant away (create-before-delete through the cluster when
-    /// attached), then reprograms the board.
+    /// First half of a registry-driven reconfiguration of a whole
+    /// device: marks `bitstream` pending and unbinds every tenant.
+    /// Returns the device's handle and the tenants to migrate away
+    /// before it is programmed.
     ///
     /// # Errors
     ///
-    /// Fails on unknown devices or when reprogramming fails.
-    pub fn reconfigure_device(
+    /// Returns [`RegistryError::UnknownDevice`] for unregistered ids.
+    pub(crate) fn begin_reconfiguration(
         &self,
         device_id: &str,
         bitstream: &str,
-    ) -> Result<(), RegistryError> {
-        let (device, tenants) = {
-            let mut inner = self.registry.lock();
-            let dev = inner
-                .devices
-                .get_mut(device_id)
-                .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
-            dev.pending_reconfiguration = Some(bitstream.to_string());
-            let device = dev.device.clone();
-            let tenants: Vec<String> = inner
-                .bindings
-                .iter()
-                .filter(|(_, (_, d))| d == device_id)
-                .map(|(i, _)| i.clone())
-                .collect();
-            for t in &tenants {
-                if let Some((func, _)) = inner.bindings.remove(t) {
-                    if let Some(rec) = inner.functions.get_mut(&func) {
-                        rec.instances.retain(|i| i != t);
-                    }
-                }
-            }
-            (device, tenants)
-        };
-        let cluster = self.cluster.lock().clone();
-        if let Some(cluster) = cluster {
-            for t in &tenants {
-                if let Some(id) = parse_pod_id(t) {
-                    cluster
-                        .replace_instance(bf_cluster::InstanceId(id))
-                        .map_err(|e| RegistryError::Cluster(e.to_string()))?;
-                }
-            }
-        }
-        device.program(bitstream).map_err(RegistryError::Program)?;
+    ) -> Result<(Arc<dyn RegistryDevice>, Vec<String>), RegistryError> {
+        let mut inner = self.registry.lock();
+        let dev = inner
+            .devices
+            .get_mut(device_id)
+            .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
+        dev.pending_reconfiguration = Some(bitstream.to_string());
+        let device = dev.device.clone();
+        let tenants = inner.take_tenants(device_id);
+        Ok((device, tenants.into_iter().map(|(i, _)| i).collect()))
+    }
+
+    /// The board now carries the bitstream that was pending.
+    pub(crate) fn finish_reconfiguration(&self, device_id: &str) {
         if let Some(device) = self.registry.lock().devices.get_mut(device_id) {
             device.pending_reconfiguration = None;
         }
-        Ok(())
     }
 
-    /// Handles a device failure (node crash, board fault): the device is
-    /// removed from the Devices Service and every bound instance is
-    /// migrated with create-before-delete semantics — re-admission places
-    /// the replacements on the surviving devices.
-    ///
-    /// Returns the names of the instances that were migrated.
+    /// Deregisters a failed device (node crash, board fault) and unbinds
+    /// its tenants. Returns the tenants' instance names.
     ///
     /// # Errors
     ///
-    /// Returns [`RegistryError::UnknownDevice`] for unregistered ids, or a
-    /// cluster/allocation failure when a tenant cannot be rehomed (the
-    /// device stays deregistered either way — it is gone).
-    pub fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
-        let tenants = {
-            let mut inner = self.registry.lock();
-            if inner.devices.remove(device_id).is_none() {
-                return Err(RegistryError::UnknownDevice(device_id.to_string()));
-            }
-            let tenants: Vec<String> = inner
-                .bindings
-                .iter()
-                .filter(|(_, (_, d))| d == device_id)
-                .map(|(i, _)| i.clone())
-                .collect();
-            for t in &tenants {
-                if let Some((func, _)) = inner.bindings.remove(t) {
-                    if let Some(rec) = inner.functions.get_mut(&func) {
-                        rec.instances.retain(|i| i != t);
-                    }
-                }
-            }
-            tenants
-        };
-        let cluster = self.cluster.lock().clone();
-        if let Some(cluster) = cluster {
-            for t in &tenants {
-                if let Some(id) = parse_pod_id(t) {
-                    cluster
-                        .replace_instance(bf_cluster::InstanceId(id))
-                        .map_err(|e| RegistryError::Cluster(e.to_string()))?;
-                }
-            }
+    /// Returns [`RegistryError::UnknownDevice`] for unregistered ids.
+    pub(crate) fn remove_failed_device(
+        &self,
+        device_id: &str,
+    ) -> Result<Vec<String>, RegistryError> {
+        let mut inner = self.registry.lock();
+        if inner.devices.remove(device_id).is_none() {
+            return Err(RegistryError::UnknownDevice(device_id.to_string()));
         }
-        Ok(tenants)
-    }
-
-    /// The validator Device Managers consult for client-initiated
-    /// reconfiguration requests: approved only when the requesting
-    /// instance is actually allocated to that device.
-    pub fn reconfig_validator(&self) -> Arc<dyn Fn(&ReconfigRequest) -> bool + Send + Sync> {
-        crate::service::reconfig_validator(Arc::new(self.clone()))
-    }
-
-    /// Wires the registry into a cluster: installs the admission hook that
-    /// intercepts instance creation (allocating a device, injecting
-    /// `DEVICE_MANAGER_ADDRESS` and the shm volume, forcing the host) and
-    /// spawns a watcher that releases bindings on pod deletion.
-    pub fn attach_cluster(&self, cluster: &Cluster) {
-        crate::service::attach_placement(cluster, Arc::new(self.clone()));
-    }
-
-    /// Stores the cluster handle used for displaced-tenant migration.
-    pub(crate) fn bind_cluster_handle(&self, cluster: &Cluster) {
-        *self.cluster.lock() = Some(cluster.clone());
+        let tenants = inner.take_tenants(device_id);
+        Ok(tenants.into_iter().map(|(i, _)| i).collect())
     }
 
     /// Snapshot of the allocator's device views (diagnostics, tests).
-    pub fn device_views(&self) -> Vec<DeviceView> {
+    pub(crate) fn device_views(&self) -> Vec<DeviceView> {
         let mut inner = self.registry.lock();
         inner.note_full_span();
         Self::views(&inner)
     }
 
     /// Nodes currently hosting at least one registered device.
-    pub fn device_nodes(&self) -> Vec<NodeId> {
+    pub(crate) fn device_nodes(&self) -> Vec<NodeId> {
         let inner = self.registry.lock();
         let mut nodes = Vec::with_capacity(inner.devices.len());
         nodes.extend(inner.devices.values().map(|d| d.device.node().id().clone()));
         nodes
     }
 
-    /// The aggregate load summary a federated router sees for this shard:
-    /// counts, mean utilization, and the configured/warm bitstream hint
-    /// sets — never per-device state.
-    pub fn load_summary(&self, shard: usize) -> ShardLoadSummary {
+    /// The aggregate load summary the federated router sees for this
+    /// shard: counts, mean utilization, and the configured/warm bitstream
+    /// hint sets — never per-device state.
+    pub(crate) fn load_summary(&self, shard: usize) -> ShardLoadSummary {
         let mut inner = self.registry.lock();
         inner.note_full_span();
         let mut configured = BTreeSet::new();
@@ -605,8 +512,8 @@ impl Registry {
         }
     }
 
-    /// Placement outcome totals from this registry's metrics.
-    pub fn placement_outcomes(&self) -> PlacementOutcomes {
+    /// Placement outcome totals from this shard's metrics.
+    pub(crate) fn placement_outcomes(&self) -> PlacementOutcomes {
         let read = |outcome: &str| {
             self.metrics
                 .counter_value("bf_registry_placements_total", &[("outcome", outcome)])
@@ -619,93 +526,32 @@ impl Registry {
         }
     }
 
-    /// Lock-contention accounting for this registry's lock.
-    pub fn contention(&self, shard: usize) -> ContentionReport {
+    /// Lock-contention accounting for this shard's lock.
+    pub(crate) fn contention(&self, shard: usize) -> ContentionReport {
         let stats = self.registry.lock().contention;
         ContentionReport { shard, stats }
     }
 
     /// Detaches `device_id` and its bindings for a shard-map rebalance.
-    /// Unlike [`handle_device_failure`](Self::handle_device_failure) the
+    /// Unlike [`remove_failed_device`](Self::remove_failed_device) the
     /// bindings survive — the importing shard re-homes them unchanged.
     pub(crate) fn export_device(&self, device_id: &str) -> Option<DeviceExport> {
         let mut inner = self.registry.lock();
-        let d = inner.devices.remove(device_id)?;
-        let moved: Vec<(String, String)> = inner
-            .bindings
-            .iter()
-            .filter(|(_, (_, dev))| dev == device_id)
-            .map(|(i, (f, _))| (i.clone(), f.clone()))
-            .collect();
-        for (instance, function) in &moved {
-            inner.bindings.remove(instance);
-            if let Some(rec) = inner.functions.get_mut(function) {
-                rec.instances.retain(|i| i != instance);
-            }
-        }
-        Some(DeviceExport {
-            device: d.device,
-            manager: d.manager,
-            utilization: d.utilization,
-            mean_op_latency_ms: d.mean_op_latency_ms,
-            pending_reconfiguration: d.pending_reconfiguration,
-            bindings: moved,
-        })
+        let managed = inner.devices.remove(device_id)?;
+        let bindings = inner.take_tenants(device_id);
+        Some(DeviceExport { managed, bindings })
     }
 
     /// Re-homes a device exported from another shard, bindings included.
     pub(crate) fn import_device(&self, export: DeviceExport) {
         let mut inner = self.registry.lock();
-        let id = export.device.device_id().to_string();
-        for (instance, function) in &export.bindings {
-            inner
-                .bindings
-                .insert(instance.clone(), (function.clone(), id.clone()));
-            if let Some(rec) = inner.functions.get_mut(function) {
+        let id = export.managed.device.device_id().to_string();
+        for (instance, function) in export.bindings {
+            if let Some(rec) = inner.functions.get_mut(&function) {
                 rec.instances.push(instance.clone());
             }
+            inner.bindings.insert(instance, (function, id.clone()));
         }
-        inner.devices.insert(
-            id,
-            ManagedDevice {
-                device: export.device,
-                manager: export.manager,
-                utilization: export.utilization,
-                mean_op_latency_ms: export.mean_op_latency_ms,
-                pending_reconfiguration: export.pending_reconfiguration,
-            },
-        );
-    }
-}
-
-impl fmt::Debug for Registry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.registry.lock();
-        f.debug_struct("Registry")
-            .field("devices", &inner.devices.len())
-            .field("functions", &inner.functions.len())
-            .field("bindings", &inner.bindings.len())
-            .finish()
-    }
-}
-
-/// Instance names produced by the cluster integration are pod ids
-/// (`pod-N`); parse the numeric part back.
-pub(crate) fn parse_pod_id(instance: &str) -> Option<u64> {
-    instance.strip_prefix("pod-").and_then(|s| s.parse().ok())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pod_id_round_trip() {
-        assert_eq!(parse_pod_id("pod-17"), Some(17));
-        assert_eq!(parse_pod_id("sobel-1"), None);
-        assert_eq!(
-            parse_pod_id(&bf_cluster::InstanceId(3).to_string()),
-            Some(3)
-        );
+        inner.devices.insert(id, export.managed);
     }
 }

@@ -2,11 +2,12 @@
 //! autoscaler, cluster admission, the DES harnesses) and whatever
 //! allocates devices behind it.
 //!
-//! [`PlacementService`] is exactly the surface the single [`Registry`]
-//! already exposed — place / release / reconfigure / failure / views —
-//! lifted to a trait so a [`ShardedRegistry`](crate::ShardedRegistry)
-//! (or anything else) can stand in without callers changing. Cross-shard
-//! coordination happens only through [`ShardLoadSummary`] aggregates:
+//! [`PlacementService`] is the registry's whole surface — place /
+//! release / reconfigure / failure / views — as a trait, so callers hold
+//! a `dyn PlacementService` and a test or harness can stand a fake in
+//! for [`ShardedRegistry`](crate::ShardedRegistry), its one implementor.
+//! Cross-shard coordination happens only through [`ShardLoadSummary`]
+//! aggregates:
 //! a federated router never sees per-device state, mirroring funcX's
 //! endpoint federation, and the warm-bitstream hint sets keep Cloudburst
 //! style locality (and the PR-8 cache wins) across the shard boundary.
@@ -22,7 +23,7 @@ use crate::allocation::{Allocation, DeviceView};
 use crate::device::RegistryDevice;
 use crate::query::DeviceQuery;
 use crate::registry::{
-    ContentionStats, FunctionRecord, Registry, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
+    ContentionStats, FunctionRecord, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
 };
 
 /// The aggregate load a federated router sees for one shard.
@@ -109,13 +110,14 @@ pub struct ContentionReport {
 
 /// The typed placement API the rest of the system programs against.
 ///
-/// [`Registry`] implements it directly (one shard, the paper's
-/// Algorithm 1); [`ShardedRegistry`](crate::ShardedRegistry) implements
-/// it by routing on [`ShardLoadSummary`] aggregates. Callers that used
-/// to take `&Registry` take `&dyn PlacementService` (or an
-/// `Arc<dyn PlacementService>`) and cannot tell the difference.
+/// [`ShardedRegistry`](crate::ShardedRegistry) implements it by routing
+/// on [`ShardLoadSummary`] aggregates and running the paper's
+/// Algorithm 1 inside the chosen shard; with one shard that is the
+/// paper's single Accelerators Registry. Callers take
+/// `&dyn PlacementService` (or an `Arc<dyn PlacementService>`).
 pub trait PlacementService: Send + Sync {
-    /// Registers a device through a bare handle (Devices Service).
+    /// Registers a device (Devices Service): a live
+    /// [`DeviceManager`] or any lighter [`RegistryDevice`] stand-in.
     fn register_device_handle(&self, device: Arc<dyn RegistryDevice>);
 
     /// Registers a function and its device query (Functions Service).
@@ -124,7 +126,8 @@ pub trait PlacementService: Send + Sync {
     /// Fetches a function record (instances aggregated across shards).
     fn function(&self, name: &str) -> Option<FunctionRecord>;
 
-    /// The live manager for a device id, when one exists.
+    /// The live manager fronting a device id, when one exists (see
+    /// [`RegistryDevice::manager`]).
     fn manager(&self, device_id: &str) -> Option<DeviceManager>;
 
     /// All registered device ids.
@@ -167,8 +170,7 @@ pub trait PlacementService: Send + Sync {
     /// Refreshes the utilization metrics the allocator orders by.
     fn gather_metrics(&self);
 
-    /// Per-shard aggregate load summaries (one entry for a plain
-    /// registry).
+    /// Per-shard aggregate load summaries.
     fn load_summaries(&self) -> Vec<ShardLoadSummary>;
 
     /// Placement outcome totals summed across shards.
@@ -181,76 +183,6 @@ pub trait PlacementService: Send + Sync {
     /// Callers normally go through [`attach_placement`], which also
     /// installs the admission hook and deletion watcher.
     fn bind_cluster(&self, cluster: &Cluster);
-}
-
-impl PlacementService for Registry {
-    fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
-        Registry::register_device_handle(self, device);
-    }
-
-    fn register_function(&self, name: &str, query: DeviceQuery) {
-        Registry::register_function(self, name, query);
-    }
-
-    fn function(&self, name: &str) -> Option<FunctionRecord> {
-        Registry::function(self, name)
-    }
-
-    fn manager(&self, device_id: &str) -> Option<DeviceManager> {
-        Registry::manager(self, device_id)
-    }
-
-    fn device_ids(&self) -> Vec<String> {
-        Registry::device_ids(self)
-    }
-
-    fn device_views(&self) -> Vec<DeviceView> {
-        Registry::device_views(self)
-    }
-
-    fn device_nodes(&self) -> Vec<NodeId> {
-        Registry::device_nodes(self)
-    }
-
-    fn binding(&self, instance: &str) -> Option<String> {
-        Registry::binding(self, instance)
-    }
-
-    fn place_instance(&self, instance: &str, function: &str) -> Result<Allocation, RegistryError> {
-        Registry::place_instance(self, instance, function)
-    }
-
-    fn release_instance(&self, instance: &str) {
-        Registry::release_instance(self, instance);
-    }
-
-    fn reconfigure_device(&self, device_id: &str, bitstream: &str) -> Result<(), RegistryError> {
-        Registry::reconfigure_device(self, device_id, bitstream)
-    }
-
-    fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
-        Registry::handle_device_failure(self, device_id)
-    }
-
-    fn gather_metrics(&self) {
-        Registry::gather_metrics(self);
-    }
-
-    fn load_summaries(&self) -> Vec<ShardLoadSummary> {
-        vec![self.load_summary(0)]
-    }
-
-    fn placement_outcomes(&self) -> PlacementOutcomes {
-        Registry::placement_outcomes(self)
-    }
-
-    fn contention(&self) -> Vec<ContentionReport> {
-        vec![Registry::contention(self, 0)]
-    }
-
-    fn bind_cluster(&self, cluster: &Cluster) {
-        self.bind_cluster_handle(cluster);
-    }
 }
 
 /// The validator Device Managers consult for client-initiated

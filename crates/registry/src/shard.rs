@@ -1,5 +1,6 @@
-//! Sharded, federated control plane: N independent [`Registry`] shards
-//! behind one [`PlacementService`], partitioned by rendezvous hashing.
+//! The Accelerators Registry as a sharded, federated control plane: N
+//! independent shards (N ≥ 1) behind one [`PlacementService`],
+//! partitioned by rendezvous hashing.
 //!
 //! Devices are assigned to shards by highest-random-weight (HRW) hashing
 //! of their id against the live shard-id set: every observer computes the
@@ -22,13 +23,13 @@ use std::sync::Arc;
 
 use bf_cluster::Cluster;
 use bf_devmgr::DeviceManager;
-use bf_model::NodeId;
+use bf_model::{Fnv1a, NodeId};
 use bf_race::sync::Mutex;
 
 use crate::allocation::{Allocation, AllocationPolicy, DeviceView};
 use crate::device::RegistryDevice;
 use crate::query::DeviceQuery;
-use crate::registry::{FunctionRecord, Registry, RegistryError};
+use crate::registry::{FunctionRecord, RegistryError, Shard};
 use crate::service::{ContentionReport, PlacementOutcomes, PlacementService, ShardLoadSummary};
 
 /// FNV-1a over the shard id and key (separated so `("ab","c")` and
@@ -36,13 +37,11 @@ use crate::service::{ContentionReport, PlacementOutcomes, PlacementService, Shar
 /// finalizer: raw FNV leaves the high bits — which the HRW argmax is
 /// decided by — barely mixed for short suffix-varying keys.
 fn hrw_score(shard_id: &str, key: &str) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for byte in shard_id.bytes().chain([0xff]).chain(key.bytes()) {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(PRIME);
-    }
+    let mut fnv = Fnv1a::new();
+    fnv.write(shard_id.as_bytes());
+    fnv.write(&[0xff]);
+    fnv.write(key.as_bytes());
+    let mut h = fnv.finish();
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -108,16 +107,88 @@ impl FederatedAllocator {
     }
 }
 
-/// Shard membership plus the shard handles themselves. Guarded by the
+/// Shard membership plus the shards themselves. Guarded by the
 /// `shard_map` lock (ranked above `federation` and every registry lock).
 struct ShardMapState {
     /// Stable shard ids, position-aligned with `shards`. HRW owners are
     /// a pure function of this vector's contents.
     ids: Vec<String>,
-    shards: Vec<Registry>,
+    shards: Vec<Shard>,
     /// Monotonic counter so re-added shards get fresh ids.
     next_id: usize,
-    cluster: Option<Cluster>,
+}
+
+impl ShardMapState {
+    /// Appends an empty shard that knows `functions`; returns its id.
+    fn push_shard(
+        &mut self,
+        policy: &AllocationPolicy,
+        functions: &BTreeMap<String, DeviceQuery>,
+    ) -> String {
+        let id = format!("shard-{}", self.next_id);
+        self.next_id += 1;
+        let shard = Shard::new(policy.clone());
+        for (name, query) in functions {
+            shard.register_function(name, query.clone());
+        }
+        self.ids.push(id.clone());
+        self.shards.push(shard);
+        id
+    }
+
+    /// The shard currently responsible for `device_id`.
+    fn owner_of(&self, device_id: &str) -> Option<&Shard> {
+        // bf-taint: sanitized(hrw_owner enumerates self.ids, position-aligned with self.shards, so owner < shards.len())
+        hrw_owner(&self.ids, device_id).map(|owner| &self.shards[owner])
+    }
+
+    /// The shard named `shard_id`.
+    fn shard_named(&self, shard_id: &str) -> Option<&Shard> {
+        let idx = self.ids.iter().position(|i| i == shard_id)?;
+        self.shards.get(idx)
+    }
+
+    /// Aggregate summaries only: the federation layer never reads a
+    /// shard's per-device state to route.
+    fn summaries(&self) -> Vec<ShardLoadSummary> {
+        self.shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| shard.load_summary(i))
+            .collect()
+    }
+
+    /// Moves each of `src`'s devices whose HRW owner under the current
+    /// membership is not shard index `src_idx` to that owner, bindings
+    /// riding along, and re-indexes them. Shard registry locks are taken
+    /// one export/import at a time and `federation` only between them.
+    /// Returns the number of devices moved.
+    fn rehome_devices(
+        &self,
+        src: &Shard,
+        src_idx: Option<usize>,
+        federation: &Mutex<FederationState>,
+    ) -> u64 {
+        let mut moves = 0u64;
+        for device_id in src.device_ids() {
+            let owner = match hrw_owner(&self.ids, &device_id) {
+                Some(owner) if Some(owner) != src_idx => owner,
+                _ => continue,
+            };
+            if let Some(export) = src.export_device(&device_id) {
+                moves += 1;
+                let moved: Vec<String> = export.bindings.iter().map(|(i, _)| i.clone()).collect();
+                // bf-taint: sanitized(hrw_owner enumerates self.ids, position-aligned with self.shards, so owner < shards.len())
+                self.shards[owner].import_device(export);
+                let owner_id = self.ids[owner].clone();
+                let mut federation = federation.lock();
+                for instance in moved {
+                    federation.instances.insert(instance, owner_id.clone());
+                }
+            }
+        }
+        moves
+    }
 }
 
 /// Federation-level bookkeeping: which shard holds each instance, and
@@ -132,30 +203,43 @@ struct FederationState {
     functions: BTreeMap<String, DeviceQuery>,
 }
 
-/// N [`Registry`] shards behind the [`PlacementService`] surface.
+/// The Accelerators Registry (paper §III-C): the master component that
+/// registers functions and devices, aggregates performance metrics,
+/// allocates devices to function instances and validates
+/// reconfigurations — as N shards behind the [`PlacementService`]
+/// surface. One shard is the paper's single registry; there is no other
+/// code path for it.
 ///
-/// Cloning yields another handle to the same federation.
+/// Cloning yields another handle to the same registry.
 #[derive(Clone)]
 pub struct ShardedRegistry {
     shard_map: Arc<Mutex<ShardMapState>>,
     federation: Arc<Mutex<FederationState>>,
+    /// The attached cluster, for create-before-delete migration. Taken
+    /// only for a clone and with no other registry lock held: the
+    /// migration re-enters [`place_instance`](PlacementService::place_instance)
+    /// through the cluster's admission hook.
+    cluster: Arc<Mutex<Option<Cluster>>>,
     policy: AllocationPolicy,
 }
 
 impl ShardedRegistry {
-    /// A federation of `shards` empty registries sharing `policy`.
+    /// A registry of `shards` (at least one) empty shards sharing
+    /// `policy`.
     pub fn new(policy: AllocationPolicy, shards: usize) -> Self {
-        let shards = shards.max(1);
-        let ids: Vec<String> = (0..shards).map(|i| format!("shard-{i}")).collect();
-        let registries: Vec<Registry> = ids.iter().map(|_| Registry::new(policy.clone())).collect();
+        let mut state = ShardMapState {
+            ids: Vec::new(),
+            shards: Vec::new(),
+            next_id: 0,
+        };
+        let federation = FederationState::default();
+        for _ in 0..shards.max(1) {
+            state.push_shard(&policy, &federation.functions);
+        }
         ShardedRegistry {
-            shard_map: Arc::new(Mutex::new(ShardMapState {
-                ids,
-                shards: registries,
-                next_id: shards,
-                cluster: None,
-            })),
-            federation: Arc::new(Mutex::new(FederationState::default())),
+            shard_map: Arc::new(Mutex::new(state)),
+            federation: Arc::new(Mutex::new(federation)),
+            cluster: Arc::new(Mutex::new(None)),
             policy,
         }
     }
@@ -175,28 +259,14 @@ impl ShardedRegistry {
     /// bindings riding along. Returns `(shard id, devices moved)`.
     pub fn add_shard(&self) -> (String, u64) {
         let mut state = self.shard_map.lock();
-        let id = format!("shard-{}", state.next_id);
-        state.next_id += 1;
-        let registry = Registry::new(self.policy.clone());
         // Replay the function catalog so the new shard can place and
         // import bindings for every known function.
-        let functions: Vec<(String, DeviceQuery)> = {
-            let federation = self.federation.lock();
-            federation
-                .functions
-                .iter()
-                .map(|(n, q)| (n.clone(), q.clone()))
-                .collect()
-        };
-        for (name, query) in functions {
-            registry.register_function(name, query);
+        let functions = self.federation.lock().functions.clone();
+        let id = state.push_shard(&self.policy, &functions);
+        let mut moves = 0u64;
+        for (idx, shard) in state.shards.iter().enumerate() {
+            moves += state.rehome_devices(shard, Some(idx), &self.federation);
         }
-        if let Some(cluster) = &state.cluster {
-            registry.bind_cluster_handle(cluster);
-        }
-        state.ids.push(id.clone());
-        state.shards.push(registry);
-        let moves = Self::rebalance_locked(&mut state, &self.federation);
         (id, moves)
     }
 
@@ -212,67 +282,90 @@ impl ShardedRegistry {
         let idx = state.ids.iter().position(|i| i == id)?;
         state.ids.remove(idx);
         let removed = state.shards.remove(idx);
-        let mut moves = 0u64;
-        for device_id in removed.device_ids() {
-            if let Some(export) = removed.export_device(&device_id) {
-                moves += 1;
-                let moved: Vec<String> = export.bindings.iter().map(|(i, _)| i.clone()).collect();
-                // Owner under the *new* membership; the map is non-empty.
-                if let Some(owner) = hrw_owner(&state.ids, &device_id) {
-                    state.shards[owner].import_device(export);
-                    let owner_id = state.ids[owner].clone();
-                    let mut federation = self.federation.lock();
-                    for instance in moved {
-                        federation.instances.insert(instance, owner_id.clone());
-                    }
+        // Owners under the *new* membership; the map is non-empty.
+        Some(state.rehome_devices(&removed, None, &self.federation))
+    }
+
+    /// Routes a placement over the shards' summaries and records it in
+    /// the first shard whose Algorithm 1 accepts it, all under
+    /// `shard_map` so a rebalance sees the placement entirely or not at
+    /// all. Returns the allocation and the chosen device's handle.
+    fn place_on_a_shard(
+        &self,
+        instance: &str,
+        function: &str,
+    ) -> Result<(Allocation, Arc<dyn RegistryDevice>), RegistryError> {
+        let state = self.shard_map.lock();
+        let accelerator = {
+            let federation = self.federation.lock();
+            match federation.functions.get(function) {
+                Some(query) => query.accelerator.clone(),
+                None => return Err(RegistryError::UnknownFunction(function.to_string())),
+            }
+        };
+        let summaries = state.summaries();
+        let mut last_err = None;
+        for idx in FederatedAllocator::route(accelerator.as_deref(), &summaries) {
+            match state.shards[idx].place_instance(instance, function) {
+                Ok(placed) => {
+                    let shard_id = state.ids[idx].clone();
+                    self.federation
+                        .lock()
+                        .instances
+                        .insert(instance.to_string(), shard_id);
+                    return Ok(placed);
+                }
+                // This shard can't host it (no device passed the filter);
+                // fall through to the next-ranked shard.
+                Err(e @ RegistryError::Allocate(_)) => last_err = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        Err(last_err.unwrap_or_else(|| RegistryError::UnknownFunction(function.to_string())))
+    }
+
+    /// Create-before-delete migration (§III-C) of `tenants` through the
+    /// attached cluster: each replacement pod passes admission — and so
+    /// re-enters [`place_instance`](PlacementService::place_instance) —
+    /// before the old pod is deleted. Callers hold no registry lock.
+    fn migrate(&self, tenants: &[String]) -> Result<(), RegistryError> {
+        let cluster = self.cluster.lock().clone();
+        if let Some(cluster) = cluster {
+            for tenant in tenants {
+                if let Some(id) = parse_pod_id(tenant) {
+                    cluster
+                        .replace_instance(bf_cluster::InstanceId(id))
+                        .map_err(|e| RegistryError::Cluster(e.to_string()))?;
                 }
             }
         }
-        Some(moves)
+        Ok(())
     }
 
-    /// Moves every device to its HRW owner under the current membership.
-    /// Holds `shard_map` throughout; shard registry locks are taken one
-    /// export/import at a time and `federation` only between them.
-    fn rebalance_locked(state: &mut ShardMapState, federation: &Mutex<FederationState>) -> u64 {
-        let mut moves = 0u64;
-        for src in 0..state.shards.len() {
-            for device_id in state.shards[src].device_ids() {
-                let owner = match hrw_owner(&state.ids, &device_id) {
-                    Some(owner) => owner,
-                    None => continue,
-                };
-                if owner == src {
-                    continue;
-                }
-                if let Some(export) = state.shards[src].export_device(&device_id) {
-                    moves += 1;
-                    let moved: Vec<String> =
-                        export.bindings.iter().map(|(i, _)| i.clone()).collect();
-                    state.shards[owner].import_device(export);
-                    let owner_id = state.ids[owner].clone();
-                    let mut federation = federation.lock();
-                    for instance in moved {
-                        federation.instances.insert(instance, owner_id.clone());
-                    }
-                }
-            }
+    /// Second half of a reconfiguration a shard marked pending: migrates
+    /// the unbound `tenants` away, programs the board, then clears the
+    /// pending mark on whichever shard owns the device by now.
+    fn reprogram(
+        &self,
+        device: &dyn RegistryDevice,
+        bitstream: &str,
+        tenants: &[String],
+    ) -> Result<(), RegistryError> {
+        self.migrate(tenants)?;
+        device.program(bitstream).map_err(RegistryError::Program)?;
+        let state = self.shard_map.lock();
+        if let Some(shard) = state.owner_of(device.device_id()) {
+            shard.finish_reconfiguration(device.device_id());
         }
-        moves
-    }
-
-    /// The shard index currently responsible for `device_id`.
-    fn owner_of(state: &ShardMapState, device_id: &str) -> Option<usize> {
-        hrw_owner(&state.ids, device_id)
+        Ok(())
     }
 }
 
 impl PlacementService for ShardedRegistry {
     fn register_device_handle(&self, device: Arc<dyn RegistryDevice>) {
         let state = self.shard_map.lock();
-        if let Some(owner) = Self::owner_of(&state, device.device_id()) {
-            // bf-taint: sanitized(hrw_owner enumerates state.ids, position-aligned with state.shards, so owner < shards.len())
-            state.shards[owner].register_device_handle(device);
+        if let Some(shard) = state.owner_of(device.device_id()) {
+            shard.register_device_handle(device);
         }
     }
 
@@ -302,10 +395,10 @@ impl PlacementService for ShardedRegistry {
     }
 
     fn manager(&self, device_id: &str) -> Option<DeviceManager> {
-        let state = self.shard_map.lock();
-        let owner = Self::owner_of(&state, device_id)?;
-        // bf-taint: sanitized(hrw_owner enumerates state.ids, position-aligned with state.shards, so owner < shards.len())
-        state.shards[owner].manager(device_id)
+        self.shard_map
+            .lock()
+            .owner_of(device_id)?
+            .manager(device_id)
     }
 
     fn device_ids(&self) -> Vec<String> {
@@ -340,75 +433,54 @@ impl PlacementService for ShardedRegistry {
     fn binding(&self, instance: &str) -> Option<String> {
         let state = self.shard_map.lock();
         let shard_id = self.federation.lock().instances.get(instance).cloned()?;
-        let idx = state.ids.iter().position(|i| *i == shard_id)?;
-        state.shards[idx].binding(instance)
+        state.shard_named(&shard_id)?.binding(instance)
     }
 
     fn place_instance(&self, instance: &str, function: &str) -> Result<Allocation, RegistryError> {
-        let state = self.shard_map.lock();
-        let accelerator = {
-            let federation = self.federation.lock();
-            match federation.functions.get(function) {
-                Some(query) => query.accelerator.clone(),
-                None => return Err(RegistryError::UnknownFunction(function.to_string())),
-            }
-        };
-        // Aggregate summaries only: the federation layer never reads a
-        // shard's per-device state to route.
-        let summaries: Vec<ShardLoadSummary> = state
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| shard.load_summary(i))
-            .collect();
-        let mut last_err = None;
-        for idx in FederatedAllocator::route(accelerator.as_deref(), &summaries) {
-            match state.shards[idx].place_instance(instance, function) {
-                Ok(allocation) => {
-                    let shard_id = state.ids[idx].clone();
-                    self.federation
-                        .lock()
-                        .instances
-                        .insert(instance.to_string(), shard_id);
-                    return Ok(allocation);
-                }
-                // This shard can't host it (no device passed the filter);
-                // fall through to the next-ranked shard.
-                Err(e @ RegistryError::Allocate(_)) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
+        let (allocation, device) = self.place_on_a_shard(instance, function)?;
+        // `shard_map` is released here: the migration re-enters this
+        // method through the cluster's admission hook.
+        if let Some(bitstream) = &allocation.reconfigure {
+            self.reprogram(&*device, bitstream, &allocation.displaced)?;
         }
-        Err(last_err.unwrap_or_else(|| RegistryError::UnknownFunction(function.to_string())))
+        Ok(allocation)
     }
 
     fn release_instance(&self, instance: &str) {
         let state = self.shard_map.lock();
         let shard_id = self.federation.lock().instances.remove(instance);
-        if let Some(shard_id) = shard_id {
-            if let Some(idx) = state.ids.iter().position(|i| *i == shard_id) {
-                state.shards[idx].release_instance(instance);
-            }
+        if let Some(shard) = shard_id.and_then(|id| state.shard_named(&id)) {
+            shard.release_instance(instance);
         }
     }
 
     fn reconfigure_device(&self, device_id: &str, bitstream: &str) -> Result<(), RegistryError> {
-        let state = self.shard_map.lock();
-        let owner = Self::owner_of(&state, device_id)
-            .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
-        // bf-taint: sanitized(hrw_owner enumerates state.ids, position-aligned with state.shards, so owner < shards.len())
-        state.shards[owner].reconfigure_device(device_id, bitstream)
+        let (device, tenants) = {
+            let state = self.shard_map.lock();
+            let shard = state
+                .owner_of(device_id)
+                .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
+            shard.begin_reconfiguration(device_id, bitstream)?
+        };
+        self.reprogram(&*device, bitstream, &tenants)
     }
 
     fn handle_device_failure(&self, device_id: &str) -> Result<Vec<String>, RegistryError> {
-        let state = self.shard_map.lock();
-        let owner = Self::owner_of(&state, device_id)
-            .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
-        // bf-taint: sanitized(hrw_owner enumerates state.ids, position-aligned with state.shards, so owner < shards.len())
-        let tenants = state.shards[owner].handle_device_failure(device_id)?;
-        let mut federation = self.federation.lock();
-        for t in &tenants {
-            federation.instances.remove(t);
-        }
+        let tenants = {
+            let state = self.shard_map.lock();
+            let shard = state
+                .owner_of(device_id)
+                .ok_or_else(|| RegistryError::UnknownDevice(device_id.to_string()))?;
+            let tenants = shard.remove_failed_device(device_id)?;
+            let mut federation = self.federation.lock();
+            for t in &tenants {
+                federation.instances.remove(t);
+            }
+            tenants
+        };
+        // Re-admission places the replacements on the surviving devices
+        // (the failed one stays deregistered either way — it is gone).
+        self.migrate(&tenants)?;
         Ok(tenants)
     }
 
@@ -420,13 +492,7 @@ impl PlacementService for ShardedRegistry {
     }
 
     fn load_summaries(&self) -> Vec<ShardLoadSummary> {
-        let state = self.shard_map.lock();
-        state
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| shard.load_summary(i))
-            .collect()
+        self.shard_map.lock().summaries()
     }
 
     fn placement_outcomes(&self) -> PlacementOutcomes {
@@ -452,18 +518,19 @@ impl PlacementService for ShardedRegistry {
     }
 
     fn bind_cluster(&self, cluster: &Cluster) {
-        let mut state = self.shard_map.lock();
-        state.cluster = Some(cluster.clone());
-        for shard in &state.shards {
-            shard.bind_cluster_handle(cluster);
-        }
+        *self.cluster.lock() = Some(cluster.clone());
     }
+}
+
+/// Instance names produced by the cluster integration are pod ids
+/// (`pod-N`); parse the numeric part back.
+fn parse_pod_id(instance: &str) -> Option<u64> {
+    instance.strip_prefix("pod-").and_then(|s| s.parse().ok())
 }
 
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::sync::Arc;
 
     use bf_model::{node_a, node_b};
     use proptest::prelude::*;
@@ -471,6 +538,16 @@ mod tests {
     use super::*;
     use crate::device::StaticDevice;
     use crate::query::DeviceQuery;
+
+    #[test]
+    fn pod_id_round_trip() {
+        assert_eq!(parse_pod_id("pod-17"), Some(17));
+        assert_eq!(parse_pod_id("sobel-1"), None);
+        assert_eq!(
+            parse_pod_id(&bf_cluster::InstanceId(3).to_string()),
+            Some(3)
+        );
+    }
 
     fn shard_ids(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("shard-{i}")).collect()

@@ -35,9 +35,15 @@ fn parallel_writers_and_a_reader_never_tear_or_leak() {
                     "torn read at offset {offset}: region written by {id} holds foreign bytes"
                 );
                 shm.free(offset).expect("free once");
-                // Freed means gone: the same offset no longer names a region
-                // until some writer re-allocates it.
-                assert_eq!(shm.free(offset), Err(ShmError::BadRegion(offset)));
+                // No "a second free is BadRegion" check here: regions are
+                // named by bare offset, so a writer may already have
+                // re-allocated this one and a second free would release
+                // its live region. "Freed means gone" is asserted
+                // single-threaded in
+                // `lifecycle_errors_are_reported_not_swallowed`; telling a
+                // stale handle from a live one needs the generation-tagged
+                // region ids of ROADMAP item 4, which are not part of
+                // this change.
                 seen[id as usize] += 1;
             }
             seen

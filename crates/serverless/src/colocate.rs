@@ -151,9 +151,9 @@ mod tests {
     #[test]
     fn snapshots_bridge_any_placement_service() {
         use bf_model::node_a;
-        use bf_registry::{AllocationPolicy, DeviceQuery, Registry, StaticDevice};
+        use bf_registry::{AllocationPolicy, DeviceQuery, ShardedRegistry, StaticDevice};
 
-        let registry = Registry::new(AllocationPolicy::paper());
+        let registry = ShardedRegistry::new(AllocationPolicy::paper(), 1);
         registry
             .register_device_handle(StaticDevice::new("fpga-a", node_a(), Some("sobel")).handle());
         registry.register_function("f", DeviceQuery::for_accelerator("sobel"));

@@ -3,32 +3,28 @@
 //! prime, little-endian u64 feeding) is frozen: archived digests in
 //! `experiments/` compare against it byte for byte.
 
+use bf_model::Fnv1a;
+
 /// FNV-1a 64 over an event stream fed as `u64` words.
-pub(crate) struct Digest(u64);
+pub(crate) struct Digest(Fnv1a);
 
 impl Digest {
     pub(crate) fn new() -> Digest {
-        Digest(0xcbf2_9ce4_8422_2325)
+        Digest(Fnv1a::new())
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0.write(&v.to_le_bytes());
     }
 
     /// Feeds a string by length + bytes (length first so `("ab","c")`
     /// and `("a","bc")` digest differently).
     pub(crate) fn str(&mut self, s: &str) {
         self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        self.0.write(s.as_bytes());
     }
 
     pub(crate) fn hex(&self) -> String {
-        format!("{:016x}", self.0)
+        format!("{:016x}", self.0.finish())
     }
 }

@@ -1,7 +1,7 @@
 //! Scenario assembly and execution.
 
 use bf_model::{node_a, node_b, node_c, DataPathKind, VirtualDuration, VirtualTime};
-use bf_registry::{AllocationPolicy, DeviceQuery, PlacementService, Registry, StaticDevice};
+use bf_registry::{AllocationPolicy, DeviceQuery, PlacementService, ShardedRegistry, StaticDevice};
 use bf_rpc::PathCosts;
 use bf_serverless::{table1_rates, ClosedLoopPacer, UseCase};
 use bf_simkit::{Engine, Samples, SimRng};
@@ -49,13 +49,15 @@ fn blastfunction_placement(use_case: UseCase, count: usize) -> Vec<usize> {
     let bitstream = accelerator_id(use_case);
     let ids = ["fpga-a", "fpga-b", "fpga-c"];
     let nodes = [node_a(), node_b(), node_c()];
-    let registry = Registry::new(AllocationPolicy::paper());
+    // One shard: the paper's single Accelerators Registry.
+    let registry = ShardedRegistry::new(AllocationPolicy::paper(), 1);
+    let placement_service: &dyn PlacementService = &registry;
     for (id, node) in ids.iter().zip(nodes) {
         // Each board starts with the use case's bitstream configured, as
         // the hand-rolled views did before: placement never reprograms.
-        registry.register_device_handle(StaticDevice::new(*id, node, Some(bitstream)).handle());
+        placement_service
+            .register_device_handle(StaticDevice::new(*id, node, Some(bitstream)).handle());
     }
-    let placement_service: &dyn PlacementService = &registry;
     let mut placement = Vec::with_capacity(count);
     for i in 0..count {
         let function = format!("fn-{i}");

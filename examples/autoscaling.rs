@@ -25,21 +25,22 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut catalog = BitstreamCatalog::new();
     catalog.register(sobel::bitstream());
     let cluster = Cluster::new(paper_cluster());
-    let registry = Registry::new(AllocationPolicy::paper());
+    // One shard is the paper's single Accelerators Registry.
+    let registry: Arc<dyn PlacementService> =
+        Arc::new(ShardedRegistry::new(AllocationPolicy::paper(), 1));
     for node in paper_cluster() {
         let device_id = format!("fpga-{}", node.id().as_str().to_lowercase());
         let board = Arc::new(Mutex::new(Board::new(BoardSpec::de5a_net(), *node.pcie())));
-        registry.register_device(DeviceManager::new(
+        registry.register_device_handle(Arc::new(DeviceManager::new(
             DeviceManagerConfig::standalone(&device_id),
             node,
             board,
             catalog.clone(),
-        ));
+        )));
     }
     // The typed placement API: admission and release go through
-    // `dyn PlacementService`, the same surface a sharded federation
-    // implements.
-    attach_placement(&cluster, Arc::new(registry.clone()));
+    // `dyn PlacementService`, whatever the shard count behind it.
+    attach_placement(&cluster, registry.clone());
     registry.register_function(
         "sobel",
         DeviceQuery::for_accelerator(sobel::SOBEL_BITSTREAM),

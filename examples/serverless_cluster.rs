@@ -26,7 +26,9 @@ fn main() -> Result<(), Box<dyn Error>> {
     catalog.register(sobel::bitstream());
 
     let cluster = Cluster::new(paper_cluster());
-    let registry = Registry::new(AllocationPolicy::paper());
+    // One shard is the paper's single Accelerators Registry.
+    let registry: Arc<dyn PlacementService> =
+        Arc::new(ShardedRegistry::new(AllocationPolicy::paper(), 1));
     for node in paper_cluster() {
         let device_id = format!("fpga-{}", node.id().as_str().to_lowercase());
         let board = Arc::new(Mutex::new(Board::new(BoardSpec::de5a_net(), *node.pcie())));
@@ -36,12 +38,12 @@ fn main() -> Result<(), Box<dyn Error>> {
             board,
             catalog.clone(),
         );
-        registry.register_device(manager);
+        registry.register_device_handle(Arc::new(manager));
     }
     // Wire the cluster through the typed placement API: the admission
     // hook and deletion watcher see only `dyn PlacementService`, so a
-    // ShardedRegistry federation drops in without touching this file.
-    attach_placement(&cluster, Arc::new(registry.clone()));
+    // larger shard count changes nothing below this line.
+    attach_placement(&cluster, registry.clone());
 
     // Deploy five Sobel functions; the admission hook runs Algorithm 1.
     for i in 1..=5 {

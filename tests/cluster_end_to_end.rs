@@ -27,15 +27,16 @@ fn manager_for(node: bf_model::NodeSpec) -> DeviceManager {
     )
 }
 
-fn build_stack() -> (Cluster, Registry) {
+/// The paper's stack: one registry shard over the three-node testbed,
+/// wired into the cluster through the typed placement API.
+fn build_stack() -> (Cluster, Arc<dyn PlacementService>) {
     let cluster = Cluster::new(paper_cluster());
-    let registry = Registry::new(AllocationPolicy::paper());
+    let registry: Arc<dyn PlacementService> =
+        Arc::new(ShardedRegistry::new(AllocationPolicy::paper(), 1));
     for node in paper_cluster() {
-        registry.register_device(manager_for(node));
+        registry.register_device_handle(Arc::new(manager_for(node)));
     }
-    // The cluster is wired through the typed placement API — the same
-    // call a ShardedRegistry would take.
-    attach_placement(&cluster, Arc::new(registry.clone()));
+    attach_placement(&cluster, registry.clone());
     (cluster, registry)
 }
 
@@ -44,7 +45,7 @@ fn five_functions_place_like_table_ii_and_serve_traffic() {
     let (cluster, registry) = build_stack();
     for i in 1..=5 {
         registry.register_function(
-            format!("sobel-{i}"),
+            &format!("sobel-{i}"),
             DeviceQuery::for_accelerator(sobel::SOBEL_BITSTREAM),
         );
     }
@@ -126,7 +127,7 @@ fn wrong_bitstream_triggers_validated_reconfiguration_and_migration() {
     // Fill all three boards with mm tenants first.
     for i in 1..=3 {
         registry.register_function(
-            format!("mm-{i}"),
+            &format!("mm-{i}"),
             DeviceQuery::for_accelerator(mm::MM_BITSTREAM),
         );
         cluster
@@ -235,21 +236,22 @@ fn autoscaler_replicas_pass_admission_and_spread_over_devices() {
 #[test]
 fn client_initiated_reconfiguration_respects_the_validator() {
     let cluster = Cluster::new(paper_cluster());
-    let registry = Registry::new(AllocationPolicy::paper());
+    let registry: Arc<dyn PlacementService> =
+        Arc::new(ShardedRegistry::new(AllocationPolicy::paper(), 1));
     let node = node_b();
     let board = Arc::new(Mutex::new(Board::new(BoardSpec::de5a_net(), *node.pcie())));
     // The manager consults the registry's validator for client-initiated
     // reconfiguration requests.
     let manager = DeviceManager::new(
         DeviceManagerConfig::standalone("fpga-b").with_policy(ReconfigPolicy::Validate(
-            blastfunction::registry::reconfig_validator(Arc::new(registry.clone())),
+            blastfunction::registry::reconfig_validator(registry.clone()),
         )),
         node,
         board,
         catalog(),
     );
-    registry.register_device(manager.clone());
-    attach_placement(&cluster, Arc::new(registry.clone()));
+    registry.register_device_handle(Arc::new(manager.clone()));
+    attach_placement(&cluster, registry.clone());
     registry.register_function("mm-1", DeviceQuery::for_accelerator(mm::MM_BITSTREAM));
     let inst = cluster
         .create_instance(InstanceTemplate::new("mm-1"))
@@ -281,15 +283,14 @@ fn client_initiated_reconfiguration_respects_the_validator() {
 
 #[test]
 fn sharded_registry_drives_the_same_cluster_admission_path() {
-    // The same end-to-end stack, but the cluster is wired to a 2-shard
-    // federation instead of a single registry — through the identical
-    // attach_placement call. Admission, device injection and node
-    // pinning must be indistinguishable from the single-registry stack.
+    // The same end-to-end stack over two shards — through the identical
+    // attach_placement call. Admission, device injection, node pinning
+    // and the manager a pod dials must be indistinguishable from the
+    // one-shard stack.
     let cluster = Cluster::new(paper_cluster());
     let sharded = ShardedRegistry::new(AllocationPolicy::paper(), 2);
     for node in paper_cluster() {
-        let manager = manager_for(node);
-        sharded.register_device_handle(Arc::new(manager.clone()));
+        sharded.register_device_handle(Arc::new(manager_for(node)));
     }
     attach_placement(&cluster, Arc::new(sharded.clone()));
 
@@ -308,6 +309,22 @@ fn sharded_registry_drives_the_same_cluster_admission_path() {
         );
     }
 
+    // Every pod's DEVICE_MANAGER_ADDRESS resolves to the live manager of
+    // its board, and a Remote OpenCL Library backend connects through it.
+    let pods_reach_their_managers = |when: &str| {
+        for inst in &instances {
+            let device = &inst.env[ENV_DEVICE_MANAGER];
+            let manager = sharded
+                .manager(device)
+                .unwrap_or_else(|| panic!("{when}: no manager behind {device}"));
+            assert_eq!(manager.device_id(), device);
+            let endpoint = manager.connect(&inst.id.to_string(), PathCosts::local_shm());
+            RemoteBackend::connect(endpoint, VirtualClock::new())
+                .unwrap_or_else(|e| panic!("{when}: {} cannot dial {device}: {e:?}", inst.id));
+        }
+    };
+    pods_reach_their_managers("after admission");
+
     // Every pod got a device and was pinned to that device's node.
     for inst in &instances {
         let device = &inst.env[ENV_DEVICE_MANAGER];
@@ -322,7 +339,8 @@ fn sharded_registry_drives_the_same_cluster_admission_path() {
     }
 
     // All five instances are visible across the federation, and a
-    // deterministic join/leave rebalance preserves every binding.
+    // deterministic join/leave rebalance preserves every binding and
+    // every manager.
     let connected: usize = sharded
         .device_views()
         .iter()
@@ -330,7 +348,9 @@ fn sharded_registry_drives_the_same_cluster_admission_path() {
         .sum();
     assert_eq!(connected, 5);
     let (joined, _) = sharded.add_shard();
+    pods_reach_their_managers("after add_shard");
     sharded.remove_shard(&joined);
+    pods_reach_their_managers("after remove_shard");
     for inst in &instances {
         assert!(
             sharded.binding(&inst.id.to_string()).is_some(),
