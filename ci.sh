@@ -7,6 +7,22 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+# One `unsafe` block in the whole tree: the call from bf-cache's digest
+# dispatcher into its `#[target_feature]` SHA-NI kernel. Every other crate
+# says `#![forbid(unsafe_code)]`; bf-cache can only say `deny` + one
+# `allow`, so the keyword itself is counted here — as a block, fn, impl,
+# trait or extern, in code (not after `//`, not the `unsafe_code` lint
+# name, not the string in bf-lint's keyword table).
+echo "==> unsafe budget (exactly one, in crates/cache/src/sha256.rs)"
+unsafe_sites=$(grep -rnE --include='*.rs' \
+  '^[^/]*\bunsafe[[:space:]]*(\{|fn|impl|trait|extern)' crates tests examples e2e/src || true)
+if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" -ne 1 ] ||
+  ! printf '%s' "$unsafe_sites" | grep -q '^crates/cache/src/sha256\.rs:'; then
+  echo "expected exactly one unsafe site, in crates/cache/src/sha256.rs; found:"
+  printf '%s\n' "$unsafe_sites"
+  exit 1
+fi
+
 # Workspace lints are deny-level for clippy::unwrap_used (tests exempt via
 # clippy.toml); the full-target pass keeps benches and examples honest too.
 echo "==> cargo clippy"

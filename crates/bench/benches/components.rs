@@ -1,5 +1,6 @@
 //! Criterion microbenches of the substrate hot paths: wire codec,
-//! shared-memory segment, the allocation algorithm, and the DES engine.
+//! shared-memory segment, the payload cache's content digest, the
+//! allocation algorithm, and the DES engine.
 
 use std::collections::HashMap;
 
@@ -46,6 +47,19 @@ fn bench_shm(c: &mut Criterion) {
             out
         })
     });
+}
+
+fn bench_content_digest(c: &mut Criterion) {
+    // The sizes the data path hashes: a small-op payload, cache_zipf's
+    // 64 KB inputs, and a bulk 4 MB transfer.
+    let mut group = c.benchmark_group("content_digest");
+    for (name, len) in [("4k", 4usize << 10), ("64k", 64 << 10), ("4m", 4 << 20)] {
+        let payload: Vec<u8> = (0..len).map(|i| (i * 31 + 7) as u8).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(name), &payload, |b, payload| {
+            b.iter(|| bf_cache::content_digest(payload))
+        });
+    }
+    group.finish();
 }
 
 fn bench_allocation(c: &mut Criterion) {
@@ -113,6 +127,7 @@ criterion_group!(
     components,
     bench_codec,
     bench_shm,
+    bench_content_digest,
     bench_allocation,
     bench_des_engine
 );

@@ -19,6 +19,13 @@ use bf_bench::{
 };
 
 fn main() -> ExitCode {
+    // On stderr, not in the archive: the archived fields are counters and
+    // virtual times, identical on either kernel; the wall time of a run
+    // is not, and this line says which kernel it was spent on.
+    eprintln!(
+        "cache: content digest kernel = {}",
+        bf_cache::digest_kernel()
+    );
     ArchiveGate {
         name: "cache",
         title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",

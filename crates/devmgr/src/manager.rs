@@ -164,11 +164,14 @@ pub struct ManagerEndpoint {
     pub shm: Option<ShmSegment>,
     /// The connection's cost profile.
     pub costs: PathCosts,
-    /// Whether the manager runs a payload cache: the client may send
-    /// `DataRef::Digest` references for content it has already shipped.
-    /// Only content this very session shipped can hit — references to
-    /// anything else NACK as `CacheMiss` exactly like a miss.
-    pub cache: bool,
+    /// Host-tier byte budget of the manager's payload cache, 0 when it
+    /// runs none: the client may send `DataRef::Digest` references for
+    /// content it has already shipped, and need not hash a payload larger
+    /// than this — the manager cannot admit it, so a reference to it
+    /// could only ever NACK. Only content this very session shipped can
+    /// hit — references to anything else NACK as `CacheMiss` exactly like
+    /// a miss.
+    pub payload_cache_capacity: u64,
 }
 
 /// A Device Manager: fronts one FPGA board, multiplexing isolated client
@@ -369,7 +372,11 @@ impl DeviceManager {
             channel: client_chan,
             shm,
             costs,
-            cache: self.shared.cache.is_some(),
+            payload_cache_capacity: self
+                .shared
+                .cache
+                .as_ref()
+                .map_or(0, PayloadCache::capacity_bytes),
         }
     }
 

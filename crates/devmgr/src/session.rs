@@ -547,8 +547,13 @@ impl Session {
                 // digest recomputed from the arrived bytes just above;
                 // the tainted bytes are the content being admitted —
                 // storing them under their true digest is the cache.
-                cache.insert(digest, bytes.clone());
-                admitted.note_sent(digest);
+                // Only resident content is admitted to the session
+                // tracker: a payload over the whole budget is refused, and
+                // tracking it would turn every repeat into a digest
+                // reference that can only NACK.
+                if cache.insert(digest, bytes.clone()) {
+                    admitted.note_sent(digest);
+                }
                 Ok((DataRef::Inline(bytes.into()), Some(digest)))
             }
             _ => Ok((data.share(), None)),

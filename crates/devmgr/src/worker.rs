@@ -86,7 +86,11 @@ type OpOutcome = Result<
 >;
 
 fn execute_op(shared: &Arc<Shared>, task: &Task, op: &Operation) -> OpOutcome {
-    let mut board = lock_order::tracked(&shared.board, "board");
+    // Each arm takes the board lock itself: a write first does the work
+    // that needs no board — and hashing a payload is the longest of it —
+    // so the one lock every session's `create_buffer`/`ensure_bitstream`
+    // and every scrape also needs is held for board work only.
+    let lock_board = || lock_order::tracked(&shared.board, "board");
     match op {
         Operation::Write {
             buffer,
@@ -96,12 +100,19 @@ fn execute_op(shared: &Arc<Shared>, task: &Task, op: &Operation) -> OpOutcome {
             ..
         } => {
             let payload = resolve_payload(task, data)?;
-            if let (Some(cache), Payload::Data(bytes)) = (&shared.cache, &payload) {
-                // Inline/digest payloads carry the session-computed
-                // digest; shm payloads only materialize here, so theirs
-                // is computed here.
-                let digest = digest.unwrap_or_else(|| bf_cache::content_digest(bytes));
-                let len = bytes.len() as u64;
+            // Inline/digest payloads carry the session-computed digest;
+            // shm payloads only materialize here, so theirs is computed
+            // here.
+            let keyed = match (&shared.cache, &payload) {
+                (Some(cache), Payload::Data(bytes)) => Some((
+                    cache,
+                    digest.unwrap_or_else(|| bf_cache::content_digest(bytes)),
+                    bytes.len() as u64,
+                )),
+                _ => None,
+            };
+            let mut board = lock_board();
+            if let Some((cache, digest, len)) = keyed {
                 // bf-taint: allow(taint_auth): digest and len describe
                 // the *resolved* bytes measured on this side (content
                 // identity), not a client claim — the session validated
@@ -132,6 +143,7 @@ fn execute_op(shared: &Arc<Shared>, task: &Task, op: &Operation) -> OpOutcome {
             len,
             ..
         } => {
+            let mut board = lock_board();
             let (timing, payload) = board
                 .read_buffer(*buffer, *offset, *len, task.arrival, &task.owner)
                 .map_err(map_fpga_err)?;
@@ -146,6 +158,7 @@ fn execute_op(shared: &Arc<Shared>, task: &Task, op: &Operation) -> OpOutcome {
             len,
             ..
         } => {
+            let mut board = lock_board();
             let timing = board
                 .copy_buffer(
                     *src,
@@ -166,6 +179,7 @@ fn execute_op(shared: &Arc<Shared>, task: &Task, op: &Operation) -> OpOutcome {
         Operation::Kernel {
             name, invocation, ..
         } => {
+            let mut board = lock_board();
             let timing = board
                 .launch_kernel(name, invocation, task.arrival, &task.owner)
                 .map_err(map_fpga_err)?;

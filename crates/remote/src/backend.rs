@@ -330,12 +330,15 @@ impl Backend for RemoteBackend {
         let event = Event::new(CommandType::WriteBuffer, self.clock.now());
         event.attach_clock(self.clock.clone());
         // Content addressing rides the inline (gRPC) data path: when the
-        // manager advertises a payload cache and is believed to hold these
-        // exact bytes, a 16-byte (truncated SHA-256) digest reference
-        // replaces the payload.
-        let digest = match (self.conn.digest_tracker(), self.conn.shm(), &payload) {
-            (Some(tracker), None, Payload::Data(bytes)) => {
-                Some((tracker, content_digest(bytes), bytes.len() as u64))
+        // manager advertises a payload cache that can admit this payload
+        // and is believed to hold these exact bytes, a 16-byte (truncated
+        // SHA-256) digest reference replaces the payload.
+        let digest = match (self.conn.shm(), &payload) {
+            (None, Payload::Data(bytes)) => {
+                let len = bytes.len() as u64;
+                self.conn
+                    .digest_tracker(len)
+                    .map(|tracker| (tracker, content_digest(bytes), len))
             }
             _ => None,
         };

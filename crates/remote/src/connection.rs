@@ -70,6 +70,8 @@ pub(crate) struct ConnectionInner {
     /// Digests the manager's payload cache is believed to hold; present
     /// only when the endpoint advertised a cache.
     tracker: Option<DigestTracker>,
+    /// The advertised host-tier budget of that cache (0 without one).
+    cache_capacity: u64,
 }
 
 /// A live connection to one Device Manager.
@@ -101,7 +103,9 @@ impl Connection {
             shm: endpoint.shm,
             pending: Mutex::new(HashMap::new()),
             next_tag: AtomicU64::new(1),
-            tracker: endpoint.cache.then(|| DigestTracker::new(TRACKER_ENTRIES)),
+            tracker: (endpoint.payload_cache_capacity > 0)
+                .then(|| DigestTracker::new(TRACKER_ENTRIES)),
+            cache_capacity: endpoint.payload_cache_capacity,
         });
         // The reactor gets a non-owning tap plus a Weak backref, so this
         // connection's lifetime stays with its callers: dropping the last
@@ -126,9 +130,15 @@ impl Connection {
         self.inner.shm.as_ref()
     }
 
-    /// The digest tracker, when the manager advertised a payload cache.
-    pub fn digest_tracker(&self) -> Option<&DigestTracker> {
-        self.inner.tracker.as_ref()
+    /// The digest tracker, when the manager advertised a payload cache
+    /// whose budget can admit a `len`-byte payload. A larger one is
+    /// refused on arrival, so hashing or tracking it buys nothing: every
+    /// repeat would travel as a digest that can only NACK, then inline.
+    pub fn digest_tracker(&self, len: u64) -> Option<&DigestTracker> {
+        self.inner
+            .tracker
+            .as_ref()
+            .filter(|_| len <= self.inner.cache_capacity)
     }
 
     fn fresh_tag(&self) -> u64 {

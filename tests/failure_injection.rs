@@ -464,6 +464,34 @@ fn evicted_payload_digest_nack_resends_inline_without_stale_bytes() {
 }
 
 #[test]
+fn over_budget_payload_repeats_never_travel_as_digests() {
+    // One byte more than the manager's whole host-tier budget: it can
+    // never be admitted, so a digest reference to it could only NACK.
+    let manager = cached_manager("fpga-b", node_b(), small_board(1 << 24));
+    let device = connect(&manager, PathCosts::local_grpc());
+    let ctx = device.create_context().expect("ctx");
+    let len = (1usize << 20) + 1;
+    let buf = ctx.create_buffer(len as u64).expect("buffer");
+    let queue = ctx.create_queue().expect("queue");
+    let payload: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+
+    for _ in 0..4 {
+        queue.write(&buf, payload.clone()).expect("inline write");
+    }
+    // Every digest frame a session is entitled to send is a host-tier
+    // lookup, and every `CacheMiss` NACK of one is a counted miss: with
+    // the client tracking what the manager refused, each repeat was a
+    // digest frame, a miss, a NACK and an inline resend.
+    let stats = manager.cache_stats().expect("cache enabled");
+    assert_eq!(
+        (stats.hits, stats.misses, stats.insertions),
+        (0, 0, 0),
+        "an inadmissible payload must only ever travel inline: {stats:?}"
+    );
+    assert_eq!(queue.read_vec(&buf).expect("read"), payload);
+}
+
+#[test]
 fn node_death_migration_never_reuses_stale_cache_or_bitstream() {
     // The victim node serves a cache-hot session: payload resident on
     // both tiers, board programmed with the function's bitstream.
