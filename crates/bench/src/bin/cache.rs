@@ -8,15 +8,10 @@
 //! * `cache --smoke` — CI subset (hot + churn; their rows are directly
 //!   comparable to the archive).
 //! * `cache [--smoke] --check <archived.json>` — additionally compares
-//!   every deterministic field against an archived run and exits
+//!   every field of every row against the archived run and exits
 //!   non-zero on drift.
 
 use std::process::ExitCode;
-
-use bf_bench::{
-    cache_rows, check_cache_archive, check_cache_invariants, parse_cache_archive, render_cache,
-    ArchiveGate, CACHE_LADDER, CACHE_SMOKE,
-};
 
 fn main() -> ExitCode {
     // On stderr, not in the archive: the archived fields are counters and
@@ -26,19 +21,5 @@ fn main() -> ExitCode {
         "cache: content digest kernel = {}",
         bf_cache::digest_kernel()
     );
-    ArchiveGate {
-        name: "cache",
-        title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
-        ladder: &CACHE_LADDER,
-        smoke: &CACHE_SMOKE,
-        rows: cache_rows,
-        render: render_cache,
-        invariants: Some(check_cache_invariants),
-        violated: "cache invariant violated",
-        parse: parse_cache_archive,
-        check: check_cache_archive,
-        drifted: "cache sweep",
-        matched: "cache sweep",
-    }
-    .run()
+    bf_bench::CACHE_GATE.run()
 }

@@ -8,31 +8,12 @@
 //! * `gateway --smoke` — CI subset (same virtual duration, so rows are
 //!   directly comparable to the archive).
 //! * `gateway [--smoke] --check <archived.json>` — additionally compares
-//!   every deterministic field against an archived run, re-asserts that
-//!   batched peak throughput strictly beats unbatched, and exits
-//!   non-zero on drift.
+//!   every field of every row against the archived run and exits
+//!   non-zero on drift. Every run also asserts that batched peak
+//!   throughput strictly beats unbatched.
 
 use std::process::ExitCode;
 
-use bf_bench::{
-    check_batching_wins, check_gateway_archive, gateway_rows, parse_gateway_archive,
-    render_gateway, ArchiveGate, GATEWAY_LADDER, GATEWAY_SMOKE,
-};
-
 fn main() -> ExitCode {
-    ArchiveGate {
-        name: "gateway",
-        title: "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
-        ladder: &GATEWAY_LADDER,
-        smoke: &GATEWAY_SMOKE,
-        rows: gateway_rows,
-        render: render_gateway,
-        invariants: Some(check_batching_wins),
-        violated: "batching regression",
-        parse: parse_gateway_archive,
-        check: check_gateway_archive,
-        drifted: "gateway sweep",
-        matched: "gateway sweep",
-    }
-    .run()
+    bf_bench::GATEWAY_GATE.run()
 }

@@ -11,7 +11,7 @@
 //! the wire carries payload bytes only for first occurrences and
 //! post-eviction resends (the `CacheMiss` NACK path).
 //!
-//! Every CI-compared field is deterministic: the request stream is
+//! Every field of a row is deterministic: the request stream is
 //! seeded, the client session serializes operations, and the manager's
 //! [`bf_cache::CacheStats`] counters account for every elided byte —
 //! `wire_bytes = offered - bytes_saved` exactly. The `churn` point
@@ -31,6 +31,8 @@ use bf_ocl::{BitstreamCatalog, ClResult};
 use bf_remote::Router;
 use bf_rpc::PathCosts;
 use bf_simkit::{SimRng, ZipfSampler};
+
+use crate::gate::ArchiveGate;
 
 /// Root seed of the request stream (one fresh stream per measured row).
 pub const CACHE_SEED: u64 = 101;
@@ -314,83 +316,20 @@ pub fn render_cache(title: &str, rows: &[CacheBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedCacheRow {
-    /// Ladder label.
-    pub label: String,
-    /// System tag.
-    pub system: String,
-    /// Requests driven.
-    pub requests: u64,
-    /// Offered payload bytes.
-    pub offered_bytes: u64,
-    /// Inline wire bytes.
-    pub wire_bytes: u64,
-    /// Host-tier hits.
-    pub hits: u64,
-    /// Host-tier misses.
-    pub misses: u64,
-    /// Host-tier evictions.
-    pub evictions: u64,
-    /// Device-tier hits.
-    pub device_hits: u64,
-}
-
-/// Extracts the comparable fields from an archived `BENCH_cache.json`
-/// document. Returns `None` when the document does not have the expected
-/// shape.
-pub fn parse_cache_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedCacheRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedCacheRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                system: obj.get("system")?.as_str()?.to_string(),
-                requests: obj.get("requests")?.as_u64()?,
-                offered_bytes: obj.get("offered_bytes")?.as_u64()?,
-                wire_bytes: obj.get("wire_bytes")?.as_u64()?,
-                hits: obj.get("hits")?.as_u64()?,
-                misses: obj.get("misses")?.as_u64()?,
-                evictions: obj.get("evictions")?.as_u64()?,
-                device_hits: obj.get("device_hits")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows missing
-/// from the archive are ignored, so the `--smoke` subset checks cleanly
-/// against a full-ladder archive.
-pub fn check_cache_archive(rows: &[CacheBenchRow], archived: &[ArchivedCacheRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived
-            .iter()
-            .find(|a| a.label == r.label && a.system == r.system)
-        else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!(
-                    "{} {}: {field} {got} != archived {want}",
-                    r.label, r.system
-                ));
-            }
-        };
-        diff("requests", r.requests, a.requests);
-        diff("offered_bytes", r.offered_bytes, a.offered_bytes);
-        diff("wire_bytes", r.wire_bytes, a.wire_bytes);
-        diff("hits", r.hits, a.hits);
-        diff("misses", r.misses, a.misses);
-        diff("evictions", r.evictions, a.evictions);
-        diff("device_hits", r.device_hits, a.device_hits);
-    }
-    mismatches
-}
+/// The `cache` binary: this harness behind the shared archive gate.
+pub const CACHE_GATE: ArchiveGate<&str, CacheBenchRow> = ArchiveGate {
+    name: "cache",
+    title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
+    ladder: &CACHE_LADDER,
+    smoke: &CACHE_SMOKE,
+    rows: cache_rows,
+    render: render_cache,
+    invariants: Some(check_cache_invariants),
+    violated: "cache invariant violated",
+    key: &["label", "system"],
+    informational: &[],
+    what: "cache sweep",
+};
 
 #[cfg(test)]
 mod tests {
@@ -419,30 +358,17 @@ mod tests {
     }
 
     #[test]
-    fn hot_point_satisfies_the_invariants_and_round_trips() {
+    fn hot_point_satisfies_the_invariants() {
         let rows = cache_rows(&["hot"]);
         assert!(check_cache_invariants(&rows).is_ok(), "{rows:?}");
-        // bf-lint: allow(panic): test-only serialization of in-memory rows.
-        let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        // bf-lint: allow(panic): the document was produced two lines up.
-        let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_cache_archive(&doc).expect("shape");
-        assert!(check_cache_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[1].wire_bytes += 1;
-        assert_eq!(check_cache_archive(&rows, &drifted).len(), 1);
+        CACHE_GATE.assert_names_are_fields_of(&rows[0]);
     }
 
     #[test]
-    fn identical_runs_agree_on_every_compared_field() {
-        let a = cache_rows(&["hot"]);
-        let b = cache_rows(&["hot"]);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.wire_bytes, y.wire_bytes, "{x:?} vs {y:?}");
-            assert_eq!(x.hits, y.hits);
-            assert_eq!(x.evictions, y.evictions);
-            assert_eq!(x.device_hits, y.device_hits);
-        }
+    fn identical_runs_agree_on_every_field() {
+        assert_eq!(
+            serde_json::to_value(&cache_rows(&["hot"])),
+            serde_json::to_value(&cache_rows(&["hot"]))
+        );
     }
 }

@@ -19,6 +19,7 @@
 
 use serde::Serialize;
 
+use crate::gate::ArchiveGate;
 use crate::{fig4_device, human_bytes, System};
 use bf_fpga::Payload;
 use bf_ocl::ClResult;
@@ -179,65 +180,21 @@ pub fn render_datapath(title: &str, rows: &[DatapathRow]) -> String {
     out
 }
 
-/// The deterministic copy-accounting fields of one archived row.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArchivedCopyRow {
-    /// Payload size in bytes.
-    pub bytes: u64,
-    /// Transport tag.
-    pub system: String,
-    /// Host bytes memcpy'd per round trip.
-    pub copied_bytes_per_rtt: u64,
-    /// Memcpy operations per round trip.
-    pub copy_ops_per_rtt: u64,
-}
-
-/// Extracts the deterministic copy fields from an archived
-/// `BENCH_datapath.json` document. Returns `None` when the document does
-/// not have the expected shape.
-pub fn parse_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedCopyRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedCopyRow {
-                bytes: obj.get("bytes")?.as_u64()?,
-                system: obj.get("system")?.as_str()?.to_string(),
-                copied_bytes_per_rtt: obj.get("copied_bytes_per_rtt")?.as_u64()?,
-                copy_ops_per_rtt: obj.get("copy_ops_per_rtt")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// Compares the deterministic copy-accounting fields of `rows` against the
-/// matching rows of an archived run, returning a list of mismatch
-/// descriptions (empty when consistent). Rows missing from the archive are
-/// ignored; wall-clock fields are never compared.
-pub fn check_against_archive(rows: &[DatapathRow], archived: &[ArchivedCopyRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived
-            .iter()
-            .find(|a| a.bytes == r.bytes && a.system == r.system)
-        else {
-            continue;
-        };
-        if a.copied_bytes_per_rtt != r.copied_bytes_per_rtt {
-            mismatches.push(format!(
-                "{} {}: copied_bytes_per_rtt {} != archived {}",
-                r.label, r.system, r.copied_bytes_per_rtt, a.copied_bytes_per_rtt
-            ));
-        }
-        if a.copy_ops_per_rtt != r.copy_ops_per_rtt {
-            mismatches.push(format!(
-                "{} {}: copy_ops_per_rtt {} != archived {}",
-                r.label, r.system, r.copy_ops_per_rtt, a.copy_ops_per_rtt
-            ));
-        }
-    }
-    mismatches
-}
+/// The `datapath` binary: this harness behind the shared archive gate.
+pub const DATAPATH_GATE: ArchiveGate<u64, DatapathRow> = ArchiveGate {
+    name: "datapath",
+    title: "Datapath — host bytes memcpy'd and wall-clock per write+read round trip",
+    ladder: &LADDER,
+    smoke: &SMOKE,
+    rows: datapath_rows,
+    render: render_datapath,
+    invariants: None,
+    violated: "",
+    key: &["bytes", "system"],
+    // Host wall-clock is noisy: archived as a trajectory, never compared.
+    informational: &["wall_ms_per_rtt"],
+    what: "copy accounting",
+};
 
 #[cfg(test)]
 mod tests {
@@ -254,47 +211,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_check_flags_only_copy_fields() {
-        let row = DatapathRow {
-            bytes: 1024,
-            label: "1KB".into(),
-            system: "grpc".into(),
-            iterations: 8,
-            copied_bytes_per_rtt: 2048,
-            copy_ops_per_rtt: 2,
-            baseline_copied_bytes_per_rtt: Some(7168),
-            copy_reduction: Some(3.5),
-            wall_ms_per_rtt: 0.1,
-        };
-        let mut archived = ArchivedCopyRow {
-            bytes: 1024,
-            system: "grpc".into(),
-            copied_bytes_per_rtt: 2048,
-            copy_ops_per_rtt: 2,
-        };
-        assert!(check_against_archive(&[row.clone()], &[archived.clone()]).is_empty());
-        archived.copied_bytes_per_rtt = 1;
-        assert_eq!(check_against_archive(&[row], &[archived]).len(), 1);
-    }
-
-    #[test]
-    fn archive_round_trips_through_json() {
-        let rows = vec![DatapathRow {
-            bytes: 1024,
-            label: "1KB".into(),
-            system: "shm".into(),
-            iterations: 8,
-            copied_bytes_per_rtt: 1024,
-            copy_ops_per_rtt: 1,
-            baseline_copied_bytes_per_rtt: Some(6144),
-            copy_reduction: Some(6.0),
-            wall_ms_per_rtt: 0.05,
-        }];
-        // bf-lint: allow(panic): test-only serialization of in-memory rows.
-        let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        // bf-lint: allow(panic): the document was produced two lines up.
-        let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_archive(&doc).expect("shape");
-        assert!(check_against_archive(&rows, &archived).is_empty());
+    fn key_and_informational_names_are_row_fields() {
+        DATAPATH_GATE.assert_names_are_fields_of(&datapath_rows(&[1 << 10])[0]);
     }
 }

@@ -10,9 +10,9 @@
 //! to the trace digest and is CI-diffed against the archived
 //! `experiments/BENCH_federation.json`.
 
-use serde::Serialize;
+use bf_sim::{run_federation, FederationConfig, FederationResult};
 
-use bf_sim::{run_federation, FederationConfig};
+use crate::gate::{ArchiveGate, Labelled};
 
 /// Ladder labels in sweep order.
 pub const FEDERATION_LADDER: [&str; 5] = ["smoke-1", "smoke-16", "1-shard", "4-shard", "16-shard"];
@@ -52,71 +52,23 @@ pub fn federation_config(label: &str) -> FederationConfig {
     }
 }
 
-/// One measured ladder point. Every field is deterministic.
-#[derive(Debug, Clone, Serialize)]
-pub struct FederationBenchRow {
-    /// Ladder label.
-    pub label: String,
-    /// Registry shards.
-    pub shards: u64,
-    /// Cluster size.
-    pub nodes: u64,
-    /// Function catalog size.
-    pub functions: u64,
-    /// Successful placements across all phases.
-    pub placed: u64,
-    /// Placements onto an already-configured board.
-    pub configured: u64,
-    /// Placements served from a warm bitstream cache.
-    pub warm: u64,
-    /// Placements that forced a cold reprogram.
-    pub cold: u64,
-    /// Board reprogram operations.
-    pub reconfigurations: u64,
-    /// Reprograms satisfied from a board's warm cache.
-    pub warm_reprograms: u64,
-    /// Tenants migrated off failed devices.
-    pub migrated: u64,
-    /// Devices moved by the join+leave rebalance pair.
-    pub rebalance_moves: u64,
-    /// Max devices+bindings walked under one registry-lock acquisition,
-    /// across all shards — the contention headline.
-    pub max_lock_span: u64,
-    /// Registry-lock acquisitions recorded across all shards.
-    pub lock_acquisitions: u64,
-    /// The byte-identical-replay certificate.
-    pub trace_digest: String,
-}
+/// One measured ladder point: the harness's whole result under its
+/// ladder label. Every field is deterministic.
+pub type FederationBenchRow = Labelled<FederationResult>;
 
-impl FederationBenchRow {
-    /// Fraction of placements that avoided a cold reprogram.
-    pub fn quality(&self) -> f64 {
-        if self.placed == 0 {
-            0.0
-        } else {
-            (self.configured + self.warm) as f64 / self.placed as f64
-        }
+/// Fraction of placements that avoided a cold reprogram.
+fn quality(r: &FederationResult) -> f64 {
+    if r.placed == 0 {
+        0.0
+    } else {
+        (r.configured + r.warm) as f64 / r.placed as f64
     }
 }
 
 fn measure_one(label: &str) -> FederationBenchRow {
-    let r = run_federation(&federation_config(label));
-    FederationBenchRow {
+    Labelled {
         label: label.to_string(),
-        shards: r.shards as u64,
-        nodes: r.nodes as u64,
-        functions: r.functions as u64,
-        placed: r.placed,
-        configured: r.configured,
-        warm: r.warm,
-        cold: r.cold,
-        reconfigurations: r.reconfigurations,
-        warm_reprograms: r.warm_reprograms,
-        migrated: r.migrated,
-        rebalance_moves: r.rebalance_moves,
-        max_lock_span: r.max_lock_span,
-        lock_acquisitions: r.lock_acquisitions,
-        trace_digest: r.trace_digest,
+        result: run_federation(&federation_config(label)),
     }
 }
 
@@ -133,33 +85,30 @@ pub fn federation_rows(labels: &[&str]) -> Vec<FederationBenchRow> {
 ///
 /// Returns a description of the first violated invariant.
 pub fn check_federation_invariants(rows: &[FederationBenchRow]) -> Result<(), String> {
-    for r in rows {
+    for Labelled { label, result: r } in rows {
         if r.configured + r.warm + r.cold != r.placed {
             return Err(format!(
                 "{}: outcomes {}+{}+{} != placed {}",
-                r.label, r.configured, r.warm, r.cold, r.placed
+                label, r.configured, r.warm, r.cold, r.placed
             ));
         }
-        if r.placed < r.functions {
+        if r.placed < r.functions as u64 {
             return Err(format!(
                 "{}: storm under-placed ({} placed, {} functions)",
-                r.label, r.placed, r.functions
+                label, r.placed, r.functions
             ));
         }
         if r.migrated == 0 {
-            return Err(format!(
-                "{}: failure battery invisible (0 migrated)",
-                r.label
-            ));
+            return Err(format!("{}: failure battery invisible (0 migrated)", label));
         }
         if r.rebalance_moves == 0 {
-            return Err(format!("{}: join/leave rebalance moved nothing", r.label));
+            return Err(format!("{}: join/leave rebalance moved nothing", label));
         }
-        if r.quality() < FEDERATION_QUALITY_FLOOR {
+        if quality(r) < FEDERATION_QUALITY_FLOOR {
             return Err(format!(
                 "{}: allocation quality {:.1}% below the {:.0}% floor",
-                r.label,
-                r.quality() * 100.0,
+                label,
+                quality(r) * 100.0,
                 FEDERATION_QUALITY_FLOOR * 100.0
             ));
         }
@@ -169,20 +118,17 @@ pub fn check_federation_invariants(rows: &[FederationBenchRow]) -> Result<(), St
     // cut the max per-lock span at least FEDERATION_SPAN_DROP times.
     for base in rows {
         for wide in rows {
-            if base.nodes != wide.nodes
-                || base.functions != wide.functions
-                || wide.shards < base.shards * FEDERATION_SPAN_RATIO
+            let (b, w) = (&base.result, &wide.result);
+            if b.nodes != w.nodes
+                || b.functions != w.functions
+                || (w.shards as u64) < b.shards as u64 * FEDERATION_SPAN_RATIO
             {
                 continue;
             }
-            if wide.max_lock_span * FEDERATION_SPAN_DROP > base.max_lock_span {
+            if w.max_lock_span * FEDERATION_SPAN_DROP > b.max_lock_span {
                 return Err(format!(
                     "{} -> {}: max lock span {} -> {} misses the {}x drop",
-                    base.label,
-                    wide.label,
-                    base.max_lock_span,
-                    wide.max_lock_span,
-                    FEDERATION_SPAN_DROP
+                    base.label, wide.label, b.max_lock_span, w.max_lock_span, FEDERATION_SPAN_DROP
                 ));
             }
         }
@@ -210,10 +156,10 @@ pub fn render_federation(title: &str, rows: &[FederationBenchRow]) -> String {
         "acqs",
         "digest"
     ));
-    for r in rows {
+    for Labelled { label, result: r } in rows {
         out.push_str(&format!(
             "{:<9} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6} {:>6} {:>8} {:>8} {:>8} {:>9} {:>9} {:>17}\n",
-            r.label,
+            label,
             r.shards,
             r.nodes,
             r.functions,
@@ -232,90 +178,20 @@ pub fn render_federation(title: &str, rows: &[FederationBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedFederationRow {
-    /// Ladder label.
-    pub label: String,
-    /// Successful placements.
-    pub placed: u64,
-    /// Configured-board placements.
-    pub configured: u64,
-    /// Warm-cache placements.
-    pub warm: u64,
-    /// Cold placements.
-    pub cold: u64,
-    /// Board reprograms.
-    pub reconfigurations: u64,
-    /// Failure migrations.
-    pub migrated: u64,
-    /// Rebalance device moves.
-    pub rebalance_moves: u64,
-    /// Max per-lock span.
-    pub max_lock_span: u64,
-    /// The replay certificate.
-    pub trace_digest: String,
-}
-
-/// Extracts the comparable fields from an archived
-/// `BENCH_federation.json` document. Returns `None` when the document
-/// does not have the expected shape.
-pub fn parse_federation_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedFederationRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedFederationRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                placed: obj.get("placed")?.as_u64()?,
-                configured: obj.get("configured")?.as_u64()?,
-                warm: obj.get("warm")?.as_u64()?,
-                cold: obj.get("cold")?.as_u64()?,
-                reconfigurations: obj.get("reconfigurations")?.as_u64()?,
-                migrated: obj.get("migrated")?.as_u64()?,
-                rebalance_moves: obj.get("rebalance_moves")?.as_u64()?,
-                max_lock_span: obj.get("max_lock_span")?.as_u64()?,
-                trace_digest: obj.get("trace_digest")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows
-/// missing from the archive are ignored, so the `--smoke` subset checks
-/// cleanly against a full-ladder archive.
-pub fn check_federation_archive(
-    rows: &[FederationBenchRow],
-    archived: &[ArchivedFederationRow],
-) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived.iter().find(|a| a.label == r.label) else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!("{}: {field} {got} != archived {want}", r.label));
-            }
-        };
-        diff("placed", r.placed, a.placed);
-        diff("configured", r.configured, a.configured);
-        diff("warm", r.warm, a.warm);
-        diff("cold", r.cold, a.cold);
-        diff("reconfigurations", r.reconfigurations, a.reconfigurations);
-        diff("migrated", r.migrated, a.migrated);
-        diff("rebalance_moves", r.rebalance_moves, a.rebalance_moves);
-        diff("max_lock_span", r.max_lock_span, a.max_lock_span);
-        if r.trace_digest != a.trace_digest {
-            mismatches.push(format!(
-                "{}: trace_digest {} != archived {}",
-                r.label, r.trace_digest, a.trace_digest
-            ));
-        }
-    }
-    mismatches
-}
+/// The `federation` binary: this harness behind the shared archive gate.
+pub const FEDERATION_GATE: ArchiveGate<&str, FederationBenchRow> = ArchiveGate {
+    name: "federation",
+    title: "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
+    ladder: &FEDERATION_LADDER,
+    smoke: &FEDERATION_SMOKE,
+    rows: federation_rows,
+    render: render_federation,
+    invariants: Some(check_federation_invariants),
+    violated: "federation invariant violated",
+    key: &["label"],
+    informational: &[],
+    what: "federation ladder",
+};
 
 #[cfg(test)]
 mod tests {
@@ -337,16 +213,9 @@ mod tests {
     }
 
     #[test]
-    fn smoke_rows_satisfy_the_invariants_and_round_trip() {
+    fn smoke_rows_satisfy_the_invariants() {
         let rows = federation_rows(&FEDERATION_SMOKE);
         assert!(check_federation_invariants(&rows).is_ok(), "{rows:?}");
-        let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_federation_archive(&doc).expect("shape");
-        assert!(check_federation_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[0].trace_digest = "0".repeat(16);
-        assert_eq!(check_federation_archive(&rows, &drifted).len(), 1);
+        FEDERATION_GATE.assert_names_are_fields_of(&rows[0]);
     }
 }

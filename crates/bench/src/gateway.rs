@@ -24,6 +24,8 @@ use bf_serverless::{
 };
 use bf_sim::request_profile;
 
+use crate::gate::ArchiveGate;
+
 /// The full arrival-rate ladder (rq/s). Unbatched Sobel saturates near
 /// 52 rq/s and batched near 66 rq/s on node B, so the ladder brackets
 /// both knees with headroom above.
@@ -233,80 +235,20 @@ pub fn render_gateway(title: &str, rows: &[GatewayRow]) -> String {
     out
 }
 
-/// One archived row (all fields are deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedGatewayRow {
-    /// Mode tag.
-    pub mode: String,
-    /// Offered arrival rate (rq/s).
-    pub rate: f64,
-    /// Arrivals inside the window.
-    pub offered: u64,
-    /// Completions inside the window.
-    pub processed: u64,
-    /// Admission-control sheds.
-    pub shed: u64,
-    /// Handler failures.
-    pub failed: u64,
-    /// Completions per second.
-    pub achieved_rps: f64,
-    /// Mean dispatched batch size.
-    pub mean_batch_size: f64,
-}
-
-/// Extracts the comparable fields from an archived `BENCH_gateway.json`
-/// document. Returns `None` when the document does not have the expected
-/// shape.
-pub fn parse_gateway_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedGatewayRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedGatewayRow {
-                mode: obj.get("mode")?.as_str()?.to_string(),
-                rate: obj.get("rate")?.as_f64()?,
-                offered: obj.get("offered")?.as_u64()?,
-                processed: obj.get("processed")?.as_u64()?,
-                shed: obj.get("shed")?.as_u64()?,
-                failed: obj.get("failed")?.as_u64()?,
-                achieved_rps: obj.get("achieved_rps")?.as_f64()?,
-                mean_batch_size: obj.get("mean_batch_size")?.as_f64()?,
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning a list of mismatch descriptions (empty when consistent).
-/// Rows missing from the archive are ignored, so the `--smoke` subset
-/// checks cleanly against a full-ladder archive.
-pub fn check_gateway_archive(rows: &[GatewayRow], archived: &[ArchivedGatewayRow]) -> Vec<String> {
-    const EPS: f64 = 1e-6;
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived
-            .iter()
-            .find(|a| a.mode == r.mode && (a.rate - r.rate).abs() < EPS)
-        else {
-            continue;
-        };
-        let mut diff = |field: &str, got: f64, want: f64| {
-            if (got - want).abs() > EPS {
-                mismatches.push(format!(
-                    "{} @ {:.0} rq/s: {field} {got} != archived {want}",
-                    r.mode, r.rate
-                ));
-            }
-        };
-        diff("offered", r.offered as f64, a.offered as f64);
-        diff("processed", r.processed as f64, a.processed as f64);
-        diff("shed", r.shed as f64, a.shed as f64);
-        diff("failed", r.failed as f64, a.failed as f64);
-        diff("achieved_rps", r.achieved_rps, a.achieved_rps);
-        diff("mean_batch_size", r.mean_batch_size, a.mean_batch_size);
-    }
-    mismatches
-}
+/// The `gateway` binary: this harness behind the shared archive gate.
+pub const GATEWAY_GATE: ArchiveGate<f64, GatewayRow> = ArchiveGate {
+    name: "gateway",
+    title: "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
+    ladder: &GATEWAY_LADDER,
+    smoke: &GATEWAY_SMOKE,
+    rows: gateway_rows,
+    render: render_gateway,
+    invariants: Some(check_batching_wins),
+    violated: "batching regression",
+    key: &["mode", "rate"],
+    informational: &[],
+    what: "gateway sweep",
+};
 
 #[cfg(test)]
 mod tests {
@@ -331,15 +273,7 @@ mod tests {
     }
 
     #[test]
-    fn archive_round_trips_through_json() {
-        let rows = gateway_rows(&[20.0]);
-        let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_gateway_archive(&doc).expect("shape");
-        assert!(check_gateway_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[0].processed += 1;
-        assert_eq!(check_gateway_archive(&rows, &drifted).len(), 1);
+    fn key_names_are_row_fields() {
+        GATEWAY_GATE.assert_names_are_fields_of(&measure_one(GatewayMode::Batched, 20.0));
     }
 }

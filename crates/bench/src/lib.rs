@@ -27,29 +27,26 @@ mod gateway;
 mod scale;
 
 pub use crate::cache::{
-    cache_point, cache_rows, check_cache_archive, check_cache_invariants, parse_cache_archive,
-    render_cache, ArchivedCacheRow, CacheBenchRow, CachePoint, CACHE_LADDER, CACHE_SEED,
-    CACHE_SMOKE, CACHE_ZIPF_EXPONENT,
+    cache_point, cache_rows, check_cache_invariants, render_cache, CacheBenchRow, CachePoint,
+    CACHE_GATE, CACHE_LADDER, CACHE_SEED, CACHE_SMOKE, CACHE_ZIPF_EXPONENT,
 };
 pub use crate::datapath::{
-    baseline_copied_bytes, check_against_archive, datapath_rows, parse_archive, render_datapath,
-    ArchivedCopyRow, DatapathRow, LADDER, SMOKE,
+    baseline_copied_bytes, datapath_rows, render_datapath, DatapathRow, DATAPATH_GATE, LADDER,
+    SMOKE,
 };
 pub use crate::federation::{
-    check_federation_archive, check_federation_invariants, federation_config, federation_rows,
-    parse_federation_archive, render_federation, ArchivedFederationRow, FederationBenchRow,
-    FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR, FEDERATION_SMOKE, FEDERATION_SPAN_DROP,
-    FEDERATION_SPAN_RATIO,
+    check_federation_invariants, federation_config, federation_rows, render_federation,
+    FederationBenchRow, FEDERATION_GATE, FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR,
+    FEDERATION_SMOKE, FEDERATION_SPAN_DROP, FEDERATION_SPAN_RATIO,
 };
-pub use crate::gate::ArchiveGate;
+pub use crate::gate::{ArchiveGate, Labelled};
 pub use crate::gateway::{
-    check_batching_wins, check_gateway_archive, gateway_duration, gateway_rows,
-    parse_gateway_archive, peak_throughput, render_gateway, ArchivedGatewayRow, GatewayMode,
-    GatewayRow, GATEWAY_LADDER, GATEWAY_SMOKE,
+    check_batching_wins, gateway_duration, gateway_rows, peak_throughput, render_gateway,
+    GatewayMode, GatewayRow, GATEWAY_GATE, GATEWAY_LADDER, GATEWAY_SMOKE,
 };
 pub use crate::scale::{
-    check_scale_archive, check_scale_invariants, parse_scale_archive, render_scale, scale_config,
-    scale_rows, ArchivedScaleRow, ScaleBenchRow, SCALE_LADDER, SCALE_SEED, SCALE_SMOKE,
+    check_scale_invariants, render_scale, scale_config, scale_rows, ScaleBenchRow, SCALE_GATE,
+    SCALE_LADDER, SCALE_SEED, SCALE_SMOKE,
 };
 
 use std::path::PathBuf;

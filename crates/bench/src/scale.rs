@@ -9,9 +9,9 @@
 //! archived `experiments/BENCH_scale.json` — the digest column doubles
 //! as the byte-identical-replay certificate for each point.
 
-use serde::Serialize;
+use bf_sim::{run_scale, ScaleConfig, ScaleResult};
 
-use bf_sim::{run_scale, ScaleConfig};
+use crate::gate::{ArchiveGate, Labelled};
 
 /// Root seed of every ladder point.
 pub const SCALE_SEED: u64 = 42;
@@ -46,92 +46,14 @@ pub fn scale_config(label: &str) -> ScaleConfig {
     }
 }
 
-/// One measured ladder point. Every field is deterministic.
-#[derive(Debug, Clone, Serialize)]
-pub struct ScaleBenchRow {
-    /// Ladder label.
-    pub label: String,
-    /// Cluster size.
-    pub nodes: u64,
-    /// Function catalog size.
-    pub functions: u64,
-    /// Client sessions.
-    pub sessions: u64,
-    /// Arrivals inside the day.
-    pub arrivals: u64,
-    /// Completed requests.
-    pub processed: u64,
-    /// Requests shed at full node queues.
-    pub shed: u64,
-    /// Requests lost in flight to node deaths.
-    pub failed_inflight: u64,
-    /// Node-death events.
-    pub node_losses: u64,
-    /// Instances migrated off dead nodes.
-    pub rerouted: u64,
-    /// Slow-consumer forced disconnects.
-    pub force_disconnects: u64,
-    /// Payload-cache hits across admitted requests.
-    pub cache_hits: u64,
-    /// Payload-cache misses across admitted requests.
-    pub cache_misses: u64,
-    /// Payload-cache hit ratio over the day.
-    pub cache_hit_ratio: f64,
-    /// Wire bytes the payload cache elided.
-    pub cache_bytes_saved: u64,
-    /// Median latency (ms).
-    pub latency_p50_ms: f64,
-    /// 99th-percentile latency (ms).
-    pub latency_p99_ms: f64,
-    /// Completed poller polls.
-    pub poller_polls: u64,
-    /// Slots examined across all poller scans.
-    pub poller_slots_scanned: u64,
-    /// Watch events generated.
-    pub watch_events: u64,
-    /// Watch channel deliveries performed.
-    pub watch_deliveries: u64,
-    /// Watch events consumed by the harness.
-    pub watch_seen: u64,
-    /// Metric series registered.
-    pub metrics_series: u64,
-    /// Registry shards.
-    pub metrics_shards: u64,
-    /// Series behind the most loaded registry shard.
-    pub metrics_max_shard: u64,
-    /// The byte-identical-replay certificate.
-    pub trace_digest: String,
-}
+/// One measured ladder point: the harness's whole result under its
+/// ladder label. Every field is deterministic.
+pub type ScaleBenchRow = Labelled<ScaleResult>;
 
 fn measure_one(label: &str) -> ScaleBenchRow {
-    let r = run_scale(&scale_config(label));
-    ScaleBenchRow {
+    Labelled {
         label: label.to_string(),
-        nodes: r.nodes,
-        functions: r.functions,
-        sessions: r.sessions,
-        arrivals: r.arrivals,
-        processed: r.processed,
-        shed: r.shed,
-        failed_inflight: r.failed_inflight,
-        node_losses: r.node_losses,
-        rerouted: r.rerouted,
-        force_disconnects: r.force_disconnects,
-        cache_hits: r.cache_hits,
-        cache_misses: r.cache_misses,
-        cache_hit_ratio: r.cache_hit_ratio,
-        cache_bytes_saved: r.cache_bytes_saved,
-        latency_p50_ms: r.latency_p50_ms,
-        latency_p99_ms: r.latency_p99_ms,
-        poller_polls: r.poller_polls,
-        poller_slots_scanned: r.poller_slots_scanned,
-        watch_events: r.watch_events,
-        watch_deliveries: r.watch_deliveries,
-        watch_seen: r.watch_seen,
-        metrics_series: r.metrics_series,
-        metrics_shards: r.metrics_shards,
-        metrics_max_shard: r.metrics_max_shard,
-        trace_digest: r.trace_digest,
+        result: run_scale(&scale_config(label)),
     }
 }
 
@@ -147,23 +69,23 @@ pub fn scale_rows(labels: &[&str]) -> Vec<ScaleBenchRow> {
 ///
 /// Returns a description of the first violated invariant.
 pub fn check_scale_invariants(rows: &[ScaleBenchRow]) -> Result<(), String> {
-    for r in rows {
+    for Labelled { label, result: r } in rows {
         if r.arrivals != r.processed + r.shed + r.failed_inflight {
             return Err(format!(
                 "{}: arrivals {} != processed {} + shed {} + failed_inflight {}",
-                r.label, r.arrivals, r.processed, r.shed, r.failed_inflight
+                label, r.arrivals, r.processed, r.shed, r.failed_inflight
             ));
         }
         if r.node_losses == 0 || r.rerouted == 0 {
             return Err(format!(
                 "{}: fault battery invisible (node_losses {}, rerouted {})",
-                r.label, r.node_losses, r.rerouted
+                label, r.node_losses, r.rerouted
             ));
         }
         if r.watch_seen < r.functions {
             return Err(format!(
                 "{}: watchers missed the deploy storm ({} seen, {} functions)",
-                r.label, r.watch_seen, r.functions
+                label, r.watch_seen, r.functions
             ));
         }
     }
@@ -191,10 +113,10 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
         "maxshard",
         "digest"
     ));
-    for r in rows {
+    for Labelled { label, result: r } in rows {
         out.push_str(&format!(
             "{:<8} {:>6} {:>6} {:>9} {:>9} {:>7} {:>7} {:>4.1}ms {:>5.1}% {:>9} {:>13} {:>9} {:>10} {:>8} {:>17}\n",
-            r.label,
+            label,
             r.nodes,
             r.functions,
             r.arrivals,
@@ -214,99 +136,20 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
     out
 }
 
-/// One archived row (every field is deterministic, so all are compared).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArchivedScaleRow {
-    /// Ladder label.
-    pub label: String,
-    /// Arrivals inside the day.
-    pub arrivals: u64,
-    /// Completed requests.
-    pub processed: u64,
-    /// Sheds.
-    pub shed: u64,
-    /// In-flight losses.
-    pub failed_inflight: u64,
-    /// Node-death events.
-    pub node_losses: u64,
-    /// Migrated instances.
-    pub rerouted: u64,
-    /// Forced disconnects.
-    pub force_disconnects: u64,
-    /// Watch events generated.
-    pub watch_events: u64,
-    /// Watch events consumed.
-    pub watch_seen: u64,
-    /// Metric series registered.
-    pub metrics_series: u64,
-    /// The replay certificate.
-    pub trace_digest: String,
-}
-
-/// Extracts the comparable fields from an archived `BENCH_scale.json`
-/// document. Returns `None` when the document does not have the
-/// expected shape.
-pub fn parse_scale_archive(doc: &serde_json::Value) -> Option<Vec<ArchivedScaleRow>> {
-    doc.as_array()?
-        .iter()
-        .map(|row| {
-            let obj = row.as_object()?;
-            Some(ArchivedScaleRow {
-                label: obj.get("label")?.as_str()?.to_string(),
-                arrivals: obj.get("arrivals")?.as_u64()?,
-                processed: obj.get("processed")?.as_u64()?,
-                shed: obj.get("shed")?.as_u64()?,
-                failed_inflight: obj.get("failed_inflight")?.as_u64()?,
-                node_losses: obj.get("node_losses")?.as_u64()?,
-                rerouted: obj.get("rerouted")?.as_u64()?,
-                force_disconnects: obj.get("force_disconnects")?.as_u64()?,
-                watch_events: obj.get("watch_events")?.as_u64()?,
-                watch_seen: obj.get("watch_seen")?.as_u64()?,
-                metrics_series: obj.get("metrics_series")?.as_u64()?,
-                trace_digest: obj.get("trace_digest")?.as_str()?.to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Compares `rows` against the matching rows of an archived run,
-/// returning mismatch descriptions (empty when consistent). Rows
-/// missing from the archive are ignored, so the `--smoke` subset checks
-/// cleanly against a full-ladder archive.
-pub fn check_scale_archive(rows: &[ScaleBenchRow], archived: &[ArchivedScaleRow]) -> Vec<String> {
-    let mut mismatches = Vec::new();
-    for r in rows {
-        let Some(a) = archived.iter().find(|a| a.label == r.label) else {
-            continue;
-        };
-        let mut diff = |field: &str, got: u64, want: u64| {
-            if got != want {
-                mismatches.push(format!("{}: {field} {got} != archived {want}", r.label));
-            }
-        };
-        diff("arrivals", r.arrivals, a.arrivals);
-        diff("processed", r.processed, a.processed);
-        diff("shed", r.shed, a.shed);
-        diff("failed_inflight", r.failed_inflight, a.failed_inflight);
-        diff("node_losses", r.node_losses, a.node_losses);
-        diff("rerouted", r.rerouted, a.rerouted);
-        diff(
-            "force_disconnects",
-            r.force_disconnects,
-            a.force_disconnects,
-        );
-        diff("watch_events", r.watch_events, a.watch_events);
-        diff("watch_seen", r.watch_seen, a.watch_seen);
-        diff("metrics_series", r.metrics_series, a.metrics_series);
-        if r.trace_digest != a.trace_digest {
-            mismatches.push(format!(
-                "{}: trace_digest {} != archived {}",
-                r.label, r.trace_digest, a.trace_digest
-            ));
-        }
-    }
-    mismatches
-}
+/// The `scale` binary: this harness behind the shared archive gate.
+pub const SCALE_GATE: ArchiveGate<&str, ScaleBenchRow> = ArchiveGate {
+    name: "scale",
+    title: "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
+    ladder: &SCALE_LADDER,
+    smoke: &SCALE_SMOKE,
+    rows: scale_rows,
+    render: render_scale,
+    invariants: Some(check_scale_invariants),
+    violated: "scale invariant violated",
+    key: &["label"],
+    informational: &[],
+    what: "scale sweep",
+};
 
 #[cfg(test)]
 mod tests {
@@ -328,16 +171,9 @@ mod tests {
     }
 
     #[test]
-    fn smoke_row_satisfies_the_invariants_and_round_trips() {
+    fn smoke_row_satisfies_the_invariants() {
         let rows = scale_rows(&SCALE_SMOKE);
         assert!(check_scale_invariants(&rows).is_ok(), "{rows:?}");
-        let json = serde_json::to_string_pretty(&rows).expect("serialize");
-        let doc = serde_json::from_str(&json).expect("parse");
-        let archived = parse_scale_archive(&doc).expect("shape");
-        assert!(check_scale_archive(&rows, &archived).is_empty());
-        // A drifted archive is flagged.
-        let mut drifted = archived;
-        drifted[0].trace_digest = "0".repeat(16);
-        assert_eq!(check_scale_archive(&rows, &drifted).len(), 1);
+        SCALE_GATE.assert_names_are_fields_of(&rows[0]);
     }
 }

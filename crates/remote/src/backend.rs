@@ -384,7 +384,6 @@ impl Backend for RemoteBackend {
             ready,
             event.clone(),
             region,
-            None,
         )?;
         if blocking {
             self.conn.cast(Request::Flush { queue: queue.0 }, ready)?;
@@ -414,7 +413,6 @@ impl Backend for RemoteBackend {
             sent,
             event.clone(),
             None,
-            Some(len),
         )?;
         if blocking {
             self.conn.cast(Request::Flush { queue: queue.0 }, sent)?;
@@ -435,7 +433,6 @@ impl Backend for RemoteBackend {
             },
             sent,
             event.clone(),
-            None,
             None,
         )?;
         Ok(event)
@@ -465,7 +462,6 @@ impl Backend for RemoteBackend {
             sent,
             event.clone(),
             None,
-            None,
         )?;
         Ok(event)
     }
@@ -481,7 +477,6 @@ impl Backend for RemoteBackend {
             Request::Finish { queue: queue.0 },
             sent,
             event.clone(),
-            None,
             None,
         )?;
         Ok(event)

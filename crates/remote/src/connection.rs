@@ -47,8 +47,6 @@ struct OpPending {
     machine: OpStateMachine,
     /// Shm region to release once the manager consumed a write payload.
     write_region: Option<u64>,
-    /// Expected read length (reads only), for cost accounting.
-    read_len: Option<u64>,
     /// One-shot verdict channel for acked submissions ([`Connection::
     /// submit_op_acked`]): `Ok(observed)` on `Enqueued`, the error pair on
     /// a NACK. While armed, a manager error is *not* applied to the event
@@ -212,7 +210,6 @@ impl Connection {
         sent_at: VirtualTime,
         event: Event,
         write_region: Option<u64>,
-        read_len: Option<u64>,
     ) -> ClResult<()> {
         let tag = self.fresh_tag();
         let machine = OpStateMachine::new(event.command());
@@ -222,7 +219,6 @@ impl Connection {
                 event,
                 machine,
                 write_region,
-                read_len,
                 ack: None,
             })),
         );
@@ -254,7 +250,6 @@ impl Connection {
                 event,
                 machine,
                 write_region: None,
-                read_len: None,
                 ack: Some(tx),
             })),
         );
@@ -398,7 +393,6 @@ fn advance_op(inner: &Arc<ConnectionInner>, op: &mut OpPending, resp: ResponseEn
                     }
                 }
             };
-            let _ = op.read_len;
             if let Some(region) = op.write_region.take() {
                 if let Some(shm) = inner.shm.as_ref() {
                     let _ = shm.free(region);

@@ -241,28 +241,6 @@ impl WireDecode for String {
     }
 }
 
-impl WireEncode for Vec<u8> {
-    fn encode(&self, buf: &mut BytesMut) {
-        put_varint(buf, self.len() as u64);
-        bf_metrics::record_memcpy(self.len() as u64);
-        buf.put_slice(self);
-    }
-}
-
-impl WireDecode for Vec<u8> {
-    fn decode(buf: &mut Bytes) -> Result<Self, CodecError> {
-        let len = get_varint(buf)? as usize;
-        if buf.remaining() < len {
-            return Err(CodecError::UnexpectedEof);
-        }
-        bf_metrics::record_memcpy(len as u64);
-        // bf-lint: allow(payload_copy): the legacy owned-Vec decode path —
-        // zero-copy consumers decode `Payload` instead; this copy is counted.
-        // bf-taint: sanitized(the remaining() guard above proves the declared len fits the received buffer)
-        Ok(buf.split_to(len).to_vec())
-    }
-}
-
 impl<T: WireEncode> WireEncode for Option<T> {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
@@ -325,7 +303,6 @@ mod tests {
         round_trip(3.5f32);
         round_trip(true);
         round_trip("héllo wörld".to_string());
-        round_trip(vec![0u8, 1, 255]);
         round_trip(Some("x".to_string()));
         round_trip(Option::<u64>::None);
         round_trip([1u64, 2, 3]);

@@ -262,32 +262,36 @@ mod proptests {
             prop_assert_eq!(decoded, env);
         }
 
-        /// The refcounted `Payload` wire format is byte-identical to the
-        /// legacy owned-`Vec<u8>` path: same frames on the wire, same
-        /// values decoded back, for every payload shape.
+        /// The refcounted `Payload` wire format is the released byte-string
+        /// frame (varint length, then the bytes) and decodes back to the
+        /// same bytes, for every payload shape.
         #[test]
         fn payload_wire_encoding_matches_the_vec_path(
             data in proptest::collection::vec(any::<u8>(), 0..2048),
         ) {
-            let legacy = data.to_bytes();
+            use bytes::BufMut;
+            use crate::codec::put_varint;
+            let mut legacy = bytes::BytesMut::new();
+            put_varint(&mut legacy, data.len() as u64);
+            legacy.put_slice(&data);
             let frame = Payload::from(data.clone()).to_bytes();
-            prop_assert_eq!(&frame, &legacy);
-            let via_vec = Vec::<u8>::from_bytes(frame.clone()).expect("vec decode");
+            prop_assert_eq!(&frame, &legacy.freeze());
             let via_payload = Payload::from_bytes(frame).expect("payload decode");
-            prop_assert_eq!(&via_vec, &data);
             prop_assert_eq!(via_payload, data);
         }
 
         /// Inline `DataRef` frames carry the exact bytes the pre-refcount
-        /// encoding produced: discriminant 0 followed by the Vec encoding.
+        /// encoding produced: discriminant 0, varint length, then the bytes.
         #[test]
         fn inline_dataref_matches_the_legacy_frame_layout(
             data in proptest::collection::vec(any::<u8>(), 0..1024),
         ) {
             use bytes::BufMut;
+            use crate::codec::put_varint;
             let mut legacy = bytes::BytesMut::new();
             legacy.put_u8(0);
-            data.encode(&mut legacy);
+            put_varint(&mut legacy, data.len() as u64);
+            legacy.put_slice(&data);
             let frame = DataRef::Inline(data.into()).to_bytes();
             prop_assert_eq!(frame, legacy.freeze());
         }
@@ -306,7 +310,8 @@ mod proptests {
             use crate::codec::put_varint;
             let mut legacy_inline = bytes::BytesMut::new();
             legacy_inline.put_u8(0);
-            data.encode(&mut legacy_inline);
+            put_varint(&mut legacy_inline, data.len() as u64);
+            legacy_inline.put_slice(&data);
             prop_assert_eq!(
                 DataRef::Inline(data.into()).to_bytes(),
                 legacy_inline.freeze()

@@ -170,11 +170,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_encoding_matches_the_old_vec_encoding() {
+    fn wire_encoding_is_a_varint_length_then_the_bytes() {
         for data in [vec![], vec![7u8], vec![0xA5; 4096]] {
-            let old = data.to_bytes();
-            let new = Payload::from(data).to_bytes();
-            assert_eq!(new, old);
+            let mut frame = BytesMut::new();
+            put_varint(&mut frame, data.len() as u64);
+            frame.put_slice(&data);
+            assert_eq!(Payload::from(data).to_bytes(), frame.freeze());
         }
     }
 

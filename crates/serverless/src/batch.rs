@@ -144,8 +144,8 @@ impl Batcher {
     }
 
     /// A degenerate batcher that never coalesces: batch size 1, zero wait.
-    /// This is the compatibility configuration for single-request handlers
-    /// (see [`SingleRequest`](crate::SingleRequest)).
+    /// The queue behind [`Gateway::deploy_single`](crate::Gateway::deploy_single)
+    /// and the unbatched baseline of the gateway benchmark.
     pub fn unbatched() -> Self {
         Batcher::new()
             .with_max_batch_size(1)

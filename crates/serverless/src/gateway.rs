@@ -192,9 +192,10 @@ impl Gateway {
         );
     }
 
-    /// Deploys a single-request handler behind an unbatched
-    /// ([`Batcher::unbatched`]) queue — the compatibility path from the old
-    /// closure `Handler` API, with identical per-request timing.
+    /// Deploys a single-request closure behind an unbatched
+    /// ([`Batcher::unbatched`]) queue: one dispatch per invocation. The
+    /// closure form the gateway unit tests and `tests/mode_consistency.rs`
+    /// deploy their functions through.
     pub fn deploy_single<F>(&self, name: impl Into<String>, handler: F)
     where
         F: Fn(VirtualTime) -> Result<VirtualTime, HandlerError> + Send + Sync + 'static,

@@ -3,8 +3,8 @@
 //!
 //! This replaces the original closure-based handler surface
 //! (`Arc<dyn Fn(VirtualTime) -> Result<VirtualTime, String>>`), which could
-//! not express batches, typed failures, or payload sizes. Existing
-//! single-request handlers keep working through the [`SingleRequest`]
+//! not express batches, typed failures, or payload sizes. A
+//! single-request closure is deployed through the [`SingleRequest`]
 //! adapter, which services a batch serially — see its docs for the exact
 //! timing semantics.
 
@@ -101,16 +101,16 @@ pub trait BatchHandler: Send + Sync {
     ) -> Vec<Result<Completion, HandlerError>>;
 }
 
-/// Compatibility adapter from the pre-batching single-request closure API:
-/// wraps a `Fn(VirtualTime) -> Result<VirtualTime, HandlerError>` and
+/// The closure adapter: wraps a
+/// `Fn(VirtualTime) -> Result<VirtualTime, HandlerError>` and
 /// services batches serially, chaining each invocation's start instant off
 /// the previous completion (a batch on this adapter gains admission-control
 /// and amortised-forwarding benefits, but no service-time parallelism).
 ///
-/// This is the migration path for existing deployments: pair it with
-/// [`Batcher::unbatched`](crate::Batcher::unbatched) (as
-/// [`Gateway::deploy_single`](crate::Gateway::deploy_single) does) to get
-/// the exact per-request timing of the old closure `Handler` API.
+/// Paired with [`Batcher::unbatched`](crate::Batcher::unbatched) (as
+/// [`Gateway::deploy_single`](crate::Gateway::deploy_single) does) it
+/// gives one dispatch per invocation — how the gateway unit tests and
+/// `tests/mode_consistency.rs` deploy a function written as a closure.
 pub struct SingleRequest<F> {
     f: F,
 }

@@ -14,8 +14,8 @@
 //!   `max_batch_size` and `max_wait` on the virtual timeline) with
 //!   admission control: a bounded queue that sheds overload as the typed
 //!   [`GatewayError::Overloaded`];
-//! * [`BatchHandler`] — what a deployed function implements; existing
-//!   single-request closures migrate through the [`SingleRequest`]
+//! * [`BatchHandler`] — what a deployed function implements; a
+//!   single-request closure becomes one through the [`SingleRequest`]
 //!   adapter (see below);
 //! * [`ClosedLoopPacer`] — the exact `hey -c 1 -q rate` arrival process:
 //!   paced ticks, but never more than one outstanding request, so a
@@ -38,10 +38,13 @@
 //! The pre-batching `Handler` type alias
 //! (`Arc<dyn Fn(VirtualTime) -> Result<VirtualTime, String>>`) is gone
 //! from the public API: it could not express batches, typed failures, or
-//! payload sizes. The compatibility path is [`SingleRequest`], which
-//! wraps a `Fn(VirtualTime) -> Result<VirtualTime, HandlerError>` closure
-//! as a [`BatchHandler`]; [`Gateway::deploy_single`] pairs it with
-//! [`Batcher::unbatched`] for the old API's exact per-request timing:
+//! payload sizes. [`SingleRequest`] is the closure adapter: it wraps a
+//! `Fn(VirtualTime) -> Result<VirtualTime, HandlerError>` closure as a
+//! [`BatchHandler`], and [`Gateway::deploy_single`] pairs it with
+//! [`Batcher::unbatched`] (one dispatch per invocation, the old API's
+//! exact per-request timing). The gateway unit tests and
+//! `tests/mode_consistency.rs` deploy through it; the gateway benchmark's
+//! unbatched baseline is the same queue:
 //!
 //! ```
 //! use bf_model::{VirtualDuration, VirtualTime};
