@@ -39,6 +39,13 @@ cargo test -q --workspace
 echo "==> cargo test (transport crates, single-threaded)"
 cargo test -q -p bf-rpc -p bf-devmgr -p bf-remote -- --test-threads=1
 
+# The repo benchmark (BENCHMARK.json → e2e/) is its own workspace, so the
+# stages above never compile it: build it and run its unit tests, so a
+# change to any crate it pulls in cannot break the benchmark unseen.
+echo "==> e2e benchmark (release build + unit tests)"
+cargo build --release --offline --manifest-path e2e/Cargo.toml --bin e2e
+cargo test -q --offline --manifest-path e2e/Cargo.toml
+
 # Conformance + interprocedural flow + trust-boundary taint passes plus
 # the wire-schema drift gate, all gated on the checked-in baseline:
 # pre-existing accepted findings don't block, NEW findings fail (exit 1)

@@ -42,7 +42,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use bf_model::{NodeId, NodeSpec};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use bf_race::sync::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 /// Identifier of a function instance (pod).
@@ -176,8 +176,8 @@ impl WatchStream {
                 return Some(event);
             }
             match self.rx.try_recv() {
-                Ok(batch) => self.buf.extend(batch),
-                Err(_) => return None,
+                Ok(Some(batch)) => self.buf.extend(batch),
+                Ok(None) | Err(_) => return None,
             }
         }
     }

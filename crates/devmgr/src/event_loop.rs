@@ -19,22 +19,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use bf_rpc::{PollEvent, Poller, Token, TransportError};
-// bf-lint: allow(raw_sync): control-plane receiver; only try_recv'd after a
-// modeled waker readiness edge, so drains are schedule-deterministic
-use crossbeam::channel::{Receiver, TryRecvError};
 
 use crate::sync::atomic::Ordering;
+use crate::sync::channel::Receiver;
 
 use crate::manager::Shared;
 use crate::session::{Session, SessionSeed};
 use crate::task::Task;
 use crate::worker;
-
-/// Control-plane messages from manager handles to the event loop.
-pub(crate) enum Control {
-    /// A new client connected; adopt its session.
-    Register(Box<SessionSeed>),
-}
 
 /// Upper bound on frames handled per readiness event, so one busy session
 /// yields to the others between batches.
@@ -48,7 +40,7 @@ const FLUSH_RETRY: Duration = Duration::from_millis(1);
 // bf-flow: entry(devmgr_events)
 pub(crate) fn run_event_loop(
     shared: Arc<Shared>,
-    control_rx: Receiver<Control>,
+    control_rx: Receiver<Box<SessionSeed>>,
     mut poller: Poller,
     wake_token: Token,
 ) {
@@ -71,7 +63,7 @@ pub(crate) fn run_event_loop(
             PollEvent::Ready(token) if token == wake_token => {
                 loop {
                     match control_rx.try_recv() {
-                        Ok(Control::Register(seed)) => {
+                        Ok(Some(seed)) => {
                             let token = poller.register(seed.server.requests());
                             // bf-flow: allow(hot_alloc): one entry per live
                             // session, removed on reap — bounded by the
@@ -80,8 +72,8 @@ pub(crate) fn run_event_loop(
                             // bf-flow: allow(hot_alloc): same bound as above
                             sessions.insert(token, Session::new(shared.clone(), *seed));
                         }
-                        Err(TryRecvError::Empty) => break,
-                        Err(TryRecvError::Disconnected) => {
+                        Ok(None) => break,
+                        Err(_) => {
                             // The last manager handle dropped: no further
                             // connects. Existing sessions are served until
                             // they close.

@@ -96,9 +96,9 @@ pub const HIERARCHY: &[&str] = &[
     "value",
     // Histogram buckets (bf-metrics).
     "histogram",
-    // Bounded transport frame queues (bf-rpc). Leaf: dropped before any
-    // poller notification is raised.
-    "frames",
+    // Every `bf_race::sync::channel` queue (transport frames, control,
+    // rendezvous, watch). Leaf: dropped before any poller notification.
+    "queue",
     // Poller wakeup state: generation counter + ready list (bf-rpc).
     // Nothing in application code may be acquired while it is held.
     "wakeup",

@@ -8,14 +8,13 @@ use bf_metrics::MetricsRegistry;
 use bf_model::{NodeId, NodeSpec, VirtualTime};
 use bf_ocl::BitstreamCatalog;
 use bf_rpc::{duplex_with_depth, ClientChannel, ClientId, PathCosts, Poller, ShmSegment, Waker};
-// bf-lint: allow(raw_sync): control-plane channel between manager handles and the event loop; drained via the modeled waker, never blocked on
-use crossbeam::channel::{bounded, Sender};
 // bf-lint: allow(raw_sync): the board lock is shared with non-instrumented crates (bf-ocl, bf-registry) and serialized by the single event-loop thread
 use parking_lot::Mutex;
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::channel::{bounded, Sender};
 
-use crate::event_loop::{run_event_loop, Control};
+use crate::event_loop::run_event_loop;
 use crate::lock_order;
 use crate::session::SessionSeed;
 
@@ -183,7 +182,8 @@ pub struct ManagerEndpoint {
 #[derive(Clone)]
 pub struct DeviceManager {
     shared: Arc<Shared>,
-    control_tx: Sender<Control>,
+    /// Sessions for the event loop to adopt.
+    control_tx: Sender<Box<SessionSeed>>,
     waker: Waker,
     next_client: Arc<AtomicU64>,
 }
@@ -354,11 +354,7 @@ impl DeviceManager {
             costs,
             shm: shm.clone(),
         };
-        if self
-            .control_tx
-            .send(Control::Register(Box::new(seed)))
-            .is_err()
-        {
+        if self.control_tx.send(Box::new(seed)).is_err() {
             // The event loop is gone (should not happen while a manager
             // handle exists); the endpoint will observe Closed.
             self.shared.connected.fetch_sub(1, Ordering::SeqCst);

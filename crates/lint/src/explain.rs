@@ -61,7 +61,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     (
         "raw_sync",
         "Instrumented crates must use the `bf_race::sync` facade rather than\n\
-         raw `parking_lot` / `std::sync::atomic` / `crossbeam` primitives,\n\
+         raw `parking_lot` / `std::sync::atomic` primitives,\n\
          so the deterministic model checker can interpose on every\n\
          synchronization action.",
     ),
@@ -99,7 +99,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
         "[bf-flow] Nothing blocking may be reachable from a hot-path entry:\n\
          no condvar wait, no blocking `recv`, no `sleep`, no file/net\n\
          syscalls, and no lock ranked *outside* the entry class's floor\n\
-         (e.g. the poller may take `frames` and inner locks, never\n\
+         (e.g. the poller may take `queue` and inner locks, never\n\
          `registry`). Findings carry a call-chain witness: entry → … →\n\
          offending call, file:line per hop.\n\
          \n\

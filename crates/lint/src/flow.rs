@@ -52,7 +52,7 @@ pub const FLOW_RULES: &[&str] = &["hot_blocking", "hot_alloc", "hot_panic", "err
 /// class may only acquire locks ranked at or inside (≥) the named lock.
 /// The floor is the outermost lock the loop legitimately owns.
 pub const ENTRY_CLASSES: &[(&str, &str)] = &[
-    ("poller", "frames"),
+    ("poller", "queue"),
     ("devmgr_events", "board"),
     ("remote_reactor", "pending"),
     ("batcher", "functions"),
@@ -721,7 +721,7 @@ const RISKY_ERRORS: &[&str] = &[
 ];
 /// Methods on the bounded transport that report `Backpressure` even when
 /// their receiver type cannot be resolved.
-const RISKY_METHOD_FALLBACK: &[&str] = &["try_send", "try_push"];
+const RISKY_METHOD_FALLBACK: &[&str] = &["try_send"];
 
 /// Method names that are always primitive leaves, never call-graph edges.
 fn is_primitive_method(name: &str) -> bool {
@@ -1735,11 +1735,11 @@ mod tests {
 
     #[test]
     fn hot_blocking_respects_the_rank_floor_and_allows() {
-        // `frames` (rank 15) is at/inside the poller floor: clean.
-        let ok = "pub struct P { frames: Mutex<u32> }\n\
+        // `queue` is at/inside the poller floor: clean.
+        let ok = "pub struct P { queue: Mutex<u32> }\n\
                   impl P {\n\
                       // bf-flow: entry(poller)\n\
-                      pub fn poll(&self) { let g = self.frames.lock(); }\n\
+                      pub fn poll(&self) { let g = self.queue.lock(); }\n\
                   }\n";
         let (out, _) = flow_check(&[("crates/rpc/src/poller.rs", ok)]);
         assert!(out.iter().all(|d| d.rule != "hot_blocking"), "{out:#?}");

@@ -13,7 +13,7 @@
 //! | `wall_clock` | `Instant::now()` / `SystemTime::now()` only in `crates/model/src/clock.rs` |
 //! | `lock_order` | acquisitions must follow the declared lock hierarchy |
 //! | `lock_graph` | whole-program: every lock ranked, no static acquisition cycle, hierarchy fully covered |
-//! | `raw_sync` | instrumented crates use the bf-sync facade, not raw parking_lot/std/crossbeam primitives |
+//! | `raw_sync` | instrumented crates use the bf-sync facade, not raw parking_lot/std primitives |
 //! | `wildcard_match` | `match`es over status enums must not use `_` arms |
 //! | `unbounded_channel` | no `unbounded()` queues in library code — bounded depths + backpressure |
 //!

@@ -420,12 +420,9 @@ fn rule_raw_sync(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) 
         let hit = if code.contains("use parking_lot") || code.contains("parking_lot::") {
             code.find("parking_lot")
                 .map(|p| ("parking_lot primitive", p))
-        } else if let Some(p) = code.find("std::sync::atomic") {
-            Some(("std::sync atomic", p))
-        } else if code.contains("use crossbeam") || code.contains("crossbeam::channel") {
-            code.find("crossbeam").map(|p| ("crossbeam channel", p))
         } else {
-            None
+            code.find("std::sync::atomic")
+                .map(|p| ("std::sync atomic", p))
         };
         let Some((what, pos)) = hit else { continue };
         if allows.permits(idx + 1, "raw_sync") {
@@ -1239,7 +1236,7 @@ mod tests {
         let turbofish = check("fn f() { let (tx, rx) = unbounded::<u64>(); }\n");
         assert_eq!(turbofish.len(), 1, "{turbofish:?}");
         assert_eq!(turbofish[0].rule, "unbounded_channel");
-        let qualified = check("fn f() { let p = crossbeam::channel::unbounded(); }\n");
+        let qualified = check("fn f() { let p = bf_race::sync::channel::unbounded(); }\n");
         assert_eq!(qualified.len(), 1, "{qualified:?}");
     }
 
@@ -1247,7 +1244,7 @@ mod tests {
     fn bounded_channels_and_imports_do_not_fire() {
         assert!(check("fn f() { let (tx, rx) = bounded(64); }\n").is_empty());
         // The import alone is not a construction site.
-        assert!(check("use crossbeam::channel::{unbounded, Sender};\n").is_empty());
+        assert!(check("use bf_race::sync::channel::{unbounded, Sender};\n").is_empty());
         // Identifiers merely containing the word are untouched.
         assert!(check("fn f() { unbounded_growth(); let x = my_unbounded(); }\n").is_empty());
     }
@@ -1344,7 +1341,6 @@ mod tests {
         for (src, what) in [
             ("use parking_lot::Mutex;\n", "parking_lot"),
             ("use std::sync::atomic::AtomicU64;\n", "std::sync atomic"),
-            ("use crossbeam::channel::bounded;\n", "crossbeam"),
         ] {
             let out = check_instrumented(src);
             assert_eq!(out.len(), 1, "{what}: {out:?}");

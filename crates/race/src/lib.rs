@@ -12,10 +12,10 @@
 //!
 //! * [`sync`] — the **bf-sync facade**: drop-in `Mutex` / `RwLock` /
 //!   `Condvar` / atomics / [`sync::RaceCell`] plus a monotonic clock
-//!   ([`sync::MonoTime`]) and [`thread`] spawn/join wrappers. In normal
-//!   builds every type is a zero-cost re-export of `parking_lot` / `std`,
-//!   so the instrumented crates (`bf-rpc`, `bf-devmgr`, `bf-remote`,
-//!   `bf-fpga`) pay nothing. Under the `model` feature each
+//!   ([`sync::MonoTime`]), the MPMC [`sync::channel`] built on them, and
+//!   [`thread`] spawn/join wrappers. In normal builds every primitive is a
+//!   zero-cost re-export of `parking_lot` / `std`, so the instrumented
+//!   crates pay nothing. Under the `model` feature each
 //!   acquire/release/park/wake/load/store becomes a *yield point* owned by
 //!   the scheduler.
 //!
@@ -26,8 +26,8 @@
 //!   - **data races**: conflicting [`sync::RaceCell`] accesses with no
 //!     happens-before edge (vector clocks over lock/unlock, notify/wait,
 //!     atomics, spawn/join);
-//!   - **deadlocks**: a global wait-for cycle across mutexes *and* the
-//!     full/empty bounded frame channels (which are built on the facade's
+//!   - **deadlocks**: a global wait-for cycle across mutexes *and*
+//!     full/empty [`sync::channel`]s (which are built on the facade's
 //!     `Mutex` + `Condvar`, so channel waits are ordinary parked threads);
 //!   - **lost wakeups**: a parked thread that no schedule ever wakes shows
 //!     up as a deadlock on that schedule, with the parked thread named.

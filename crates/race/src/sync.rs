@@ -1,15 +1,18 @@
 //! The **bf-sync facade**: synchronization primitives for the
-//! instrumented crates (`bf-rpc`, `bf-devmgr`, `bf-remote`, `bf-fpga`).
+//! instrumented crates (bf-lint's `INSTRUMENTED_CRATES`).
 //!
 //! Normal builds re-export `parking_lot` and `std::sync::atomic` types
 //! unchanged — the facade is zero-cost and type-identical, so downstream
 //! code and public APIs are unaffected. Under the `model` feature the
 //! same names resolve to instrumented wrappers whose every operation is a
 //! scheduler yield point (see the crate docs and `docs/ARCHITECTURE.md`).
+//! [`channel`] is built on those primitives, so it is modelled too.
 //!
 //! The instrumented crates re-export this module as `<crate>::sync`; the
-//! `bf-lint` `raw_sync` rule keeps direct `std::sync` / `crossbeam`
-//! primitive construction out of those crates unless justified.
+//! `bf-lint` `raw_sync` rule keeps raw `parking_lot` / `std::sync::atomic`
+//! primitives out of those crates unless justified.
+
+pub mod channel;
 
 pub use crate::time::MonoTime;
 

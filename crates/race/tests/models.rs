@@ -12,6 +12,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use bf_race::sync::channel::{bounded, ChannelError};
 use bf_race::sync::{Condvar, Mutex};
 use bf_race::{explore, explore_with, thread, Config, FailureKind};
 use bf_rpc::{
@@ -164,6 +165,113 @@ fn event_loop_force_disconnects_slow_consumers_on_every_schedule() {
     .expect("no schedule may deadlock or leak the event loop");
     println!(
         "event_loop_slow_consumer: {} schedules explored (preemption bound 1)",
+        stats.schedules
+    );
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+/// `DeviceManager::connect` racing the drop of another manager handle,
+/// either of which may turn out to be the last: the control message, the
+/// waker nudge, the waker's close edge and the control channel's
+/// disconnect all reach the event loop in some order. On every schedule
+/// the endpoint is either adopted (one request answered, then an orderly
+/// `Disconnect` reaps the session) or observes `Closed`; the connected
+/// count ends at 0 and the loop exits, so no schedule hangs.
+#[test]
+fn connect_racing_a_manager_handle_drop_is_adopted_or_closed() {
+    let config = Config {
+        preemption_bound: Some(1),
+        ..Config::default()
+    };
+    let stats = explore_with("connect_vs_handle_drop", config, || {
+        let board = Arc::new(parking_lot::Mutex::new(bf_fpga::Board::new(
+            bf_fpga::BoardSpec::de5a_net(),
+            bf_model::PcieLink::new(bf_model::PcieGeneration::Gen3, 8),
+        )));
+        let (manager, event_loop) = bf_devmgr::DeviceManager::new_detached(
+            bf_devmgr::DeviceManagerConfig::standalone("fpga-model"),
+            bf_model::node_b(),
+            board,
+            bf_ocl::BitstreamCatalog::new(),
+        );
+        let looper = thread::spawn(event_loop);
+        let other = manager.clone();
+        let dropper = thread::spawn(move || drop(other));
+
+        let endpoint = manager.connect("racer", PathCosts::local_shm());
+        let request = |tag, body| RequestEnvelope {
+            tag,
+            client: endpoint.client,
+            sent_at: bf_model::VirtualTime::ZERO,
+            body,
+        };
+        let channel = &endpoint.channel;
+        match channel
+            .send(&request(1, Request::GetDeviceInfo))
+            .and_then(|()| channel.recv())
+        {
+            Ok(resp) => {
+                assert!(matches!(resp.body, Response::DeviceInfo { .. }), "{resp:?}");
+                assert_eq!(manager.connected_clients(), 1, "adopted");
+                channel
+                    .send(&request(2, Request::Disconnect))
+                    .expect("the session is live");
+                assert_eq!(channel.recv().expect("disconnect ack").tag, 2);
+                // The loop reaps the session before dropping its side.
+                assert_eq!(channel.recv().expect_err("reaped"), TransportError::Closed);
+            }
+            Err(err) => assert_eq!(err, TransportError::Closed),
+        }
+        assert_eq!(manager.connected_clients(), 0, "no session leaks");
+        drop(endpoint);
+        drop(manager);
+        dropper.join();
+        looper.join();
+    })
+    .expect("no schedule may strand a connect or hang the event loop");
+    println!(
+        "connect_vs_handle_drop: {} schedules explored (preemption bound 1)",
+        stats.schedules
+    );
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+/// A one-shot rendezvous (`call`, `fence`, `try_digest_write`): a receiver
+/// parked in `recv` while the last sender drops — what the reactor's
+/// `fail_pending` does to every outstanding one-shot — gets
+/// `Disconnected` on every schedule, never a hang.
+#[test]
+fn parked_receiver_sees_the_last_sender_drop_as_disconnected() {
+    let stats = explore("rendezvous_sender_drop", || {
+        let (tx, rx) = bounded::<u64>(1);
+        let keep = tx.clone();
+        let reactor = thread::spawn(move || drop(tx));
+        drop(keep);
+        assert_eq!(rx.recv(), Err(ChannelError::Disconnected));
+        reactor.join();
+    })
+    .expect("no schedule may leave the caller parked");
+    println!(
+        "rendezvous_sender_drop: {} schedules explored",
+        stats.schedules
+    );
+    assert!(stats.schedules > 1, "exploration must branch: {stats:?}");
+}
+
+/// A sender parked on a full `bounded(1)` while the last receiver drops
+/// gets `Disconnected` on every schedule and never wedges.
+#[test]
+fn parked_sender_sees_the_last_receiver_drop_as_disconnected() {
+    let stats = explore("full_channel_receiver_drop", || {
+        let (tx, rx) = bounded::<u64>(1);
+        tx.send(1).expect("room for one");
+        let consumer = thread::spawn(move || drop(rx));
+        assert_eq!(tx.send(2), Err(ChannelError::Disconnected));
+        consumer.join();
+    })
+    .expect("no schedule may wedge a parked sender");
+    println!(
+        "full_channel_receiver_drop: {} schedules explored",
         stats.schedules
     );
     assert!(stats.schedules > 1, "exploration must branch: {stats:?}");

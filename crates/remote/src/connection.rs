@@ -15,13 +15,11 @@ use bf_rpc::{
     ClientId, DataRef, ErrorCode, PathCosts, Request, RequestEnvelope, Response, ResponseEnvelope,
     ShmSegment,
 };
-// bf-lint: allow(raw_sync): one-shot rendezvous channels pairing a blocked
-// sync caller with its response; created fresh per call, never contended
-use crossbeam::channel::{bounded, Receiver, Sender};
 
 use crate::reactor::Reactor;
 use crate::state_machine::OpStateMachine;
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::channel::{bounded, Receiver, Sender};
 use crate::sync::Mutex;
 
 /// Digests remembered per connection. Deliberately generous next to a
@@ -319,7 +317,7 @@ pub(crate) fn handle_response(inner: &Arc<ConnectionInner>, resp: ResponseEnvelo
 /// fails every outstanding operation.
 pub(crate) fn fail_pending(inner: &Arc<ConnectionInner>) {
     let mut pending = inner.pending.lock();
-    for (_, entry) in pending.drain() {
+    for (_, entry) in std::mem::take(&mut *pending) {
         if let Pending::Op(op) = entry {
             op.event
                 .fail(ClError::TransportFailure("connection closed".to_string()));

@@ -19,22 +19,16 @@
 use std::sync::{OnceLock, Weak};
 
 use bf_rpc::{FrameRx, PollEvent, Poller, ResponseEnvelope, Token, Waker, WireDecode};
-// bf-lint: allow(raw_sync): control-plane channel into the reactor loop;
-// only try_recv'd after a modeled waker readiness edge
-use crossbeam::channel::{bounded, Receiver, Sender, TryRecvError};
 
 use crate::connection::{self, ConnectionInner};
+use crate::sync::channel::{bounded, Receiver, Sender};
 
 /// Frames handled per readiness event before the next round-robin scan, so
 /// one chatty manager connection cannot starve the others.
 const FRAME_BATCH: usize = 32;
 
-pub(crate) enum Control {
-    Register {
-        frames: FrameRx,
-        conn: Weak<ConnectionInner>,
-    },
-}
+/// One connection's completion stream, handed to the reactor thread.
+type Registration = (FrameRx, Weak<ConnectionInner>);
 
 /// Handle to a completion-dispatching reactor thread.
 ///
@@ -44,7 +38,7 @@ pub(crate) enum Control {
 /// [`Connection::new`]: crate::connection::Connection::new
 #[derive(Clone)]
 pub struct Reactor {
-    control: Sender<Control>,
+    control: Sender<Registration>,
     waker: Waker,
 }
 
@@ -78,11 +72,7 @@ impl Reactor {
 
     /// Adopts one connection's completion stream.
     pub(crate) fn register(&self, frames: FrameRx, conn: Weak<ConnectionInner>) {
-        if self
-            .control
-            .send(Control::Register { frames, conn })
-            .is_ok()
-        {
+        if self.control.send((frames, conn)).is_ok() {
             self.waker.wake();
         }
         // A dead reactor thread (impossible while this handle exists, since
@@ -98,8 +88,8 @@ impl std::fmt::Debug for Reactor {
 }
 
 // bf-flow: entry(remote_reactor)
-fn reactor_thread(control_rx: Receiver<Control>, mut poller: Poller, wake_token: Token) {
-    let mut conns: std::collections::HashMap<Token, (FrameRx, Weak<ConnectionInner>)> =
+fn reactor_thread(control_rx: Receiver<Registration>, mut poller: Poller, wake_token: Token) {
+    let mut conns: std::collections::HashMap<Token, Registration> =
         std::collections::HashMap::new();
     let mut control_open = true;
     loop {
@@ -110,15 +100,15 @@ fn reactor_thread(control_rx: Receiver<Control>, mut poller: Poller, wake_token:
             PollEvent::TimedOut => {}
             PollEvent::Ready(token) if token == wake_token => loop {
                 match control_rx.try_recv() {
-                    Ok(Control::Register { frames, conn }) => {
+                    Ok(Some((frames, conn))) => {
                         let token = poller.register(frames.clone());
                         // bf-flow: allow(hot_alloc): one entry per live
                         // connection, forgotten when its stream closes —
                         // bounded by connection count, not by traffic
                         conns.insert(token, (frames, conn));
                     }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
+                    Ok(None) => break,
+                    Err(_) => {
                         control_open = false;
                         poller.deregister(wake_token);
                         break;

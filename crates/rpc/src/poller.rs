@@ -1,8 +1,8 @@
 //! Readiness multiplexing for bounded transport channels.
 //!
-//! The vendored channel substrate has no selector, so readiness is built
-//! directly into the transport: every [`FrameRx`] registered with a
-//! [`Poller`] shares one [`NotifyHub`] that senders bump on push and on
+//! Readiness is a hook on the channel itself: every [`FrameRx`]
+//! registered with a [`Poller`] installs the poller's one [`NotifyHub`]
+//! as its channel's [`Notify`] hook, which senders raise on push and on
 //! close. Each bump carries the source's slot index, which the hub
 //! dedup-enqueues on a FIFO ready list — [`Poller::poll`] services the
 //! list head and re-enqueues still-ready sources at the back, so scan
@@ -22,8 +22,9 @@ use std::time::Duration;
 
 use bytes::Bytes;
 
+use crate::sync::channel::{bounded, Notify, Receiver, RecvView, Sender};
 use crate::sync::{Condvar, MonoTime, Mutex};
-use crate::transport::{waker_channel, FrameRx, TxHalf};
+use crate::transport::FrameRx;
 
 /// Shared wakeup rendezvous between one poller and its registered queues:
 /// a generation counter plus the FIFO ready list of slot indices.
@@ -61,31 +62,6 @@ impl NotifyHub {
         })
     }
 
-    /// Records an event (frame pushed / sender closed) on slot `idx`,
-    /// dedup-enqueues it on the ready list and wakes the poller.
-    pub(crate) fn bump(&self, idx: usize) {
-        // bf-flow: allow(hot_blocking): leaf lock (rank `wakeup`) held for
-        // a few index writes; nothing else is ever acquired under it
-        let mut s = self.wakeup.lock();
-        s.poll_gen = s.poll_gen.wrapping_add(1);
-        if s.queued.len() <= idx {
-            // bf-flow: allow(hot_alloc): bounded by peak concurrent
-            // registrations — slot indices are dense and reused
-            s.queued.resize(idx + 1, false);
-        }
-        // bf-flow: allow(hot_panic): the resize above guarantees
-        // `queued.len() > idx`
-        if !s.queued[idx] {
-            // bf-flow: allow(hot_panic): same resize invariant as above
-            s.queued[idx] = true;
-            // bf-flow: allow(hot_alloc): both sides are bounded by peak
-            // concurrent registrations — dedup flags cap the deque
-            s.ready.push_back(idx);
-        }
-        drop(s);
-        self.cv.notify_all();
-    }
-
     /// Pops the next candidate slot index off the ready list.
     fn pop_ready(&self) -> Option<usize> {
         // bf-flow: allow(hot_blocking): leaf lock (rank `wakeup`), two
@@ -93,7 +69,7 @@ impl NotifyHub {
         let mut s = self.wakeup.lock();
         let idx = s.ready.pop_front()?;
         // bf-flow: allow(hot_panic): every queued index was bounds-grown
-        // by `bump` before being enqueued
+        // by `notify` before being enqueued
         s.queued[idx] = false;
         Some(idx)
     }
@@ -114,6 +90,33 @@ impl NotifyHub {
                 let _ = self.cv.wait_for(&mut s, t);
             }
         }
+    }
+}
+
+impl Notify for NotifyHub {
+    /// Records an event (frame pushed / sender closed) on slot `idx`,
+    /// dedup-enqueues it on the ready list and wakes the poller.
+    fn notify(&self, idx: usize) {
+        // bf-flow: allow(hot_blocking): leaf lock (rank `wakeup`) held for
+        // a few index writes; nothing else is ever acquired under it
+        let mut s = self.wakeup.lock();
+        s.poll_gen = s.poll_gen.wrapping_add(1);
+        if s.queued.len() <= idx {
+            // bf-flow: allow(hot_alloc): bounded by peak concurrent
+            // registrations — slot indices are dense and reused
+            s.queued.resize(idx + 1, false);
+        }
+        // bf-flow: allow(hot_panic): the resize above guarantees
+        // `queued.len() > idx`
+        if !s.queued[idx] {
+            // bf-flow: allow(hot_panic): same resize invariant as above
+            s.queued[idx] = true;
+            // bf-flow: allow(hot_alloc): both sides are bounded by peak
+            // concurrent registrations — dedup flags cap the deque
+            s.ready.push_back(idx);
+        }
+        drop(s);
+        self.cv.notify_all();
     }
 }
 
@@ -144,10 +147,10 @@ pub enum PollEvent {
 }
 
 struct Slot {
-    rx: FrameRx,
-    /// Waker slots drain their nudge frames during the scan: the readiness
-    /// edge is the event, the frame payload is meaningless.
-    waker: bool,
+    rx: RecvView<Bytes>,
+    /// A waker slot owns its nudge channel and drains the nudge during the
+    /// scan: the readiness edge is the event, the payload is meaningless.
+    nudges: Option<Receiver<Bytes>>,
 }
 
 /// Single-threaded readiness selector over registered [`FrameRx`] taps.
@@ -184,16 +187,14 @@ impl Poller {
     /// Registers a receive tap; its queue will wake this poller on every
     /// push and on sender close.
     pub fn register(&mut self, rx: FrameRx) -> Token {
-        let token = self.claim_slot(Slot { rx, waker: false });
-        self.watch_and_prime(token);
-        token
+        self.claim_slot(rx.0, None)
     }
 
     /// Removes a source. Its token may be reassigned by later
     /// registrations.
     pub fn deregister(&mut self, token: Token) {
         if let Some(slot) = self.slots.get_mut(token.0).and_then(Option::take) {
-            slot.rx.clear_watch();
+            slot.rx.clear_notify();
         }
     }
 
@@ -202,20 +203,8 @@ impl Poller {
     /// Dropping the last clone of the `Waker` leaves the token permanently
     /// ready with `Closed` — a natural shutdown edge.
     pub fn add_waker(&mut self) -> (Token, Waker) {
-        let (tx, rx) = waker_channel();
-        let token = self.claim_slot(Slot { rx, waker: true });
-        self.watch_and_prime(token);
-        (token, Waker { tx })
-    }
-
-    /// Hooks a freshly claimed slot's queue to the hub under its index and
-    /// primes the ready list with it: frames pushed before registration
-    /// never bumped, and a pop of a not-ready slot is a cheap skip.
-    fn watch_and_prime(&mut self, token: Token) {
-        if let Some(slot) = self.slots.get(token.0).and_then(Option::as_ref) {
-            slot.rx.set_watch(self.hub.clone(), token.0);
-        }
-        self.hub.bump(token.0);
+        let (tx, nudges) = bounded(1);
+        (self.claim_slot(nudges.view(), Some(nudges)), Waker { tx })
     }
 
     /// Number of registered sources (including wakers).
@@ -270,38 +259,44 @@ impl Poller {
             if !slot.rx.ready() {
                 continue;
             }
-            if slot.waker {
-                slot.rx.drain();
+            if let Some(nudges) = &slot.nudges {
+                let _ = nudges.try_recv();
             }
             if slot.rx.ready() {
                 // Still ready (more frames, or a closed sender): back of
                 // the list, behind every other pending source.
-                self.hub.bump(i);
+                self.hub.notify(i);
             }
             return Some(Token(i));
         }
         None
     }
 
-    /// Reuses the first vacated slot, growing the vec only when every slot
-    /// is occupied — the vec's length tracks peak concurrent registrations.
-    fn claim_slot(&mut self, slot: Slot) -> Token {
-        if let Some((i, vacant)) = self.slots.iter_mut().enumerate().find(|(_, c)| c.is_none()) {
-            *vacant = Some(slot);
-            Token(i)
-        } else {
+    /// Stores a source in the first vacated slot, growing the vec only when
+    /// every slot is occupied — the vec's length tracks peak concurrent
+    /// registrations — then hooks its channel to the hub under that index
+    /// and primes the ready list with it: frames pushed before
+    /// registration never bumped, and a pop of a not-ready slot is a cheap
+    /// skip.
+    fn claim_slot(&mut self, rx: RecvView<Bytes>, nudges: Option<Receiver<Bytes>>) -> Token {
+        let vacant = self.slots.iter().position(Option::is_none);
+        let i = vacant.unwrap_or(self.slots.len());
+        rx.set_notify(self.hub.clone(), i);
+        match self.slots.get_mut(i) {
+            Some(cell) => *cell = Some(Slot { rx, nudges }),
             // bf-flow: allow(hot_alloc): grows to peak concurrent
             // registrations; deregistered slots are reused before growing
-            self.slots.push(Some(slot));
-            Token(self.slots.len() - 1)
+            None => self.slots.push(Some(Slot { rx, nudges })),
         }
+        self.hub.notify(i);
+        Token(i)
     }
 }
 
 /// Cross-thread wakeup handle for a [`Poller`] (see [`Poller::add_waker`]).
 #[derive(Debug, Clone)]
 pub struct Waker {
-    tx: TxHalf,
+    tx: Sender<Bytes>,
 }
 
 impl Waker {
@@ -310,7 +305,7 @@ impl Waker {
     pub fn wake(&self) {
         // Full means a wake is already pending; Closed means the poller is
         // gone. Both are fine to ignore.
-        let _ = self.tx.try_push(Bytes::new());
+        let _ = self.tx.try_send(Bytes::new());
     }
 }
 

@@ -7,27 +7,25 @@
 //! pushes tagged responses, the client's reactor pulls them and dispatches
 //! on the tag.
 //!
-//! Both directions are **bounded** (configurable via [`duplex_with_depth`]):
-//! a full queue makes [`ClientChannel::try_send`]/[`ServerChannel::try_send`]
-//! surface [`TransportError::Backpressure`] while the blocking `send`
-//! variants park the caller until the peer drains — explicit flow control
-//! instead of unbounded buffering behind a slow peer. Each receive
-//! direction can additionally be tapped through a [`FrameRx`] and plugged
-//! into a [`crate::Poller`], which is how one dispatcher thread multiplexes
-//! many connections.
+//! Both directions are **bounded** [`crate::sync::channel`]s of frames
+//! (configurable via [`duplex_with_depth`]): a full queue makes
+//! [`ClientChannel::try_send`]/[`ServerChannel::try_send`] surface
+//! [`TransportError::Backpressure`] while the blocking `send` variants
+//! park the caller until the peer drains — explicit flow control instead
+//! of unbounded buffering behind a slow peer. Each receive direction can
+//! additionally be tapped through a [`FrameRx`] and plugged into a
+//! [`crate::Poller`], which is how one dispatcher thread multiplexes many
+//! connections.
 
-use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
 use std::time::Duration;
 
 use bytes::Bytes;
 
 use crate::codec::{CodecError, WireDecode, WireEncode};
-use crate::poller::NotifyHub;
 use crate::proto::{RequestEnvelope, ResponseEnvelope};
-use crate::sync::{Condvar, MonoTime, Mutex};
+use crate::sync::channel::{bounded, ChannelError, Receiver, RecvView, Sender};
 
 /// Default per-direction frame depth of [`duplex`].
 pub const DEFAULT_DEPTH: usize = 256;
@@ -72,206 +70,12 @@ impl From<CodecError> for TransportError {
     }
 }
 
-/// Mutable state of one direction, guarded by [`FrameQueue::frames`].
-#[derive(Debug)]
-struct QueueState {
-    items: VecDeque<Bytes>,
-    senders: usize,
-    receivers: usize,
-    /// Poller notification hook: bumped on push and on sender close,
-    /// carrying the queue's slot index within its poller.
-    watch: Option<(Arc<NotifyHub>, usize)>,
-}
-
-/// One bounded direction of a duplex connection, built directly on
-/// `parking_lot` primitives so readiness hooks live inside the queue (the
-/// vendored channel substrate has no selector).
-#[derive(Debug)]
-pub(crate) struct FrameQueue {
-    cap: usize,
-    frames: Mutex<QueueState>,
-    readable: Condvar,
-    writable: Condvar,
-}
-
-impl FrameQueue {
-    fn new(depth: usize) -> Arc<FrameQueue> {
-        Arc::new(FrameQueue {
-            cap: depth.max(1),
-            frames: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-                watch: None,
-            }),
-            readable: Condvar::new(),
-            writable: Condvar::new(),
-        })
-    }
-
-    fn push(&self, frame: Bytes, block: bool) -> Result<(), TransportError> {
-        let mut q = self.frames.lock();
-        loop {
-            if q.receivers == 0 {
-                return Err(TransportError::Closed);
-            }
-            if q.items.len() < self.cap {
-                break;
-            }
-            if !block {
-                return Err(TransportError::Backpressure);
-            }
-            self.writable.wait(&mut q);
-        }
-        q.items.push_back(frame);
-        let watch = q.watch.clone();
-        drop(q);
-        self.readable.notify_one();
-        if let Some((hub, idx)) = watch {
-            hub.bump(idx);
-        }
-        Ok(())
-    }
-
-    fn pop(&self) -> Result<Bytes, TransportError> {
-        let mut q = self.frames.lock();
-        loop {
-            if let Some(frame) = q.items.pop_front() {
-                drop(q);
-                self.writable.notify_one();
-                return Ok(frame);
-            }
-            if q.senders == 0 {
-                return Err(TransportError::Closed);
-            }
-            self.readable.wait(&mut q);
-        }
-    }
-
-    fn pop_timeout(&self, timeout: Duration) -> Result<Bytes, TransportError> {
-        let deadline = MonoTime::after(timeout);
-        let mut q = self.frames.lock();
-        loop {
-            if let Some(frame) = q.items.pop_front() {
-                drop(q);
-                self.writable.notify_one();
-                return Ok(frame);
-            }
-            if q.senders == 0 {
-                return Err(TransportError::Closed);
-            }
-            if deadline.has_passed() {
-                return Err(TransportError::Timeout);
-            }
-            let _ = self.readable.wait_for(&mut q, deadline.remaining());
-        }
-    }
-
-    fn try_pop(&self) -> Result<Option<Bytes>, TransportError> {
-        let mut q = self.frames.lock();
-        match q.items.pop_front() {
-            Some(frame) => {
-                drop(q);
-                self.writable.notify_one();
-                Ok(Some(frame))
-            }
-            None if q.senders == 0 => Err(TransportError::Closed),
-            None => Ok(None),
-        }
-    }
-
-    /// Receive-readiness: a pending frame, or a closed sender side (so a
-    /// poller consumer observes `Closed` instead of blocking forever).
-    fn ready(&self) -> bool {
-        let q = self.frames.lock();
-        !q.items.is_empty() || q.senders == 0
-    }
-
-    fn set_watch(&self, hub: Arc<NotifyHub>, idx: usize) {
-        self.frames.lock().watch = Some((hub, idx));
-    }
-
-    fn clear_watch(&self) {
-        self.frames.lock().watch = None;
-    }
-
-    fn drain(&self) {
-        let mut q = self.frames.lock();
-        q.items.clear();
-        drop(q);
-        self.writable.notify_all();
-    }
-
-    fn len(&self) -> usize {
-        self.frames.lock().items.len()
-    }
-}
-
-/// Owning sender half of one direction; closing the last one wakes the
-/// receiver (and any watching poller) with `Closed`.
-#[derive(Debug)]
-pub(crate) struct TxHalf {
-    q: Arc<FrameQueue>,
-}
-
-impl TxHalf {
-    pub(crate) fn push(&self, frame: Bytes) -> Result<(), TransportError> {
-        self.q.push(frame, true)
-    }
-
-    pub(crate) fn try_push(&self, frame: Bytes) -> Result<(), TransportError> {
-        // bf-flow: allow(hot_alloc): FrameQueue is a depth-bounded ring —
-        // a full queue returns Backpressure instead of growing
-        self.q.push(frame, false)
-    }
-}
-
-impl Clone for TxHalf {
-    fn clone(&self) -> Self {
-        self.q.frames.lock().senders += 1;
-        TxHalf { q: self.q.clone() }
-    }
-}
-
-impl Drop for TxHalf {
-    fn drop(&mut self) {
-        let mut q = self.q.frames.lock();
-        q.senders -= 1;
-        let closed = q.senders == 0;
-        let watch = if closed { q.watch.clone() } else { None };
-        drop(q);
-        if closed {
-            self.q.readable.notify_all();
-            if let Some((hub, idx)) = watch {
-                hub.bump(idx);
-            }
-        }
-    }
-}
-
-/// Owning receiver half of one direction; closing the last one fails
-/// subsequent sends with `Closed`.
-#[derive(Debug)]
-struct RxHalf {
-    q: Arc<FrameQueue>,
-}
-
-impl Clone for RxHalf {
-    fn clone(&self) -> Self {
-        self.q.frames.lock().receivers += 1;
-        RxHalf { q: self.q.clone() }
-    }
-}
-
-impl Drop for RxHalf {
-    fn drop(&mut self) {
-        let mut q = self.q.frames.lock();
-        q.receivers -= 1;
-        let closed = q.receivers == 0;
-        drop(q);
-        if closed {
-            // Blocked senders must observe the hang-up.
-            self.q.writable.notify_all();
+impl From<ChannelError> for TransportError {
+    fn from(e: ChannelError) -> Self {
+        match e {
+            ChannelError::Disconnected => TransportError::Closed,
+            ChannelError::Full => TransportError::Backpressure,
+            ChannelError::Timeout => TransportError::Timeout,
         }
     }
 }
@@ -280,9 +84,7 @@ impl Drop for RxHalf {
 /// [`crate::Poller`]. Unlike the channel halves it carries no open/closed
 /// ownership: dropping it never closes the connection.
 #[derive(Debug, Clone)]
-pub struct FrameRx {
-    q: Arc<FrameQueue>,
-}
+pub struct FrameRx(pub(crate) RecvView<Bytes>);
 
 impl FrameRx {
     /// Non-blocking raw-frame receive. `Ok(None)` means no frame pending.
@@ -292,44 +94,22 @@ impl FrameRx {
     /// Returns [`TransportError::Closed`] once the queue is drained and
     /// every sender is gone.
     pub fn try_recv_frame(&self) -> Result<Option<Bytes>, TransportError> {
-        self.q.try_pop()
+        Ok(self.0.try_recv()?)
     }
-
-    pub(crate) fn ready(&self) -> bool {
-        self.q.ready()
-    }
-
-    pub(crate) fn set_watch(&self, hub: Arc<NotifyHub>, idx: usize) {
-        self.q.set_watch(hub, idx);
-    }
-
-    pub(crate) fn clear_watch(&self) {
-        self.q.clear_watch();
-    }
-
-    pub(crate) fn drain(&self) {
-        self.q.drain();
-    }
-}
-
-/// Builds the depth-1 nudge queue behind a [`crate::Waker`].
-pub(crate) fn waker_channel() -> (TxHalf, FrameRx) {
-    let q = FrameQueue::new(1);
-    (TxHalf { q: q.clone() }, FrameRx { q })
 }
 
 /// Client side of a connection: sends requests, receives tagged responses.
 #[derive(Debug, Clone)]
 pub struct ClientChannel {
-    req: TxHalf,
-    resp: RxHalf,
+    req: Sender<Bytes>,
+    resp: Receiver<Bytes>,
 }
 
 /// Server side of a connection: receives requests, pushes tagged responses.
 #[derive(Debug, Clone)]
 pub struct ServerChannel {
-    req: RxHalf,
-    resp: TxHalf,
+    req: Receiver<Bytes>,
+    resp: Sender<Bytes>,
 }
 
 /// Creates a connected client/server channel pair with the default
@@ -341,16 +121,16 @@ pub fn duplex() -> (ClientChannel, ServerChannel) {
 /// Creates a connected client/server channel pair whose directions each
 /// hold at most `depth` frames (minimum 1).
 pub fn duplex_with_depth(depth: usize) -> (ClientChannel, ServerChannel) {
-    let req = FrameQueue::new(depth);
-    let resp = FrameQueue::new(depth);
+    let (req_tx, req_rx) = bounded(depth);
+    let (resp_tx, resp_rx) = bounded(depth);
     (
         ClientChannel {
-            req: TxHalf { q: req.clone() },
-            resp: RxHalf { q: resp.clone() },
+            req: req_tx,
+            resp: resp_rx,
         },
         ServerChannel {
-            req: RxHalf { q: req },
-            resp: TxHalf { q: resp },
+            req: req_rx,
+            resp: resp_tx,
         },
     )
 }
@@ -363,7 +143,7 @@ impl ClientChannel {
     ///
     /// Returns [`TransportError::Closed`] if the manager hung up.
     pub fn send(&self, req: &RequestEnvelope) -> Result<(), TransportError> {
-        self.req.push(req.to_bytes())
+        Ok(self.req.send(req.to_bytes())?)
     }
 
     /// Non-blocking send.
@@ -373,7 +153,7 @@ impl ClientChannel {
     /// Returns [`TransportError::Backpressure`] when the request queue is
     /// full, or [`TransportError::Closed`] if the manager hung up.
     pub fn try_send(&self, req: &RequestEnvelope) -> Result<(), TransportError> {
-        self.req.try_push(req.to_bytes())
+        Ok(self.req.try_send(req.to_bytes())?)
     }
 
     /// Blocks for the next tagged response from the completion stream.
@@ -382,7 +162,7 @@ impl ClientChannel {
     ///
     /// Returns [`TransportError::Closed`] or a codec failure.
     pub fn recv(&self) -> Result<ResponseEnvelope, TransportError> {
-        Ok(ResponseEnvelope::from_bytes(self.resp.q.pop()?)?)
+        Ok(ResponseEnvelope::from_bytes(self.resp.recv()?)?)
     }
 
     /// Like [`ClientChannel::recv`] with a wall-clock timeout (used by
@@ -394,7 +174,7 @@ impl ClientChannel {
     /// codec failure.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<ResponseEnvelope, TransportError> {
         Ok(ResponseEnvelope::from_bytes(
-            self.resp.q.pop_timeout(timeout)?,
+            self.resp.recv_timeout(timeout)?,
         )?)
     }
 
@@ -405,7 +185,7 @@ impl ClientChannel {
     ///
     /// Returns [`TransportError::Closed`] or a codec failure.
     pub fn try_recv(&self) -> Result<Option<ResponseEnvelope>, TransportError> {
-        match self.resp.q.try_pop()? {
+        match self.resp.try_recv()? {
             Some(frame) => Ok(Some(ResponseEnvelope::from_bytes(frame)?)),
             None => Ok(None),
         }
@@ -413,19 +193,17 @@ impl ClientChannel {
 
     /// A poller-registerable tap on the completion stream.
     pub fn completions(&self) -> FrameRx {
-        FrameRx {
-            q: self.resp.q.clone(),
-        }
+        FrameRx(self.resp.view())
     }
 
     /// Per-direction frame capacity.
     pub fn depth(&self) -> usize {
-        self.req.q.cap
+        self.req.capacity()
     }
 
     /// Responses currently queued and not yet received.
     pub fn pending_responses(&self) -> usize {
-        self.resp.q.len()
+        self.resp.len()
     }
 }
 
@@ -436,7 +214,7 @@ impl ServerChannel {
     ///
     /// Returns [`TransportError::Closed`] or a codec failure.
     pub fn recv(&self) -> Result<RequestEnvelope, TransportError> {
-        Ok(RequestEnvelope::from_bytes(self.req.q.pop()?)?)
+        Ok(RequestEnvelope::from_bytes(self.req.recv()?)?)
     }
 
     /// Like [`ServerChannel::recv`] with a wall-clock timeout.
@@ -447,7 +225,7 @@ impl ServerChannel {
     /// codec failure.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<RequestEnvelope, TransportError> {
         Ok(RequestEnvelope::from_bytes(
-            self.req.q.pop_timeout(timeout)?,
+            self.req.recv_timeout(timeout)?,
         )?)
     }
 
@@ -458,7 +236,7 @@ impl ServerChannel {
     ///
     /// Returns [`TransportError::Closed`] or a codec failure.
     pub fn try_recv(&self) -> Result<Option<RequestEnvelope>, TransportError> {
-        match self.req.q.try_pop()? {
+        match self.req.try_recv()? {
             Some(frame) => Ok(Some(RequestEnvelope::from_bytes(frame)?)),
             None => Ok(None),
         }
@@ -471,7 +249,7 @@ impl ServerChannel {
     ///
     /// Returns [`TransportError::Closed`] if the client hung up.
     pub fn send(&self, resp: &ResponseEnvelope) -> Result<(), TransportError> {
-        self.resp.push(resp.to_bytes())
+        Ok(self.resp.send(resp.to_bytes())?)
     }
 
     /// Non-blocking response push.
@@ -481,19 +259,17 @@ impl ServerChannel {
     /// Returns [`TransportError::Backpressure`] when the completion stream
     /// is full, or [`TransportError::Closed`] if the client hung up.
     pub fn try_send(&self, resp: &ResponseEnvelope) -> Result<(), TransportError> {
-        self.resp.try_push(resp.to_bytes())
+        Ok(self.resp.try_send(resp.to_bytes())?)
     }
 
     /// A poller-registerable tap on the request stream.
     pub fn requests(&self) -> FrameRx {
-        FrameRx {
-            q: self.req.q.clone(),
-        }
+        FrameRx(self.req.view())
     }
 
     /// Per-direction frame capacity.
     pub fn depth(&self) -> usize {
-        self.resp.q.cap
+        self.resp.capacity()
     }
 }
 

@@ -9,8 +9,8 @@
 
 use std::thread;
 
+use bf_rpc::sync::channel::bounded;
 use bf_rpc::{ShmError, ShmSegment};
-use crossbeam::channel::bounded;
 
 const WRITERS: usize = 4;
 const ROUNDS: usize = 64;
@@ -28,7 +28,7 @@ fn parallel_writers_and_a_reader_never_tear_or_leak() {
         let shm = shm.clone();
         thread::spawn(move || {
             let mut seen = vec![0usize; WRITERS];
-            for (offset, len, id) in rx.iter() {
+            while let Ok((offset, len, id)) = rx.recv() {
                 let bytes = shm.read(offset, len).expect("read live region");
                 assert!(
                     bytes.iter().all(|&b| b == id),

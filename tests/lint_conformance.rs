@@ -96,7 +96,7 @@ fn every_flow_entry_annotation_resolves() {
 #[test]
 fn unbounded_channel_rule_fires_on_library_fixtures() {
     assert!(RULES.contains(&"unbounded_channel"));
-    let fixture = "use crossbeam::channel::unbounded;\n\
+    let fixture = "use bf_race::sync::channel::unbounded;\n\
                    pub fn hot_path() {\n    let (tx, rx) = unbounded();\n}\n";
     let out = check_source("crates/x/src/lib.rs", fixture);
     assert_eq!(out.len(), 1, "{out:?}");
