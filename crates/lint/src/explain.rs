@@ -1,22 +1,51 @@
-//! `bf-lint --explain <rule>`: what each rule means, why it exists, and
-//! how to satisfy or justify it.
+//! The rule registry: every rule's id, the directive family whose
+//! `allow(..)` may name it, and the `bf-lint --explain <rule>` text (what
+//! it means, why it exists, and how to satisfy or justify it).
+
+/// A directive family: the rules one `// <family>: allow(..)` comment may
+/// name, read from the registry.
+#[derive(Clone, Copy, Debug)]
+pub struct Family(pub(crate) &'static str);
+
+impl Family {
+    /// Whether `rule` belongs to this family.
+    pub fn contains(&self, rule: &&str) -> bool {
+        self.find(rule).is_some()
+    }
+
+    /// The registry's name for `rule`, if it belongs to this family.
+    pub fn find(&self, rule: &str) -> Option<&'static str> {
+        REGISTRY
+            .iter()
+            .find(|(name, family, _)| *family == self.0 && *name == rule)
+            .map(|(name, _, _)| *name)
+    }
+}
 
 /// Returns the explanation text for `rule`, if it names a known rule.
 pub fn explain(rule: &str) -> Option<&'static str> {
-    EXPLANATIONS
+    REGISTRY
         .iter()
-        .find(|(name, _)| *name == rule)
-        .map(|(_, text)| *text)
+        .find(|(name, _, _)| *name == rule)
+        .map(|(_, _, text)| *text)
 }
 
 /// All explainable rule names, in display order.
 pub fn rules() -> Vec<&'static str> {
-    EXPLANATIONS.iter().map(|(name, _)| *name).collect()
+    REGISTRY.iter().map(|(name, _, _)| *name).collect()
 }
 
-const EXPLANATIONS: &[(&str, &str)] = &[
+const LINT: &str = "bf-lint";
+const FLOW: &str = "bf-flow";
+const TAINT: &str = "bf-taint";
+/// No directive names `wire_schema`: drift is regenerated, never allowed.
+const NONE: &str = "";
+
+/// (rule, directive family, explanation), in display order.
+const REGISTRY: &[(&str, &str, &str)] = &[
     (
         "panic",
+        LINT,
         "No `.unwrap()` / `.expect()` in non-test library code.\n\
          \n\
          The device manager multiplexes many sessions onto shared event\n\
@@ -29,6 +58,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "std_sync",
+        LINT,
         "`parking_lot` locks only — `std::sync::{Mutex, RwLock}` are banned.\n\
          \n\
          std locks poison on panic, turning one failure into a cascade of\n\
@@ -37,6 +67,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "wall_clock",
+        LINT,
         "`Instant::now()` / `SystemTime::now()` only inside the clock module.\n\
          \n\
          The simulation and the model checker replace time with a virtual\n\
@@ -46,6 +77,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "lock_order",
+        LINT,
         "Within one function, locks must be acquired in declared-hierarchy\n\
          order (see `bf_devmgr::lock_order::HIERARCHY`). Out-of-order\n\
          acquisition is how the poller/devmgr deadlocks of ISSUE 4 were\n\
@@ -53,6 +85,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "lock_graph",
+        LINT,
         "Whole-program lock discipline: every `Mutex`/`RwLock` field must\n\
          carry a rank from the hierarchy, the static acquisition graph must\n\
          be acyclic, and every hierarchy entry must correspond to a real\n\
@@ -60,6 +93,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "raw_sync",
+        LINT,
         "Instrumented crates must use the `bf_race::sync` facade rather than\n\
          raw `parking_lot` / `std::sync::atomic` primitives,\n\
          so the deterministic model checker can interpose on every\n\
@@ -67,6 +101,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "wildcard_match",
+        LINT,
         "`match`es over protocol status enums must not use `_` arms. A new\n\
          enum variant must be a compile error at every consumer, not a\n\
          silently-absorbed default — that is how protocol drift between the\n\
@@ -74,6 +109,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "unbounded_channel",
+        LINT,
         "No `unbounded()` queues in library code. Every queue on the\n\
          invocation path has a declared depth and a backpressure story\n\
          (ISSUE 5's admission control depends on it); an unbounded channel\n\
@@ -81,6 +117,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "payload_copy",
+        LINT,
         "Datapath modules must not copy payload bytes (`to_vec`, `clone` of\n\
          payload-typed values). The zero-copy path (ISSUE 3) carries\n\
          refcounted `Bytes` end-to-end; justified copies must be counted\n\
@@ -89,6 +126,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "directive",
+        LINT,
         "Allow-directives must themselves be well-formed: a justification\n\
          after the colon, a rule name the engine knows, and (for bf-flow\n\
          entries) a class from the declared entry-class table. Reported at\n\
@@ -96,6 +134,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "hot_blocking",
+        FLOW,
         "[bf-flow] Nothing blocking may be reachable from a hot-path entry:\n\
          no condvar wait, no blocking `recv`, no `sleep`, no file/net\n\
          syscalls, and no lock ranked *outside* the entry class's floor\n\
@@ -108,6 +147,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "hot_alloc",
+        FLOW,
         "[bf-flow] No unbounded container growth (`push`, `insert`,\n\
          `extend`, `to_vec`, `resize`, …) reachable from a hot-path entry.\n\
          Under 10k-session load an unbounded `Vec` on the event loop is a\n\
@@ -118,6 +158,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "hot_panic",
+        FLOW,
         "[bf-flow] No panic reachable from a hot-path entry —\n\
          interprocedurally. Covers `panic!`-family macros, `.unwrap()` /\n\
          `.expect()`, and indexing without `.get(..)`. This supersedes the\n\
@@ -129,6 +170,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "error_drop",
+        FLOW,
         "[bf-flow] Discarding a `Result` whose error type carries\n\
          backpressure or overload information (`TransportError`,\n\
          `GatewayError`, `SubmitError`, `HandlerError`) via `let _ = …` or\n\
@@ -139,6 +181,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "taint_alloc",
+        TAINT,
         "[bf-taint] A wire-derived (attacker-controlled) value reaches an\n\
          allocation size: `with_capacity`, `reserve`, `resize`,\n\
          `resize_with`. A declared length of 2^32 must not become a 4 GiB\n\
@@ -150,6 +193,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "taint_index",
+        TAINT,
         "[bf-taint] A wire-derived value reaches slice/array indexing or\n\
          `split_to`-style buffer math (`split_to`, `split_off`,\n\
          `truncate`, `advance`). Unchecked indexing by an\n\
@@ -160,6 +204,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "taint_loop",
+        TAINT,
         "[bf-taint] A wire-derived value bounds a loop (`for _ in 0..n`,\n\
          `while i < n`). A client-claimed count drives server-side work\n\
          directly — u32::MAX iterations is a CPU DoS no allocation cap\n\
@@ -168,6 +213,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "taint_auth",
+        TAINT,
         "[bf-taint] A wire-derived identifier flows into a cache-admission\n\
          or digest-authorization decision (`holds`, `note_sent`,\n\
          `device_resident`, cache `get`/`insert`/`invalidate`, …). This is\n\
@@ -180,6 +226,7 @@ const EXPLANATIONS: &[(&str, &str)] = &[
     ),
     (
         "wire_schema",
+        NONE,
         "Wire enum tags are append-only. The decode-surface tag tables\n\
          (`DataRef`, `WireArg`, `Request`, `Response`, `ErrorCode`) are\n\
          snapshotted in `wire-schema.json`; renumbering or reusing a\n\
@@ -194,20 +241,6 @@ const EXPLANATIONS: &[(&str, &str)] = &[
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_per_file_and_flow_rule_is_explained() {
-        for rule in crate::RULES {
-            assert!(explain(rule).is_some(), "missing explanation for {rule}");
-        }
-        for rule in crate::flow::FLOW_RULES {
-            assert!(explain(rule).is_some(), "missing explanation for {rule}");
-        }
-        for rule in crate::taint::TAINT_RULES {
-            assert!(explain(rule).is_some(), "missing explanation for {rule}");
-        }
-        assert!(explain(crate::wire_schema::WIRE_SCHEMA_RULE).is_some());
-    }
 
     #[test]
     fn unknown_rules_return_none() {

@@ -29,6 +29,10 @@
 //! a guess. Sites opt out with a justified `bf-flow` allow directive;
 //! for `hot_alloc` the justification must state the bound.
 //!
+//! The program [`Model`] — functions, per-function facts, and every call
+//! site's resolved targets — is built once per run by [`build_model`] and
+//! shared with [`crate::taint`].
+//!
 //! Known approximation classes (documented in ARCHITECTURE.md §11):
 //! resolution is name-based, so calls through trait objects fan out to
 //! *every* impl (may-call over-approximation), while calls whose receiver
@@ -38,15 +42,14 @@
 //! (`.lock()`, `.wait()`) are treated as leaves at the *call site*, where
 //! the lock name and rank are visible.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
-use crate::rules::{
-    find_all, find_keyword, ident_before, tracked_lock_name, Diagnostic, Hop, Unit,
-};
+use crate::explain::Family;
+use crate::rules::{lock_acquisitions, Diagnostic, Hop, Unit};
+use crate::scan::{closing, depths, find_all, find_keyword, ident_before, index_sites};
 
-/// Interprocedural rule identifiers, as they appear in `bf-flow` allow
-/// directives, JSON output, and baseline keys.
-pub const FLOW_RULES: &[&str] = &["hot_blocking", "hot_alloc", "hot_panic", "error_drop"];
+/// Interprocedural rules, accepted by `bf-flow: allow(..)` directives.
+pub const FLOW_RULES: Family = Family("bf-flow");
 
 /// Entry classes and their lock-rank floor: paths from an entry of a given
 /// class may only acquire locks ranked at or inside (≥) the named lock.
@@ -64,6 +67,10 @@ pub const ENTRY_CLASSES: &[(&str, &str)] = &[
 /// synchronization layer (its internals are the primitives the passes
 /// treat as leaves at the call site), and the linter itself is tooling.
 pub(crate) const EXCLUDED_PREFIXES: &[&str] = &["crates/race/", "crates/lint/"];
+
+/// An `entry(..)` or `source(wire)` annotation binds to the next `fn`
+/// defined at most this many lines below it.
+pub(crate) const BIND_WINDOW: usize = 8;
 
 /// One resolved `// bf-flow: entry(<class>)` annotation.
 #[derive(Debug, Clone)]
@@ -104,9 +111,14 @@ type FieldTable = (String, HashMap<String, String>);
 /// Parsed signature parts: (name, params as (name, base type), return type).
 type ParsedSignature = (String, Vec<(String, String)>, String);
 
+/// The whole-program model shared by bf-flow and bf-taint: every function,
+/// its body facts with each call site already resolved, and the symbol
+/// tables resolution used.
 #[derive(Default)]
-pub(crate) struct Model {
+pub struct Model {
     pub(crate) fns: Vec<FnDef>,
+    /// Per-function facts, parallel to `fns`.
+    pub(crate) facts: Vec<FnFacts>,
     /// (type, method) → defining fns (same name can exist per crate).
     methods: HashMap<(String, String), Vec<usize>>,
     /// method name → defining fns across all types.
@@ -208,27 +220,13 @@ pub(crate) fn base_type(raw: &str) -> Option<String> {
     (!ident.is_empty()).then_some(ident)
 }
 
-/// Splits `text` on top-level commas (ignoring nesting in `()`, `[]`,
-/// `<>`; `->` does not close an angle bracket).
-pub(crate) fn split_top_level(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0i64;
-    let mut start = 0usize;
-    let bytes = text.as_bytes();
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' | b'<' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'>' if i == 0 || bytes[i - 1] != b'-' => depth -= 1,
-            b',' if depth == 0 => {
-                out.push(&text[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
+/// `text` past a leading generics list (`<..>`, tolerating `->` inside
+/// `Fn(..) -> ..` bounds); `None` when the list does not close.
+fn skip_generics(text: &str) -> Option<&str> {
+    if !text.starts_with('<') {
+        return Some(text);
     }
-    out.push(&text[start..]);
-    out
+    closing(text, 0, b"<", b">").map(|end| &text[end + 1..])
 }
 
 /// Parses an accumulated `fn` signature into (name, params, return type).
@@ -242,48 +240,11 @@ fn parse_signature(sig: &str) -> Option<ParsedSignature> {
     if name.is_empty() {
         return None;
     }
-    let mut rest = after[name.len()..].trim_start();
-    // Skip a generics list, tolerating `->` inside `Fn(..) -> ..` bounds.
-    if rest.starts_with('<') {
-        let bytes = rest.as_bytes();
-        let mut depth = 0i64;
-        let mut end = None;
-        for (i, &b) in bytes.iter().enumerate() {
-            match b {
-                b'<' => depth += 1,
-                b'>' if i > 0 && bytes[i - 1] == b'-' => {}
-                b'>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = Some(i);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        rest = &rest[end? + 1..];
-    }
+    let rest = skip_generics(after[name.len()..].trim_start())?;
     let open = rest.find('(')?;
-    let bytes = rest.as_bytes();
-    let mut depth = 0i64;
-    let mut close = None;
-    for (i, &b) in bytes.iter().enumerate().skip(open) {
-        match b {
-            b'(' => depth += 1,
-            b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    close = Some(i);
-                    break;
-                }
-            }
-            _ => {}
-        }
-    }
-    let close = close?;
+    let close = closing(rest, open, b"(", b")")?;
     let mut params = Vec::new();
-    for part in split_top_level(&rest[open + 1..close]) {
+    for part in crate::scan::split_top_level(&rest[open + 1..close]) {
         let part = part.trim();
         if part.is_empty() || part.ends_with("self") || part.contains("self,") {
             continue;
@@ -316,27 +277,8 @@ fn parse_impl_header(sig: &str) -> (Option<String>, Option<String>) {
     let Some(pos) = find_keyword(sig, "impl").into_iter().next() else {
         return (None, None);
     };
-    let mut rest = sig[pos + 4..].trim_start();
-    if rest.starts_with('<') {
-        let bytes = rest.as_bytes();
-        let mut depth = 0i64;
-        let mut end = 0usize;
-        for (i, &b) in bytes.iter().enumerate() {
-            match b {
-                b'<' => depth += 1,
-                b'>' if i > 0 && bytes[i - 1] == b'-' => {}
-                b'>' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        end = i + 1;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        rest = rest[end..].trim_start();
-    }
+    let rest = sig[pos + 4..].trim_start();
+    let rest = skip_generics(rest).unwrap_or(rest).trim_start();
     let stop = rest
         .find('{')
         .min(find_keyword(rest, "where").first().copied())
@@ -349,23 +291,6 @@ fn parse_impl_header(sig: &str) -> (Option<String>, Option<String>) {
     } else {
         (base_type(head), None)
     }
-}
-
-/// First `{` or `;` at top-level bracket depth in an accumulated item
-/// header — a `;` inside an array type (`[u64; 3]`) or a `{` inside a
-/// parenthesized default must not terminate the header early.
-fn header_terminator(sig: &str) -> (Option<usize>, Option<usize>) {
-    let mut depth = 0i64;
-    for (i, b) in sig.bytes().enumerate() {
-        match b {
-            b'(' | b'[' => depth += 1,
-            b')' | b']' => depth -= 1,
-            b'{' if depth <= 0 => return (Some(i), None),
-            b';' if depth <= 0 => return (None, Some(i)),
-            _ => {}
-        }
-    }
-    (None, None)
 }
 
 /// The identifier following `keyword` on `code`, if any.
@@ -404,7 +329,9 @@ struct Pending {
     line: usize,
 }
 
-pub(crate) fn build_model(units: &[Unit]) -> Model {
+/// Builds the program model over every unit: the symbol tables, each
+/// function's facts, and every call site's resolution. Run once per scan.
+pub fn build_model(units: &[Unit]) -> Model {
     let mut model = Model::default();
     for (unit_idx, unit) in units.iter().enumerate() {
         let file = &unit.file;
@@ -472,47 +399,90 @@ pub(crate) fn build_model(units: &[Unit]) -> Model {
 
             // A complete pending header either opens a block on this line
             // or terminates bodyless with `;` (trait method declarations).
+            // The terminator is the first `{` or `;` outside `()`/`[]`: a
+            // `;` inside an array type (`[u64; 3]`) must not end it early.
             if let Some(p) = pending.take() {
-                match header_terminator(&p.sig) {
-                    (Some(_), _) => {
+                let terminator = depths(&p.sig, b"([", b")]")
+                    .find(|&(_, b, d)| d <= 0 && (b == b'{' || b == b';'));
+                match terminator {
+                    Some((_, b'{', _)) => {
                         // Opens a block: the `{` lives on the current line.
                         let brace_col = code.find('{').unwrap_or(0);
-                        let before = &code[..brace_col];
-                        let opens = before.bytes().filter(|&b| b == b'{').count() as i64;
-                        let closes = before.bytes().filter(|&b| b == b'}').count() as i64;
-                        let enter_depth = depth + opens - closes;
-                        let kind = open_item(&mut model, &krate, unit_idx, &p, &stack);
-                        if let Some(kind) = kind {
-                            stack.push(Ctx { kind, enter_depth });
+                        let closes = code[..brace_col].matches('}').count() as i64;
+                        if let Some(kind) = open_item(&mut model, &krate, unit_idx, &p, &stack) {
+                            stack.push(Ctx {
+                                kind,
+                                enter_depth: depth - closes,
+                            });
                         }
                     }
-                    (_, Some(_)) => {
-                        // Bodyless: record trait method declarations so the
-                        // fan-out heuristic knows the trait's surface.
+                    // Bodyless: record trait method declarations so the
+                    // fan-out heuristic knows the trait's surface.
+                    Some(_) => {
                         if let PendingKind::Fn = p.kind {
-                            declare_bodyless_fn(&mut model, &krate, unit_idx, &p, &stack);
+                            declare_fn(&mut model, &krate, unit_idx, &p, &stack, None);
                         }
                     }
-                    _ => pending = Some(p), // still accumulating
+                    None => pending = Some(p), // still accumulating
                 }
             }
 
             depth += line.brace_delta();
             while let Some(ctx) = stack.last() {
-                if depth <= ctx.enter_depth {
-                    if let CtxKind::Fn { idx } = ctx.kind {
-                        if let Some((start, _)) = model.fns[idx].body {
-                            model.fns[idx].body = Some((start, lineno));
-                        }
-                    }
-                    stack.pop();
-                } else {
+                if depth > ctx.enter_depth {
                     break;
                 }
+                if let CtxKind::Fn { idx } = ctx.kind {
+                    if let Some((start, _)) = model.fns[idx].body {
+                        model.fns[idx].body = Some((start, lineno));
+                    }
+                }
+                stack.pop();
             }
         }
     }
+
+    // Facts per function, then every call site resolved once: the
+    // reachability passes and the taint fixpoint only read the result.
+    let extracted: Vec<FnFacts> = model
+        .fns
+        .iter()
+        .map(|def| extract_fn_facts(&units[def.unit_idx], def))
+        .collect();
+    for (idx, mut facts) in extracted.into_iter().enumerate() {
+        let def = &model.fns[idx];
+        let resolved: Vec<_> = facts
+            .calls
+            .iter()
+            .map(|call| model.resolve(def, &facts, call))
+            .collect();
+        for (call, (targets, offense)) in facts.calls.iter_mut().zip(resolved) {
+            for &t in &targets {
+                if t != idx && !facts.callees.contains(&t) {
+                    facts.callees.push(t);
+                }
+            }
+            call.targets = targets;
+            call.offense = call.offense.take().or(offense);
+        }
+        model.facts.push(facts);
+    }
     model
+}
+
+impl Model {
+    /// The function an annotation on 1-based `line` of unit `unit_idx`
+    /// binds to: the next `fn` defined in the same file, at most
+    /// [`BIND_WINDOW`] lines below.
+    pub(crate) fn fn_after(&self, unit_idx: usize, line: usize) -> Option<usize> {
+        self.fns
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.unit_idx == unit_idx && f.line > line)
+            .min_by_key(|(_, f)| f.line)
+            .filter(|(_, f)| f.line <= line + BIND_WINDOW)
+            .map(|(idx, _)| idx)
+    }
 }
 
 fn record_field(model: &mut Model, krate: &str, ty: &str, code: &str) {
@@ -536,45 +506,15 @@ fn record_field(model: &mut Model, krate: &str, ty: &str, code: &str) {
         return;
     };
     let entry = model.fields.entry(ty.to_string()).or_default();
-    if let Some((_, map)) = entry.iter_mut().find(|(k, _)| k == krate) {
-        map.insert(name.to_string(), field_ty);
-    } else {
-        let mut map = HashMap::new();
-        map.insert(name.to_string(), field_ty);
-        entry.push((krate.to_string(), map));
+    match entry.iter_mut().find(|(k, _)| k == krate) {
+        Some((_, map)) => {
+            map.insert(name.to_string(), field_ty);
+        }
+        None => entry.push((
+            krate.to_string(),
+            HashMap::from([(name.to_string(), field_ty)]),
+        )),
     }
-}
-
-fn owner_of(stack: &[Ctx]) -> Option<String> {
-    stack.iter().rev().find_map(|ctx| match &ctx.kind {
-        CtxKind::Impl { ty } => Some(ty.clone()),
-        CtxKind::Trait { name } => Some(name.clone()),
-        _ => None,
-    })
-}
-
-fn register_fn(model: &mut Model, def: FnDef) -> usize {
-    let idx = model.fns.len();
-    if let Some(owner) = def.owner.clone() {
-        model
-            .methods
-            .entry((owner, def.name.clone()))
-            .or_default()
-            .push(idx);
-        model
-            .methods_by_name
-            .entry(def.name.clone())
-            .or_default()
-            .push(idx);
-    } else {
-        model
-            .free_fns
-            .entry(def.name.clone())
-            .or_default()
-            .push(idx);
-    }
-    model.fns.push(def);
-    idx
 }
 
 fn open_item(
@@ -606,52 +546,25 @@ fn open_item(
             Some(CtxKind::Struct { ty })
         }
         PendingKind::Fn => {
-            let (name, params, ret) = parse_signature(&p.sig)?;
-            let owner = owner_of(stack);
-            if let Some(Ctx {
-                kind: CtxKind::Trait { name: t },
-                ..
-            }) = stack.last()
-            {
-                model
-                    .trait_methods
-                    .entry(t.clone())
-                    .or_default()
-                    .insert(name.clone());
-            }
-            let qualified = match &owner {
-                Some(o) => format!("{o}::{name}"),
-                None => name.clone(),
-            };
-            let idx = register_fn(
-                model,
-                FnDef {
-                    name,
-                    qualified,
-                    owner,
-                    krate: krate.to_string(),
-                    unit_idx,
-                    line: p.line,
-                    body: Some((p.line, p.line)),
-                    params,
-                    ret,
-                },
-            );
+            let body = Some((p.line, p.line));
+            let idx = declare_fn(model, krate, unit_idx, p, stack, body)?;
             Some(CtxKind::Fn { idx })
         }
     }
 }
 
-fn declare_bodyless_fn(
+/// Registers the `fn` of a complete header (`body` is `None` for bodyless
+/// trait declarations), recording trait methods so the fan-out heuristic
+/// knows each trait's surface.
+fn declare_fn(
     model: &mut Model,
     krate: &str,
     unit_idx: usize,
     p: &Pending,
     stack: &[Ctx],
-) {
-    let Some((name, params, ret)) = parse_signature(&p.sig) else {
-        return;
-    };
+    body: Option<(usize, usize)>,
+) -> Option<usize> {
+    let (name, params, ret) = parse_signature(&p.sig)?;
     if let Some(Ctx {
         kind: CtxKind::Trait { name: t },
         ..
@@ -663,25 +576,37 @@ fn declare_bodyless_fn(
             .or_default()
             .insert(name.clone());
     }
-    let owner = owner_of(stack);
+    let owner = stack.iter().rev().find_map(|ctx| match &ctx.kind {
+        CtxKind::Impl { ty } => Some(ty.clone()),
+        CtxKind::Trait { name } => Some(name.clone()),
+        _ => None,
+    });
+    let idx = model.fns.len();
     let qualified = match &owner {
-        Some(o) => format!("{o}::{name}"),
-        None => name.clone(),
+        Some(o) => {
+            let key = (o.clone(), name.clone());
+            model.methods.entry(key).or_default().push(idx);
+            let by_name = model.methods_by_name.entry(name.clone()).or_default();
+            by_name.push(idx);
+            format!("{o}::{name}")
+        }
+        None => {
+            model.free_fns.entry(name.clone()).or_default().push(idx);
+            name.clone()
+        }
     };
-    register_fn(
-        model,
-        FnDef {
-            name,
-            qualified,
-            owner,
-            krate: krate.to_string(),
-            unit_idx,
-            line: p.line,
-            body: None,
-            params,
-            ret,
-        },
-    );
+    model.fns.push(FnDef {
+        name,
+        qualified,
+        owner,
+        krate: krate.to_string(),
+        unit_idx,
+        line: p.line,
+        body,
+        params,
+        ret,
+    });
+    Some(idx)
 }
 
 // ---------------------------------------------------------------------------
@@ -759,13 +684,115 @@ pub(crate) enum OffenseKind {
     },
 }
 
+impl OffenseKind {
+    /// Line-stable token for baseline keys.
+    fn token(&self) -> String {
+        match self {
+            OffenseKind::Lock { name, .. } => format!("lock:{name}"),
+            OffenseKind::CondvarWait => "wait".to_string(),
+            OffenseKind::BlockingRecv => "recv".to_string(),
+            OffenseKind::Sleep => "sleep".to_string(),
+            OffenseKind::Syscall { what } => format!("syscall:{what}"),
+            OffenseKind::Alloc { method } => format!(".{method}("),
+            OffenseKind::Panic { what } => what.clone(),
+            OffenseKind::Indexing => "index".to_string(),
+            OffenseKind::DropResult { .. } => "let _ =".to_string(),
+        }
+    }
+
+    /// The rule and message this offense earns on a path from an entry of
+    /// `class`; `None` when the class may do it (a lock at/inside its floor).
+    fn verdict(&self, class: &str, hierarchy: &[&str]) -> Option<(&'static str, String)> {
+        Some(match self {
+            OffenseKind::Lock { name, rank } => {
+                let floor = ENTRY_CLASSES
+                    .iter()
+                    .find(|(c, _)| *c == class)
+                    .and_then(|(_, lock)| hierarchy.iter().position(|h| h == lock))
+                    .unwrap_or(0);
+                if *rank >= floor {
+                    return None;
+                }
+                (
+                    "hot_blocking",
+                    format!(
+                        "lock `{name}` (rank {rank}) acquired on hot path `{class}`: paths \
+                         from this entry may only take locks ranked ≥ {floor} (`{}`) — move \
+                         the acquisition off the hot path or justify with \
+                         `// bf-flow: allow(hot_blocking): ...`",
+                        hierarchy.get(floor).copied().unwrap_or("?"),
+                    ),
+                )
+            }
+            OffenseKind::CondvarWait => (
+                "hot_blocking",
+                format!(
+                    "condvar wait reachable from hot entry `{class}`: the only sanctioned \
+                     park point is the poller's notify hub — justify a designed park with \
+                     `// bf-flow: allow(hot_blocking): ...`"
+                ),
+            ),
+            OffenseKind::BlockingRecv => (
+                "hot_blocking",
+                format!(
+                    "blocking recv reachable from hot entry `{class}`: use try_recv + \
+                     poller readiness instead"
+                ),
+            ),
+            OffenseKind::Sleep => (
+                "hot_blocking",
+                format!(
+                    "thread sleep reachable from hot entry `{class}`: hot loops park on \
+                     the poller, never on the scheduler clock"
+                ),
+            ),
+            OffenseKind::Syscall { what } => (
+                "hot_blocking",
+                format!(
+                    "syscall `{what}` reachable from hot entry `{class}`: I/O belongs off \
+                     the event loop"
+                ),
+            ),
+            OffenseKind::Alloc { method } => (
+                "hot_alloc",
+                format!(
+                    "unbounded `.{method}(..)` on hot path `{class}`: pre-size with \
+                     `with_capacity`, enforce an explicit cap, or state the bound with \
+                     `// bf-flow: allow(hot_alloc): <bound>`"
+                ),
+            ),
+            OffenseKind::Panic { what } => (
+                "hot_panic",
+                format!(
+                    "{what} reachable from hot entry `{class}`: a panic here takes down \
+                     the shared event loop — return a typed error instead"
+                ),
+            ),
+            OffenseKind::Indexing => (
+                "hot_panic",
+                format!(
+                    "indexing without `get` reachable from hot entry `{class}`: an \
+                     out-of-range index panics the shared event loop — use `.get(..)` or \
+                     justify the invariant with `// bf-flow: allow(hot_panic): ...`"
+                ),
+            ),
+            OffenseKind::DropResult { callee, error } => (
+                "error_drop",
+                format!(
+                    "discarded Result from `{callee}` (error type `{error}`) on hot path \
+                     `{class}`: backpressure and overload must be handled or propagated, \
+                     never silently dropped"
+                ),
+            ),
+        })
+    }
+}
+
 #[derive(Debug, Clone)]
 pub(crate) struct Offense {
     pub(crate) kind: OffenseKind,
     pub(crate) line: usize,
     pub(crate) column: usize,
-    /// Line-stable token for baseline keys.
-    pub(crate) token: String,
 }
 
 #[derive(Debug)]
@@ -781,6 +808,10 @@ pub(crate) struct CallSite {
     pub(crate) column: usize,
     /// Whether the result is discarded via `let _ =` or a terminal `.ok()`.
     pub(crate) discarded: bool,
+    /// Resolved target functions (indices into [`Model::fns`]).
+    pub(crate) targets: Vec<usize>,
+    /// The primitive offense this call is, if any.
+    pub(crate) offense: Option<OffenseKind>,
 }
 
 #[derive(Debug, PartialEq)]
@@ -791,14 +822,20 @@ pub(crate) enum CallKind {
 }
 
 /// Per-function facts extracted in one pass over the body.
+#[derive(Default)]
 pub(crate) struct FnFacts {
     pub(crate) calls: Vec<CallSite>,
+    /// Offenses visible without resolution (tracked locks, indexing,
+    /// panic macros), in line order.
     pub(crate) offenses: Vec<Offense>,
     /// `let`-bound locals with inferable types.
     pub(crate) locals: HashMap<String, String>,
     /// Locals bound from `with_capacity(..)`: pushes into them are
     /// pre-sized, not unbounded growth.
     pub(crate) bounded_locals: HashSet<String>,
+    /// Distinct resolved callees other than the function itself, in call
+    /// order.
+    pub(crate) callees: Vec<usize>,
 }
 
 fn receiver_chain(code: &str, mut end: usize) -> Vec<String> {
@@ -836,13 +873,8 @@ fn path_segments(code: &str, mut end: usize) -> Vec<String> {
     segs
 }
 
-pub(crate) fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
-    let mut facts = FnFacts {
-        calls: Vec::new(),
-        offenses: Vec::new(),
-        locals: HashMap::new(),
-        bounded_locals: HashSet::new(),
-    };
+fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
+    let mut facts = FnFacts::default();
     let Some((start, end)) = def.body else {
         return facts;
     };
@@ -890,48 +922,39 @@ pub(crate) fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
 
         // An explicit `x.reserve(n)` bounds later pushes into `x` the same
         // way a `with_capacity` binding does.
-        for pos in crate::rules::find_all(code, ".reserve(") {
-            if let Some(recv) = crate::rules::ident_before(code, pos) {
+        for pos in find_all(code, ".reserve(") {
+            if let Some(recv) = ident_before(code, pos) {
                 facts.bounded_locals.insert(recv.to_string());
             }
         }
 
-        // Tracked acquisitions: the lock name lives in the raw string.
-        if let Some(pos) = code.find("tracked(") {
-            if let Some(name) = tracked_lock_name(&line.raw, crate::LOCK_HIERARCHY) {
-                let rank = crate::LOCK_HIERARCHY
-                    .iter()
-                    .position(|&h| h == name)
-                    .unwrap_or(usize::MAX);
+        // Ranked acquisitions: `tracked(..)` calls are offenses here; a
+        // `.lock()` receiver becomes its call site's offense below.
+        let locks: Vec<(OffenseKind, usize)> = lock_acquisitions(line, crate::LOCK_HIERARCHY)
+            .into_iter()
+            .filter_map(|(name, pos)| {
+                let rank = crate::LOCK_HIERARCHY.iter().position(|&h| h == name)?;
+                let name = name.to_string();
+                Some((OffenseKind::Lock { name, rank }, pos))
+            })
+            .collect();
+        for (kind, pos) in &locks {
+            if code.as_bytes()[*pos] != b'.' {
                 facts.offenses.push(Offense {
-                    kind: OffenseKind::Lock {
-                        name: name.to_string(),
-                        rank,
-                    },
+                    kind: kind.clone(),
                     line: lineno,
                     column: pos + 1,
-                    token: format!("lock:{name}"),
                 });
             }
         }
 
-        // Indexing without `get`: `ident[...]` or `)[...]` outside
-        // attribute lines can panic (slicing included).
-        if !trimmed.starts_with('#') {
-            for (i, b) in code.bytes().enumerate() {
-                if b != b'[' || i == 0 {
-                    continue;
-                }
-                let prev = code.as_bytes()[i - 1];
-                if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']' {
-                    facts.offenses.push(Offense {
-                        kind: OffenseKind::Indexing,
-                        line: lineno,
-                        column: i + 1,
-                        token: "index".to_string(),
-                    });
-                }
-            }
+        // Indexing without `get` can panic (slicing included).
+        for i in index_sites(code) {
+            facts.offenses.push(Offense {
+                kind: OffenseKind::Indexing,
+                line: lineno,
+                column: i + 1,
+            });
         }
 
         // Call sites: every `ident(` with its receiver/path context.
@@ -946,7 +969,6 @@ pub(crate) fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
                             },
                             line: lineno,
                             column: pos - name.len(),
-                            token: format!("{name}!"),
                         });
                     }
                 }
@@ -960,45 +982,42 @@ pub(crate) fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
             }
             let start_pos = pos - name.len();
             let before = &code[..start_pos];
-            let prev = before.bytes().last();
             if before.trim_end().ends_with("fn") {
                 continue; // the function's own definition
             }
-            match prev {
-                Some(b'.') => facts.calls.push(CallSite {
-                    name: name.to_string(),
-                    chain: receiver_chain(code, start_pos - 1),
-                    path: Vec::new(),
-                    kind: CallKind::Method,
-                    line: lineno,
-                    column: start_pos + 1,
-                    discarded,
-                }),
+            let (kind, chain, path) = match before.bytes().last() {
+                Some(b'.') => (
+                    CallKind::Method,
+                    receiver_chain(code, start_pos - 1),
+                    vec![],
+                ),
                 Some(b':') if start_pos >= 2 && code.as_bytes()[start_pos - 2] == b':' => {
-                    facts.calls.push(CallSite {
-                        name: name.to_string(),
-                        chain: Vec::new(),
-                        path: path_segments(code, start_pos - 2),
-                        kind: CallKind::Path,
-                        line: lineno,
-                        column: start_pos + 1,
-                        discarded,
-                    });
+                    (CallKind::Path, vec![], path_segments(code, start_pos - 2))
                 }
-                _ => {
-                    if name.chars().next().is_some_and(char::is_lowercase) {
-                        facts.calls.push(CallSite {
-                            name: name.to_string(),
-                            chain: Vec::new(),
-                            path: Vec::new(),
-                            kind: CallKind::Free,
-                            line: lineno,
-                            column: start_pos + 1,
-                            discarded,
-                        });
-                    }
+                _ if name.chars().next().is_some_and(char::is_lowercase) => {
+                    (CallKind::Free, vec![], vec![])
                 }
-            }
+                _ => continue,
+            };
+            // Like every receiver, a lock's is only known with its chain.
+            let offense = match kind {
+                CallKind::Method if name == "lock" && !chain.is_empty() => locks
+                    .iter()
+                    .find(|(_, dot)| dot + 1 == start_pos)
+                    .map(|(kind, _)| kind.clone()),
+                _ => None,
+            };
+            facts.calls.push(CallSite {
+                name: name.to_string(),
+                chain,
+                path,
+                kind,
+                line: lineno,
+                column: start_pos + 1,
+                discarded,
+                targets: Vec::new(),
+                offense,
+            });
         }
     }
     facts
@@ -1044,20 +1063,17 @@ impl Model {
             .cloned()
     }
 
-    /// Picks the best definition among candidates: same crate first.
-    fn pick(&self, krate: &str, candidates: &[usize]) -> Option<usize> {
-        match candidates {
-            [] => None,
-            [one] => Some(*one),
+    /// Picks the best definition among candidates: same crate first; an
+    /// ambiguous pick drops the edge (documented).
+    fn pick(&self, krate: &str, candidates: Option<&Vec<usize>>) -> Vec<usize> {
+        match candidates.map(Vec::as_slice).unwrap_or_default() {
+            [] => Vec::new(),
+            [one] => vec![*one],
             many => {
-                let same: Vec<usize> = many
-                    .iter()
-                    .copied()
-                    .filter(|&i| self.fns[i].krate == krate)
-                    .collect();
-                match same.as_slice() {
-                    [one] => Some(*one),
-                    _ => None, // ambiguous: drop the edge (documented)
+                let mut same = many.iter().filter(|&&i| self.fns[i].krate == krate);
+                match (same.next(), same.next()) {
+                    (Some(&one), None) => vec![one],
+                    _ => Vec::new(),
                 }
             }
         }
@@ -1065,34 +1081,41 @@ impl Model {
 
     /// Resolves a type's method, fanning out across trait impls.
     fn resolve_on_type(&self, krate: &str, ty: &str, method: &str) -> Vec<usize> {
+        let on = |t: &str| self.methods.get(&(t.to_string(), method.to_string()));
         if self.traits.contains(ty) {
             // May-call over-approximation: a call through the trait can
             // land in any impl, plus a default-bodied trait method.
-            let mut out = Vec::new();
-            for impl_ty in self.impls_of.get(ty).into_iter().flatten() {
-                if let Some(c) = self.methods.get(&(impl_ty.clone(), method.to_string())) {
-                    out.extend(c.iter().copied());
-                }
-            }
-            if let Some(c) = self.methods.get(&(ty.to_string(), method.to_string())) {
-                out.extend(c.iter().copied().filter(|&i| self.fns[i].body.is_some()));
-            }
+            let mut out: Vec<usize> = self
+                .impls_of
+                .get(ty)
+                .into_iter()
+                .flatten()
+                .filter_map(|impl_ty| on(impl_ty))
+                .flatten()
+                .copied()
+                .collect();
+            out.extend(
+                on(ty)
+                    .into_iter()
+                    .flatten()
+                    .filter(|&&i| self.fns[i].body.is_some()),
+            );
             out.sort_unstable();
             out.dedup();
             return out;
         }
-        if let Some(c) = self.methods.get(&(ty.to_string(), method.to_string())) {
-            if let Some(idx) = self.pick(krate, c) {
-                return vec![idx];
-            }
-            return c.clone();
+        match on(ty) {
+            Some(c) => match self.pick(krate, Some(c)).as_slice() {
+                [] => c.clone(),
+                picked => picked.to_vec(),
+            },
+            None => Vec::new(),
         }
-        Vec::new()
     }
 
     /// Resolves one call site to zero or more target functions, or to a
     /// primitive offense.
-    pub(crate) fn resolve(
+    fn resolve(
         &self,
         def: &FnDef,
         facts: &FnFacts,
@@ -1104,19 +1127,16 @@ impl Model {
                 // Primitive leaves: classified at the call site, where the
                 // receiver (lock name, container) is visible.
                 if is_primitive_method(m) {
-                    return (Vec::new(), self.primitive_offense(facts, call));
+                    return (Vec::new(), primitive_offense(facts, call));
                 }
                 let ty = self.chain_type(def, facts, &call.chain);
                 if let Some(ty) = &ty {
                     let targets = self.resolve_on_type(&def.krate, ty, m);
-                    if !targets.is_empty() {
-                        return (targets, None);
-                    }
                     // A known workspace type without this method would be a
                     // compile error — the receiver is external (std, Bytes,
                     // iterators): no edge, nothing to flag.
-                    if self.type_names.contains(ty) {
-                        return (Vec::new(), None);
+                    if !targets.is_empty() || self.type_names.contains(ty) {
+                        return (targets, None);
                     }
                 }
                 // Unknown receiver: trait-surface fan-out, then the
@@ -1129,11 +1149,7 @@ impl Model {
                         }
                     }
                 }
-                let candidates = self.methods_by_name.get(m).cloned().unwrap_or_default();
-                match self.pick(&def.krate, &candidates) {
-                    Some(idx) => (vec![idx], None),
-                    None => (Vec::new(), None),
-                }
+                (self.pick(&def.krate, self.methods_by_name.get(m)), None)
             }
             CallKind::Path => {
                 let joined = call.path.join("::");
@@ -1145,183 +1161,124 @@ impl Model {
                     || joined.contains("net")
                     || joined.contains("process")
                 {
-                    return (
-                        Vec::new(),
-                        Some(OffenseKind::Syscall {
-                            what: format!("{joined}::{}", call.name),
-                        }),
-                    );
+                    let what = format!("{joined}::{}", call.name);
+                    return (Vec::new(), Some(OffenseKind::Syscall { what }));
                 }
-                let last = call.path.last().map(String::as_str);
-                let ty = match last {
+                let ty = match call.path.last().map(String::as_str) {
                     Some("Self") => def.owner.clone(),
                     Some(seg) if seg.chars().next().is_some_and(char::is_uppercase) => {
                         Some(seg.to_string())
                     }
                     _ => None,
                 };
-                if let Some(ty) = ty {
-                    if self.type_names.contains(&ty) {
-                        return (self.resolve_on_type(&def.krate, &ty, &call.name), None);
+                match ty {
+                    Some(ty) if self.type_names.contains(&ty) => {
+                        (self.resolve_on_type(&def.krate, &ty, &call.name), None)
                     }
-                    return (Vec::new(), None); // external type (Vec, Bytes…)
-                }
-                // `module::free_fn(..)`.
-                let candidates = self.free_fns.get(&call.name).cloned().unwrap_or_default();
-                match self.pick(&def.krate, &candidates) {
-                    Some(idx) => (vec![idx], None),
-                    None => (Vec::new(), None),
+                    Some(_) => (Vec::new(), None), // external type (Vec, Bytes…)
+                    // `module::free_fn(..)`.
+                    None => (self.pick(&def.krate, self.free_fns.get(&call.name)), None),
                 }
             }
-            CallKind::Free => {
-                if call.name == "sleep" {
-                    return (Vec::new(), Some(OffenseKind::Sleep));
-                }
-                let candidates = self.free_fns.get(&call.name).cloned().unwrap_or_default();
-                match self.pick(&def.krate, &candidates) {
-                    Some(idx) => (vec![idx], None),
-                    None => (Vec::new(), None),
-                }
-            }
+            CallKind::Free if call.name == "sleep" => (Vec::new(), Some(OffenseKind::Sleep)),
+            CallKind::Free => (self.pick(&def.krate, self.free_fns.get(&call.name)), None),
         }
     }
+}
 
-    fn primitive_offense(&self, facts: &FnFacts, call: &CallSite) -> Option<OffenseKind> {
-        let m = call.name.as_str();
-        if m == "lock" {
-            let name = call.chain.last()?.clone();
-            let rank = crate::LOCK_HIERARCHY.iter().position(|&h| h == name)?;
-            return Some(OffenseKind::Lock { name, rank });
-        }
-        if WAIT_METHODS.contains(&m) {
-            return Some(OffenseKind::CondvarWait);
-        }
-        if RECV_METHODS.contains(&m) {
-            return Some(OffenseKind::BlockingRecv);
-        }
-        if ALLOC_METHODS.contains(&m) {
-            if call.chain.len() == 1 && facts.bounded_locals.contains(&call.chain[0]) {
-                return None; // pre-sized with with_capacity in this fn
-            }
-            return Some(OffenseKind::Alloc {
-                method: m.to_string(),
-            });
-        }
-        if PANIC_METHODS.contains(&m) {
-            return Some(OffenseKind::Panic {
-                what: format!(".{m}()"),
-            });
-        }
-        None
+/// The offense a primitive method call is (`.lock()` carries its own, read
+/// with the line's lock acquisitions).
+fn primitive_offense(facts: &FnFacts, call: &CallSite) -> Option<OffenseKind> {
+    let m = call.name.as_str();
+    if WAIT_METHODS.contains(&m) {
+        return Some(OffenseKind::CondvarWait);
     }
+    if RECV_METHODS.contains(&m) {
+        return Some(OffenseKind::BlockingRecv);
+    }
+    if ALLOC_METHODS.contains(&m) {
+        if call.chain.len() == 1 && facts.bounded_locals.contains(&call.chain[0]) {
+            return None; // pre-sized with with_capacity in this fn
+        }
+        return Some(OffenseKind::Alloc {
+            method: m.to_string(),
+        });
+    }
+    if PANIC_METHODS.contains(&m) {
+        return Some(OffenseKind::Panic {
+            what: format!(".{m}()"),
+        });
+    }
+    None
 }
 
 // ---------------------------------------------------------------------------
 // Entry annotations and the reachability passes
 // ---------------------------------------------------------------------------
 
-const ENTRY_MARKER: &str = "bf-flow: entry(";
-
-fn collect_entries(
+/// Binds every `bf-flow: entry(<class>)` annotation to its function,
+/// reporting malformed, unknown-class and dangling ones.
+fn bind_entries(
     units: &[Unit],
     model: &Model,
     out: &mut Vec<Diagnostic>,
 ) -> Vec<(EntryPoint, usize)> {
     let mut entries = Vec::new();
     for (unit_idx, unit) in units.iter().enumerate() {
-        let file = &unit.file;
-        if EXCLUDED_PREFIXES.iter().any(|p| file.path.starts_with(p)) {
+        let path = &unit.file.path;
+        if EXCLUDED_PREFIXES.iter().any(|p| path.starts_with(p)) {
             continue; // tooling hosts no hot paths — and its docs quote the syntax
         }
-        for (idx, line) in file.lines.iter().enumerate() {
-            let Some(pos) = line.comment.find(ENTRY_MARKER) else {
-                continue;
-            };
-            if pos > 0 && line.comment.as_bytes()[pos - 1] == b'`' {
-                continue;
-            }
-            let rest = &line.comment[pos + ENTRY_MARKER.len()..];
-            let Some(close) = rest.find(')') else {
+        for anchor in &unit.dirs.entries {
+            let mut directive = |message: String| {
                 out.push(
-                    Diagnostic::new(
-                        "directive",
-                        &file.path,
-                        idx + 1,
-                        "malformed bf-flow entry annotation: missing `)`".to_string(),
-                    )
-                    .at_column(pos + 1),
+                    Diagnostic::new("directive", path, anchor.line, message)
+                        .at_column(anchor.column),
                 );
+            };
+            let Some(class) = anchor.arg.clone() else {
+                directive("malformed bf-flow entry annotation: missing `)`".to_string());
                 continue;
             };
-            let class = rest[..close].trim().to_string();
             if !ENTRY_CLASSES.iter().any(|(c, _)| *c == class) {
                 let known: Vec<&str> = ENTRY_CLASSES.iter().map(|(c, _)| *c).collect();
-                out.push(
-                    Diagnostic::new(
-                        "directive",
-                        &file.path,
-                        idx + 1,
-                        format!("unknown bf-flow entry class {class:?}; known classes: {known:?}"),
-                    )
-                    .at_column(pos + 1),
-                );
+                directive(format!(
+                    "unknown bf-flow entry class {class:?}; known classes: {known:?}"
+                ));
                 continue;
             }
-            // The annotation binds to the next function defined in this
-            // file — it must exist, and close by.
-            let target = model
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, f)| f.unit_idx == unit_idx && f.line > idx + 1)
-                .min_by_key(|(_, f)| f.line);
-            match target {
-                Some((fn_idx, f)) if f.line <= idx + 1 + 8 => {
+            match model.fn_after(unit_idx, anchor.line) {
+                Some(fn_idx) => {
+                    let f = &model.fns[fn_idx];
+                    let function = f.qualified.clone();
+                    let (file, line) = (path.clone(), f.line);
                     entries.push((
                         EntryPoint {
                             class,
-                            function: f.qualified.clone(),
-                            file: file.path.clone(),
-                            line: f.line,
+                            function,
+                            file,
+                            line,
                         },
                         fn_idx,
                     ));
                 }
-                _ => out.push(
-                    Diagnostic::new(
-                        "directive",
-                        &file.path,
-                        idx + 1,
-                        format!(
-                            "bf-flow entry({class}) does not resolve to a function: \
-                             the annotation must immediately precede a `fn` definition"
-                        ),
-                    )
-                    .at_column(pos + 1),
-                ),
+                None => directive(format!(
+                    "bf-flow entry({class}) does not resolve to a function: \
+                     the annotation must immediately precede a `fn` definition"
+                )),
             }
         }
     }
     entries
 }
 
-/// The lock-rank floor of an entry class (index into the hierarchy).
-fn class_floor(class: &str, hierarchy: &[&str]) -> usize {
-    ENTRY_CLASSES
-        .iter()
-        .find(|(c, _)| *c == class)
-        .and_then(|(_, lock)| hierarchy.iter().position(|h| h == lock))
-        .unwrap_or(0)
-}
-
 /// Breadth-first reachability from `start`, returning parent links for
 /// witness reconstruction.
-fn reachable_from(start: usize, adj: &[Vec<usize>]) -> HashMap<usize, usize> {
-    let mut parent: HashMap<usize, usize> = HashMap::new();
-    parent.insert(start, start);
-    let mut queue = std::collections::VecDeque::from([start]);
+fn reachable_from(start: usize, model: &Model) -> HashMap<usize, usize> {
+    let mut parent = HashMap::from([(start, start)]);
+    let mut queue = VecDeque::from([start]);
     while let Some(node) = queue.pop_front() {
-        for &next in &adj[node] {
+        for &next in &model.facts[node].callees {
             if let std::collections::hash_map::Entry::Vacant(e) = parent.entry(next) {
                 e.insert(node);
                 queue.push_back(next);
@@ -1331,299 +1288,129 @@ fn reachable_from(start: usize, adj: &[Vec<usize>]) -> HashMap<usize, usize> {
     parent
 }
 
-/// Runs the bf-flow analysis over the workspace: builds the model, binds
-/// entry annotations, and evaluates the four passes on every function
-/// reachable from an entry. Returns the resolved entry points.
-pub fn check(units: &[Unit], hierarchy: &[&str], out: &mut Vec<Diagnostic>) -> Vec<EntryPoint> {
-    let model = build_model(units);
-    let entries = collect_entries(units, &model, out);
-
-    // Per-function facts + the adjacency list, extracted once.
-    let mut all_facts: Vec<FnFacts> = Vec::with_capacity(model.fns.len());
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); model.fns.len()];
-    for (idx, def) in model.fns.iter().enumerate() {
-        let unit = &units[def.unit_idx];
-        let mut facts = extract_fn_facts(unit, def);
-        let mut resolved_offenses = Vec::new();
-        for call in &facts.calls {
-            let (targets, offense) = model.resolve(def, &facts, call);
-            for t in targets {
-                if t != idx && !adj[idx].contains(&t) {
-                    adj[idx].push(t);
-                }
-            }
-            if let Some(kind) = offense {
-                let token = match &kind {
-                    OffenseKind::Lock { name, .. } => format!("lock:{name}"),
-                    OffenseKind::CondvarWait => "wait".to_string(),
-                    OffenseKind::BlockingRecv => "recv".to_string(),
-                    OffenseKind::Sleep => "sleep".to_string(),
-                    OffenseKind::Syscall { what } => format!("syscall:{what}"),
-                    OffenseKind::Alloc { method } => format!(".{method}("),
-                    OffenseKind::Panic { what } => what.clone(),
-                    OffenseKind::Indexing => "index".to_string(),
-                    OffenseKind::DropResult { .. } => "let _ =".to_string(),
-                };
-                resolved_offenses.push(Offense {
-                    kind,
-                    line: call.line,
-                    column: call.column,
-                    token,
+/// Every offense of one function, in report order: those visible in the
+/// body, then each call's own offense and discarded risky `Result`.
+fn offenses_of(model: &Model, idx: usize) -> Vec<Offense> {
+    let facts = &model.facts[idx];
+    let mut out = facts.offenses.clone();
+    for call in &facts.calls {
+        let at = |kind| Offense {
+            kind,
+            line: call.line,
+            column: call.column,
+        };
+        out.extend(call.offense.clone().map(at));
+        // Discarded risky Results: signature-resolved error types, with a
+        // textual fallback for the bounded-transport methods.
+        if call.discarded {
+            let risky = call
+                .targets
+                .iter()
+                .find_map(|&t| {
+                    let f = &model.fns[t];
+                    let error = RISKY_ERRORS.iter().find(|e| f.ret.contains(*e))?;
+                    Some((f.qualified.clone(), error.to_string()))
+                })
+                .or_else(|| {
+                    RISKY_METHOD_FALLBACK
+                        .contains(&call.name.as_str())
+                        .then(|| (call.name.clone(), "TransportError".to_string()))
                 });
-            }
-            // Discarded risky Results: signature-resolved error types, with
-            // a textual fallback for the bounded-transport methods.
-            if call.discarded {
-                let (targets, _) = model.resolve(def, &facts, call);
-                let risky = targets
-                    .iter()
-                    .filter_map(|&t| {
-                        RISKY_ERRORS
-                            .iter()
-                            .find(|e| model.fns[t].ret.contains(*e))
-                            .map(|e| (model.fns[t].qualified.clone(), e.to_string()))
-                    })
-                    .next()
-                    .or_else(|| {
-                        RISKY_METHOD_FALLBACK
-                            .contains(&call.name.as_str())
-                            .then(|| (call.name.clone(), "TransportError".to_string()))
-                    });
-                if let Some((callee, error)) = risky {
-                    resolved_offenses.push(Offense {
-                        kind: OffenseKind::DropResult { callee, error },
-                        line: call.line,
-                        column: call.column,
-                        token: "let _ =".to_string(),
-                    });
-                }
+            if let Some((callee, error)) = risky {
+                out.push(at(OffenseKind::DropResult { callee, error }));
             }
         }
-        facts.offenses.append(&mut resolved_offenses);
-        all_facts.push(facts);
     }
+    out
+}
 
+/// Runs the bf-flow analysis over the workspace's shared model: binds
+/// entry annotations and evaluates the four passes on every function
+/// reachable from an entry. Returns the resolved entry points.
+pub fn check(
+    units: &[Unit],
+    model: &Model,
+    hierarchy: &[&str],
+    out: &mut Vec<Diagnostic>,
+) -> Vec<EntryPoint> {
+    let entries = bind_entries(units, model, out);
     // Reachability per entry, in annotation order (deterministic: units
     // are path-sorted).
     let reach: Vec<HashMap<usize, usize>> = entries
         .iter()
-        .map(|&(_, fn_idx)| reachable_from(fn_idx, &adj))
+        .map(|&(_, fn_idx)| reachable_from(fn_idx, model))
         .collect();
 
-    let witness = |entry_idx: usize, target: usize| -> Vec<Hop> {
-        let parents = &reach[entry_idx];
-        let mut chain = vec![target];
-        let mut node = target;
-        while parents[&node] != node {
-            node = parents[&node];
-            chain.push(node);
-        }
-        chain.reverse();
-        chain
-            .into_iter()
-            .map(|i| {
-                let f = &model.fns[i];
-                Hop {
-                    function: f.qualified.clone(),
-                    file: units[f.unit_idx].file.path.clone(),
-                    line: f.line,
-                }
-            })
-            .collect()
-    };
-
     // Evaluate offenses, deduplicated by site, in function order.
-    let mut seen: HashSet<(String, String, usize, String)> = HashSet::new();
+    let mut seen: HashSet<(&str, String, usize, String)> = HashSet::new();
     let mut fn_order: Vec<usize> = (0..model.fns.len()).collect();
     fn_order.sort_by_key(|&i| (model.fns[i].unit_idx, model.fns[i].line));
     for fn_idx in fn_order {
         let def = &model.fns[fn_idx];
         let unit = &units[def.unit_idx];
         let path = &unit.file.path;
-        for offense in &all_facts[fn_idx].offenses {
+        for offense in offenses_of(model, fn_idx) {
             // Which entry convicts this offense (first in annotation order)?
-            let mut conviction: Option<(usize, &'static str, String)> = None;
-            for (entry_idx, (entry, _)) in entries.iter().enumerate() {
-                if !reach[entry_idx].contains_key(&fn_idx) {
-                    continue;
-                }
-                let verdict: Option<(&'static str, String)> = match &offense.kind {
-                    OffenseKind::Lock { name, rank } => {
-                        let floor = class_floor(&entry.class, hierarchy);
-                        (*rank < floor).then(|| {
-                            (
-                                "hot_blocking",
-                                format!(
-                                    "lock `{name}` (rank {rank}) acquired on hot path \
-                                 `{}`: paths from this entry may only take locks \
-                                 ranked ≥ {floor} (`{}`) — move the acquisition off \
-                                 the hot path or justify with \
-                                 `// bf-flow: allow(hot_blocking): ...`",
-                                    entry.class,
-                                    hierarchy.get(floor).copied().unwrap_or("?"),
-                                ),
-                            )
-                        })
-                    }
-                    OffenseKind::CondvarWait => Some((
-                        "hot_blocking",
-                        format!(
-                            "condvar wait reachable from hot entry `{}`: the only \
-                             sanctioned park point is the poller's notify hub — \
-                             justify a designed park with \
-                             `// bf-flow: allow(hot_blocking): ...`",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::BlockingRecv => Some((
-                        "hot_blocking",
-                        format!(
-                            "blocking recv reachable from hot entry `{}`: use \
-                             try_recv + poller readiness instead",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::Sleep => Some((
-                        "hot_blocking",
-                        format!(
-                            "thread sleep reachable from hot entry `{}`: hot loops \
-                             park on the poller, never on the scheduler clock",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::Syscall { what } => Some((
-                        "hot_blocking",
-                        format!(
-                            "syscall `{what}` reachable from hot entry `{}`: I/O \
-                             belongs off the event loop",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::Alloc { method } => Some((
-                        "hot_alloc",
-                        format!(
-                            "unbounded `.{method}(..)` on hot path `{}`: pre-size \
-                             with `with_capacity`, enforce an explicit cap, or \
-                             state the bound with \
-                             `// bf-flow: allow(hot_alloc): <bound>`",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::Panic { what } => Some((
-                        "hot_panic",
-                        format!(
-                            "{what} reachable from hot entry `{}`: a panic here \
-                             takes down the shared event loop — return a typed \
-                             error instead",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::Indexing => Some((
-                        "hot_panic",
-                        format!(
-                            "indexing without `get` reachable from hot entry `{}`: \
-                             an out-of-range index panics the shared event loop — \
-                             use `.get(..)` or justify the invariant with \
-                             `// bf-flow: allow(hot_panic): ...`",
-                            entry.class
-                        ),
-                    )),
-                    OffenseKind::DropResult { callee, error } => Some((
-                        "error_drop",
-                        format!(
-                            "discarded Result from `{callee}` (error type \
-                             `{error}`) on hot path `{}`: backpressure and \
-                             overload must be handled or propagated, never \
-                             silently dropped",
-                            entry.class
-                        ),
-                    )),
-                };
-                if let Some((rule, message)) = verdict {
-                    conviction = Some((entry_idx, rule, message));
-                    break;
-                }
-            }
-            let Some((entry_idx, rule, message)) = conviction else {
+            let conviction = entries
+                .iter()
+                .enumerate()
+                .filter(|(e, _)| reach[*e].contains_key(&fn_idx))
+                .find_map(|(e, (entry, _))| {
+                    Some((e, offense.kind.verdict(&entry.class, hierarchy)?))
+                });
+            let Some((entry_idx, (rule, message))) = conviction else {
                 continue;
             };
             // Allow directives: bf-flow always; the per-file `panic`
             // exemptions keep covering unwrap/expect on these paths (the
             // justification already argues the panic is impossible).
-            if unit.dirs.flow.permits(offense.line, rule) {
-                continue;
-            }
             let panic_equivalent = matches!(
                 &offense.kind,
                 OffenseKind::Panic { what } if what.starts_with('.')
             );
-            if rule == "hot_panic"
-                && panic_equivalent
-                && unit.dirs.lint.permits(offense.line, "panic")
+            if unit.permits(offense.line, rule)
+                || (panic_equivalent && unit.permits(offense.line, "panic"))
             {
                 continue;
             }
-            let key = format!("{rule}|{path}|{}|{}", def.qualified, offense.token);
-            if !seen.insert((
-                rule.to_string(),
-                path.clone(),
-                offense.line,
-                offense.token.clone(),
-            )) {
+            let token = offense.kind.token();
+            if !seen.insert((rule, path.clone(), offense.line, token.clone())) {
                 continue;
             }
-            let mut chain = witness(entry_idx, fn_idx);
-            chain.push(Hop {
-                function: format!("{} [{}]", def.qualified, offense.token),
+            // Witness: entry → … → this function, then the offending call.
+            let parents = &reach[entry_idx];
+            let (mut chain, mut node) = (vec![fn_idx], fn_idx);
+            while parents[&node] != node {
+                node = parents[&node];
+                chain.push(node);
+            }
+            let mut witness: Vec<Hop> = chain
+                .into_iter()
+                .rev()
+                .map(|i| {
+                    let f = &model.fns[i];
+                    let file = units[f.unit_idx].file.path.clone();
+                    Hop {
+                        function: f.qualified.clone(),
+                        file,
+                        line: f.line,
+                    }
+                })
+                .collect();
+            witness.push(Hop {
+                function: format!("{} [{token}]", def.qualified),
                 file: path.clone(),
                 line: offense.line,
             });
             let mut diag =
                 Diagnostic::new(rule, path, offense.line, message).at_column(offense.column);
-            diag.witness = chain;
-            diag.key = key;
+            diag.witness = witness;
+            diag.key = format!("{rule}|{path}|{}|{token}", def.qualified);
             out.push(diag);
         }
     }
 
     entries.into_iter().map(|(e, _)| e).collect()
-}
-
-/// Every function the symbol model extracted, as
-/// `(qualified_name, file, line)` triples in definition order — used by
-/// conformance tests to assert the model sees what the tree declares.
-pub fn functions(units: &[Unit]) -> Vec<(String, String, usize)> {
-    let model = build_model(units);
-    model
-        .fns
-        .iter()
-        .map(|f| {
-            (
-                f.qualified.clone(),
-                units[f.unit_idx].file.path.clone(),
-                f.line,
-            )
-        })
-        .collect()
-}
-
-/// The resolved call graph as sorted `caller → callee` pairs of qualified
-/// names — the shape pinned by the golden test.
-pub fn call_graph(units: &[Unit]) -> Vec<(String, String)> {
-    let model = build_model(units);
-    let mut edges: BTreeMap<(String, String), ()> = BTreeMap::new();
-    for def in &model.fns {
-        let facts = extract_fn_facts(&units[def.unit_idx], def);
-        for call in &facts.calls {
-            let (targets, _) = model.resolve(def, &facts, call);
-            for t in targets {
-                if model.fns[t].qualified != def.qualified {
-                    edges.insert((def.qualified.clone(), model.fns[t].qualified.clone()), ());
-                }
-            }
-        }
-    }
-    edges.into_keys().collect()
 }
 
 #[cfg(test)]
@@ -1641,8 +1428,41 @@ mod tests {
     fn flow_check(sources: &[(&str, &str)]) -> (Vec<Diagnostic>, Vec<EntryPoint>) {
         let units = units_of(sources);
         let mut out = Vec::new();
-        let entries = check(&units, crate::LOCK_HIERARCHY, &mut out);
+        let entries = check(
+            &units,
+            &build_model(&units),
+            crate::LOCK_HIERARCHY,
+            &mut out,
+        );
         (out, entries)
+    }
+
+    /// Qualified names of every function the model extracted.
+    fn functions(units: &[Unit]) -> Vec<String> {
+        let model = build_model(units);
+        model.fns.iter().map(|f| f.qualified.clone()).collect()
+    }
+
+    /// The resolved call graph as sorted, distinct `caller -> callee` lines.
+    fn call_graph(units: &[Unit]) -> Vec<String> {
+        let model = build_model(units);
+        let mut edges: Vec<String> = model
+            .fns
+            .iter()
+            .zip(&model.facts)
+            .flat_map(|(def, facts)| {
+                facts
+                    .calls
+                    .iter()
+                    .flat_map(|c| &c.targets)
+                    .map(move |&t| (def, t))
+            })
+            .filter(|(def, t)| model.fns[*t].qualified != def.qualified)
+            .map(|(def, t)| format!("{} -> {}", def.qualified, model.fns[t].qualified))
+            .collect();
+        edges.sort();
+        edges.dedup();
+        edges
     }
 
     // -- call graph golden test over a small multi-crate fixture --
@@ -1676,8 +1496,7 @@ mod tests {
             ("crates/rpc/src/lib.rs", rpc),
             ("crates/devmgr/src/lib.rs", devmgr),
         ]);
-        let graph = call_graph(&units);
-        let rendered: Vec<String> = graph.iter().map(|(a, b)| format!("{a} -> {b}")).collect();
+        let rendered = call_graph(&units);
         assert_eq!(
             rendered,
             vec![
@@ -1765,6 +1584,34 @@ mod tests {
                        }\n";
         let (out, _) = flow_check(&[("crates/rpc/src/poller.rs", allowed)]);
         assert!(out.is_empty(), "{out:#?}");
+    }
+
+    #[test]
+    fn hot_blocking_flags_sleep_blocking_recv_and_file_io() {
+        let src = "pub struct P { rx: Receiver<u32> }\n\
+                   impl P {\n\
+                       // bf-flow: entry(poller)\n\
+                       pub fn poll(&self) {\n\
+                           std::thread::sleep(d);\n\
+                           let v = self.rx.recv();\n\
+                           let t = std::fs::read_to_string(p);\n\
+                       }\n\
+                   }\n";
+        let (out, _) = flow_check(&[("crates/rpc/src/poller.rs", src)]);
+        let keys: Vec<&str> = out
+            .iter()
+            .filter(|d| d.rule == "hot_blocking")
+            .map(|d| d.key.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            vec![
+                "hot_blocking|crates/rpc/src/poller.rs|P::poll|sleep",
+                "hot_blocking|crates/rpc/src/poller.rs|P::poll|recv",
+                "hot_blocking|crates/rpc/src/poller.rs|P::poll|syscall:std::fs::read_to_string",
+            ],
+            "{out:#?}"
+        );
     }
 
     // -- hot_alloc --
@@ -1922,6 +1769,23 @@ mod tests {
     }
 
     #[test]
+    fn entry_annotation_binds_only_within_eight_lines() {
+        let gap = |n: usize| {
+            format!(
+                "// bf-flow: entry(poller)\n{}pub fn poll() {{}}\n",
+                "// note\n".repeat(n)
+            )
+        };
+        let (out, entries) = flow_check(&[("crates/rpc/src/lib.rs", &gap(7))]);
+        assert_eq!(entries.len(), 1, "8 lines below binds: {out:#?}");
+        assert_eq!(entries[0].line, 9);
+        let (out, entries) = flow_check(&[("crates/rpc/src/lib.rs", &gap(8))]);
+        assert!(entries.is_empty(), "9 lines below does not bind");
+        assert_eq!(out.len(), 1, "{out:#?}");
+        assert!(out[0].message.contains("does not resolve"), "{out:#?}");
+    }
+
+    #[test]
     fn array_types_in_signatures_do_not_truncate_the_model() {
         // `[u64; 3]` holds a `;` — the header scanner must not read it as
         // a bodyless-declaration terminator and drop the function.
@@ -1939,7 +1803,7 @@ mod tests {
                        work[0] as u32\n\
                    }\n";
         let units = units_of(&[("crates/devmgr/src/event_loop.rs", src)]);
-        let fns: Vec<String> = functions(&units).into_iter().map(|(q, _, _)| q).collect();
+        let fns = functions(&units);
         assert!(fns.contains(&"dispatch".to_string()), "{fns:?}");
         let (out, _) = flow_check(&[("crates/devmgr/src/event_loop.rs", src)]);
         assert_eq!(

@@ -55,9 +55,13 @@
 //! library API.
 //!
 //! Each source file is parsed **once** into a [`rules::Unit`] (masked
-//! line model + directive tables) shared by every per-file rule, the
-//! lock-graph pass, and all four bf-flow passes; the `--json` summary
-//! reports the wall time of the whole scan.
+//! line model + every annotation, read by one reader) shared by every
+//! per-file rule and the lock-graph pass. The program model — functions,
+//! per-function facts and every call site's resolved targets — is built
+//! **once** per run by [`flow::build_model`] and shared by bf-flow and
+//! bf-taint. The rule registry ([`explain`]) is the one list of rule ids
+//! and directive families. The `--json` summary reports the wall time of
+//! the whole scan.
 //!
 //! The lock hierarchy is imported from [`bf_devmgr::lock_order`], the same
 //! table the runtime held-lock tracker enforces in debug builds — one
@@ -74,7 +78,8 @@ pub mod scan;
 pub mod taint;
 pub mod wire_schema;
 
-pub use flow::{EntryPoint, ENTRY_CLASSES, FLOW_RULES};
+pub use explain::Family;
+pub use flow::{build_model, EntryPoint, Model, ENTRY_CLASSES, FLOW_RULES};
 pub use rules::{Diagnostic, Hop, Unit, CLOCK_MODULE, RULES, STATUS_ENUMS};
 pub use taint::TAINT_RULES;
 pub use wire_schema::WIRE_SCHEMA_RULE;
@@ -102,21 +107,12 @@ impl Report {
         self.diagnostics.is_empty()
     }
 
-    /// Machine-readable form, stable for CI consumption.
-    pub fn to_json(&self) -> serde_json::Value {
-        self.render_json(None)
-    }
-
-    /// Machine-readable form with baseline gating applied: `ok` reflects
-    /// only **new** findings, and the document carries the gated split.
+    /// Machine-readable form with baseline gating applied, stable for CI
+    /// consumption: `ok` reflects only **new** findings, and the document
+    /// carries the gated split.
     pub fn to_json_gated(&self, gated: &baseline::Gated) -> serde_json::Value {
-        self.render_json(Some(gated))
-    }
-
-    fn render_json(&self, gated: Option<&baseline::Gated>) -> serde_json::Value {
-        let ok = gated.map_or(self.is_clean(), |g| g.new.is_empty());
         serde_json::json!({
-            "ok": ok,
+            "ok": gated.new.is_empty(),
             "files_scanned": self.files_scanned,
             "lint_wall_ms": (self.wall_ms * 100.0).round() / 100.0,
             "entries": self
@@ -136,18 +132,16 @@ impl Report {
                 .iter()
                 .map(diagnostic_json)
                 .collect::<Vec<_>>(),
-            "new_violations": gated
-                .map(|g| g.new.iter().map(diagnostic_json).collect::<Vec<_>>())
-                .unwrap_or_default(),
-            "suppressed": gated.map_or(0, |g| g.suppressed),
-            "stale_baseline": gated.map(|g| g.stale.clone()).unwrap_or_default(),
+            "new_violations": gated.new.iter().map(diagnostic_json).collect::<Vec<_>>(),
+            "suppressed": gated.suppressed,
+            "stale_baseline": gated.stale.clone(),
         })
     }
 }
 
 /// One diagnostic in the stable JSON shape (also used for baseline-gated
 /// subsets).
-pub fn diagnostic_json(d: &Diagnostic) -> serde_json::Value {
+fn diagnostic_json(d: &Diagnostic) -> serde_json::Value {
     serde_json::json!({
         "rule": d.rule,
         "file": d.file,
@@ -181,8 +175,9 @@ pub fn check_source(path: &str, text: &str) -> Vec<Diagnostic> {
 }
 
 /// Scans the workspace rooted at `root` (`crates/` and `tests/`): per-file
-/// rules, the whole-program lock-graph pass, and all four bf-flow passes,
-/// over a single shared parse.
+/// rules, the whole-program lock-graph pass, the four bf-flow passes and
+/// the bf-taint pass over one parse and one program model, then the
+/// wire-schema gate.
 ///
 /// # Errors
 ///
@@ -190,52 +185,30 @@ pub fn check_source(path: &str, text: &str) -> Vec<Diagnostic> {
 pub fn run(root: &Path) -> Result<Report, String> {
     // bf-lint: allow(wall_clock): lint tooling self-timing, not simulation state
     let started = std::time::Instant::now();
-    let mut files = Vec::new();
-    for top in ["crates", "tests"] {
-        let dir = root.join(top);
-        if dir.is_dir() {
-            collect_rust_files(&dir, &mut files)?;
-        }
-    }
-    if files.is_empty() {
+    let mut diagnostics = Vec::new();
+    let units = parse_tree(root, &mut diagnostics)?;
+    if units.is_empty() {
         // A wrong --root must not read as a clean workspace.
         return Err(format!(
             "no Rust sources found under {} — is this a workspace root?",
             root.display()
         ));
     }
-    files.sort();
-
-    let mut diagnostics = Vec::new();
-    let files_scanned = files.len();
-    // Parse once: every rule family reuses the same masked line model.
-    let mut units = Vec::with_capacity(files_scanned);
-    for path in files {
-        let text =
-            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let file = scan::parse(&rel, &text, is_test_path(&rel));
-        units.push(rules::Unit::analyze(file, &mut diagnostics));
-    }
     for unit in &units {
         rules::check_file(unit, LOCK_HIERARCHY, &mut diagnostics);
     }
     // The whole-program passes need every file at once: unranked-lock
     // declarations, cross-crate acquisition cycles, hierarchy coverage —
-    // and the bf-flow call graph.
+    // then bf-flow and bf-taint over the one model; the wire-schema gate
+    // diffs the decode surface against the snapshot.
     rules::check_program(&units, LOCK_HIERARCHY, &mut diagnostics);
-    let entries = flow::check(&units, LOCK_HIERARCHY, &mut diagnostics);
-    // bf-taint rides the same parse and the bf-flow call graph; the
-    // wire-schema gate diffs the decode surface against the snapshot.
-    taint::check(&units, &mut diagnostics);
+    let model = flow::build_model(&units);
+    let entries = flow::check(&units, &model, LOCK_HIERARCHY, &mut diagnostics);
+    taint::check(&units, &model, &mut diagnostics);
     wire_schema::check(&units, &root.join("wire-schema.json"), &mut diagnostics);
     Ok(Report {
         diagnostics,
-        files_scanned,
+        files_scanned: units.len(),
         wall_ms: started.elapsed().as_secs_f64() * 1000.0,
         entries,
     })
@@ -249,26 +222,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
 /// Returns an I/O description when the tree cannot be read, no wire
 /// enums are found, or the snapshot cannot be written.
 pub fn write_wire_schema(root: &Path) -> Result<usize, String> {
-    let dir = root.join("crates");
-    let mut files = Vec::new();
-    if dir.is_dir() {
-        collect_rust_files(&dir, &mut files)?;
-    }
-    files.sort();
-    let mut scratch = Vec::new();
-    let mut units = Vec::new();
-    for path in files {
-        let text =
-            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        let rel = path
-            .strip_prefix(root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        let file = scan::parse(&rel, &text, is_test_path(&rel));
-        units.push(rules::Unit::analyze(file, &mut scratch));
-    }
-    let schema = wire_schema::extract(&units);
+    let schema = wire_schema::extract(&parse_tree(root, &mut Vec::new())?);
     if schema.is_empty() {
         return Err(format!(
             "no wire enums found under {} — is this a workspace root?",
@@ -281,9 +235,36 @@ pub fn write_wire_schema(root: &Path) -> Result<usize, String> {
     Ok(schema.len())
 }
 
+/// Reads and parses every `.rs` file under `<root>/crates` and
+/// `<root>/tests`, in path order, into units; annotation diagnostics go to
+/// `out`.
+fn parse_tree(root: &Path, out: &mut Vec<Diagnostic>) -> Result<Vec<Unit>, String> {
+    let mut files = Vec::new();
+    for top in ["crates", "tests"] {
+        let dir = root.join(top);
+        if dir.is_dir() {
+            collect_rust_files(&dir, &mut files)?;
+        }
+    }
+    files.sort();
+    let mut units = Vec::with_capacity(files.len());
+    for path in files {
+        let text =
+            fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        let file = scan::parse(&rel, &text, is_test_path(&rel));
+        units.push(Unit::analyze(file, out));
+    }
+    Ok(units)
+}
+
 /// Whether every line of the file counts as test code (integration tests
 /// and benches may panic freely).
-fn is_test_path(path: &str) -> bool {
+pub(crate) fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
 }
 
@@ -362,7 +343,7 @@ mod tests {
                 line: 40,
             }],
         };
-        let v = report.to_json();
+        let v = report.to_json_gated(&baseline::gate(&report.diagnostics, &[]));
         assert_eq!(v["ok"], false);
         assert_eq!(v["files_scanned"], 7u64);
         assert_eq!(v["lint_wall_ms"], 12.35);

@@ -1,4 +1,5 @@
-//! The seven conformance rules.
+//! The per-file conformance rules, the lock-graph pass, and the one
+//! annotation reader every pass shares.
 //!
 //! Each rule walks the masked view produced by [`crate::scan`] and emits
 //! [`Diagnostic`]s. Sites can be exempted with a justified directive:
@@ -12,23 +13,16 @@
 //! stands alone on a comment-only line. A directive without a
 //! justification is itself a violation.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap, HashSet};
 
-use crate::scan::SourceFile;
+use crate::explain::Family;
+use crate::flow::FLOW_RULES;
+use crate::scan::{closing, depths, find_all, find_keyword, ident_before, Line, SourceFile};
+use crate::taint::TAINT_RULES;
 
-/// Rule identifiers, as they appear in directives and JSON output.
-pub const RULES: &[&str] = &[
-    "panic",
-    "std_sync",
-    "wall_clock",
-    "lock_order",
-    "lock_graph",
-    "raw_sync",
-    "wildcard_match",
-    "unbounded_channel",
-    "payload_copy",
-    "directive",
-];
+/// Rules a `bf-lint: allow(..)` directive may name: the per-file rules,
+/// `lock_graph` and `directive` (see [`crate::explain`]).
+pub const RULES: Family = Family("bf-lint");
 
 /// Crates whose synchronization is instrumented through the bf-sync facade
 /// (`bf_race::sync`): constructing raw primitives here bypasses the model
@@ -83,9 +77,9 @@ pub struct Hop {
 /// One finding, pointing at a workspace-relative file and 1-based line.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Which rule fired: a stable id from [`RULES`] or
-    /// [`crate::flow::FLOW_RULES`], as written in directives, JSON output,
-    /// and baseline keys.
+    /// Which rule fired: a stable id from the rule registry
+    /// ([`crate::explain`]), as written in directives, JSON output, and
+    /// baseline keys.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub file: String,
@@ -163,36 +157,37 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Parsed allow directives of one file: line → exempted rules.
-pub(crate) struct Allows {
-    by_line: HashMap<usize, Vec<String>>,
+/// A `bf-flow: entry(..)` or `bf-taint: source(wire)` annotation, bound to
+/// the `fn` below it once the program model exists.
+pub(crate) struct Anchor {
+    /// 1-based line of the annotation.
+    pub(crate) line: usize,
+    /// 1-based column of the marker.
+    pub(crate) column: usize,
+    /// The trimmed text inside the parentheses; `None` when the `)` is
+    /// missing.
+    pub(crate) arg: Option<String>,
 }
 
-impl Allows {
-    pub(crate) fn permits(&self, line: usize, rule: &str) -> bool {
-        self.by_line
-            .get(&line)
-            .is_some_and(|rules| rules.iter().any(|r| r == rule))
-    }
-}
-
-/// Both directive families of one file, collected in a single pass so the
-/// per-file rules, the whole-program lock-graph pass, and the bf-flow
-/// passes all share one parse.
+/// Every annotation of one file, read once by [`Unit::analyze`] and shared
+/// by the per-file rules, the lock-graph pass, bf-flow and bf-taint.
+#[derive(Default)]
 pub(crate) struct Directives {
-    /// Justified `bf-lint` allow exemptions.
-    pub(crate) lint: Allows,
-    /// Justified `bf-flow` allow exemptions.
-    pub(crate) flow: Allows,
-    /// Justified `bf-taint` allow exemptions.
-    pub(crate) taint: Allows,
+    /// Justified allow exemptions of all three families: line → rules
+    /// (rule names are unique across families).
+    allows: HashMap<usize, Vec<&'static str>>,
     /// Lines covered by a justified `bf-taint: sanitized(<why>)` marker:
     /// bindings there are trusted and sinks there do not fire.
-    pub(crate) sanitized: std::collections::HashSet<usize>,
+    pub(crate) sanitized: HashSet<usize>,
+    /// `bf-flow: entry(<class>)` annotations, in line order.
+    pub(crate) entries: Vec<Anchor>,
+    /// `bf-taint: source(wire)` annotations, in line order.
+    pub(crate) sources: Vec<Anchor>,
 }
 
-/// One parsed file plus its directive model: the unit every pass consumes.
-/// Built once per file by [`Unit::analyze`]; nothing downstream re-parses.
+/// One parsed file plus its annotations: the unit every pass consumes.
+/// Built once per file by [`Unit::analyze`]; the whole-program passes
+/// share one [`crate::flow::Model`] built over all units.
 pub struct Unit {
     /// The masked source model.
     pub file: SourceFile,
@@ -200,109 +195,123 @@ pub struct Unit {
 }
 
 impl Unit {
-    /// Parses both directive families, emitting `directive` diagnostics
-    /// for malformed, unknown-rule, or unjustified forms.
+    /// Reads every annotation, emitting `directive` diagnostics for
+    /// malformed, unknown-rule, or unjustified allow/sanitized forms
+    /// (entry and source annotations are judged when they are bound).
     pub fn analyze(file: SourceFile, out: &mut Vec<Diagnostic>) -> Unit {
-        let lint = collect_allows(&file, "bf-lint: allow(", RULES, out);
-        let flow = collect_allows(&file, "bf-flow: allow(", crate::flow::FLOW_RULES, out);
-        let taint = collect_allows(&file, "bf-taint: allow(", crate::taint::TAINT_RULES, out);
-        let sanitized = collect_sanitized(&file, out);
-        Unit {
-            file,
-            dirs: Directives {
-                lint,
-                flow,
-                taint,
-                sanitized,
-            },
-        }
+        let dirs = read_annotations(&file, out);
+        Unit { file, dirs }
+    }
+
+    /// Whether a justified allow directive exempts `rule` on 1-based `line`.
+    pub(crate) fn permits(&self, line: usize, rule: &str) -> bool {
+        self.dirs
+            .allows
+            .get(&line)
+            .is_some_and(|rules| rules.contains(&rule))
     }
 }
 
-/// Collects one directive family, validating that each carries a
-/// justification and names a known rule. Diagnostics about a directive
-/// (unknown rule, missing justification) anchor at the directive's own
-/// file:line and column — never at the site it would have exempted.
-fn collect_allows(
-    file: &SourceFile,
-    marker: &str,
-    known_rules: &[&str],
-    out: &mut Vec<Diagnostic>,
-) -> Allows {
-    let family = marker.trim_end_matches(": allow(");
-    let mut by_line = HashMap::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        // Directives live in comments only (the comment view blanks string
-        // literals), and backtick-quoted mentions are prose, not directives.
-        let Some(pos) = line.comment.find(marker) else {
-            continue;
-        };
-        if pos > 0 && line.comment.as_bytes()[pos - 1] == b'`' {
-            continue;
-        }
-        let rest = &line.comment[pos + marker.len()..];
-        let Some(close) = rest.find(')') else {
-            out.push(
-                Diagnostic::new(
-                    "directive",
-                    &file.path,
-                    idx + 1,
-                    format!("malformed {family} directive: missing `)`"),
-                )
-                .at_column(pos + 1),
-            );
-            continue;
-        };
-        // A directive may name several rules: `allow(panic, wall_clock)`.
-        // Unknown names are reported individually; the known ones still
-        // take effect so one typo cannot silently unguard its neighbours.
-        let mut rules = Vec::new();
-        for rule in rest[..close].split(',') {
-            let rule = rule.trim().to_string();
-            if known_rules.contains(&rule.as_str()) {
-                rules.push(rule);
-            } else {
+/// The annotation kinds behind each comment marker.
+enum Marker {
+    Allow(Family),
+    Sanitized,
+    Entry,
+    Source,
+}
+
+/// Every annotation marker, in the order its diagnostics are reported.
+const MARKERS: [(&str, Marker); 6] = [
+    ("bf-lint: allow(", Marker::Allow(RULES)),
+    ("bf-flow: allow(", Marker::Allow(FLOW_RULES)),
+    ("bf-taint: allow(", Marker::Allow(TAINT_RULES)),
+    ("bf-taint: sanitized(", Marker::Sanitized),
+    ("bf-flow: entry(", Marker::Entry),
+    ("bf-taint: source(wire)", Marker::Source),
+];
+
+/// The one annotation reader. Markers live in comments only (the comment
+/// view blanks string literals), and backtick-quoted mentions are prose.
+/// Diagnostics about a directive anchor at the directive's own file:line
+/// and column — never at the site it would have exempted.
+fn read_annotations(file: &SourceFile, out: &mut Vec<Diagnostic>) -> Directives {
+    let mut dirs = Directives::default();
+    for (marker, kind) in &MARKERS {
+        for (idx, line) in file.lines.iter().enumerate() {
+            let Some(pos) = line.comment.find(marker) else {
+                continue;
+            };
+            if pos > 0 && line.comment.as_bytes()[pos - 1] == b'`' {
+                continue;
+            }
+            let rest = &line.comment[pos + marker.len()..];
+            let mut directive = |message: String| {
                 out.push(
-                    Diagnostic::new(
-                        "directive",
-                        &file.path,
-                        idx + 1,
-                        format!("unknown rule {rule:?} in {family} directive"),
-                    )
-                    .at_column(pos + 1),
+                    Diagnostic::new("directive", &file.path, idx + 1, message).at_column(pos + 1),
                 );
+            };
+            let anchor = |arg: Option<String>| Anchor {
+                line: idx + 1,
+                column: pos + 1,
+                arg,
+            };
+            match kind {
+                Marker::Allow(known) => {
+                    let family = known.0;
+                    let Some(close) = rest.find(')') else {
+                        directive(format!("malformed {family} directive: missing `)`"));
+                        continue;
+                    };
+                    // A directive may name several rules: `allow(panic,
+                    // wall_clock)`. Unknown names are reported individually;
+                    // the known ones still take effect so one typo cannot
+                    // silently unguard its neighbours.
+                    let mut rules = Vec::new();
+                    for rule in rest[..close].split(',').map(str::trim) {
+                        match known.find(rule) {
+                            Some(name) => rules.push(name),
+                            None => {
+                                directive(format!("unknown rule {rule:?} in {family} directive"))
+                            }
+                        }
+                    }
+                    if rules.is_empty() {
+                        continue;
+                    }
+                    let why = rest[close + 1..].trim_start_matches([':', '-', '—', ' ']);
+                    if why.trim().is_empty() {
+                        let listed = rules.join(", ");
+                        directive(format!(
+                            "{family}: allow({listed}) needs a justification, e.g. \
+                             `// {family}: allow({listed}): why this site is safe`"
+                        ));
+                        continue;
+                    }
+                    for covered in bound_lines(file, idx) {
+                        dirs.allows.entry(covered).or_default().extend(&rules);
+                    }
+                }
+                // The justification lives *inside* the parentheses; an
+                // unjustified marker must not clear taint.
+                Marker::Sanitized => match rest.rfind(')') {
+                    None => {
+                        directive("malformed bf-taint sanitized directive: missing `)`".to_string())
+                    }
+                    Some(close) if rest[..close].trim().is_empty() => directive(
+                        "bf-taint: sanitized(..) needs a justification inside the parentheses, \
+                         e.g. `// bf-taint: sanitized(len is clamped to the shm segment cap)`"
+                            .to_string(),
+                    ),
+                    Some(_) => dirs.sanitized.extend(bound_lines(file, idx)),
+                },
+                Marker::Entry => dirs.entries.push(anchor(
+                    rest.find(')').map(|close| rest[..close].trim().to_string()),
+                )),
+                Marker::Source => dirs.sources.push(anchor(None)),
             }
         }
-        if rules.is_empty() {
-            continue;
-        }
-        let justification = rest[close + 1..]
-            .trim_start_matches([':', '-', '—', ' '])
-            .trim();
-        if justification.is_empty() {
-            let listed = rules.join(", ");
-            out.push(
-                Diagnostic::new(
-                    "directive",
-                    &file.path,
-                    idx + 1,
-                    format!(
-                        "{family}: allow({listed}) needs a justification, e.g. \
-                         `// {family}: allow({listed}): why this site is safe`"
-                    ),
-                )
-                .at_column(pos + 1),
-            );
-            continue;
-        }
-        for covered in bound_lines(file, idx) {
-            by_line
-                .entry(covered)
-                .or_insert_with(Vec::new)
-                .extend(rules.iter().cloned());
-        }
     }
-    Allows { by_line }
+    dirs
 }
 
 /// The 1-based lines a directive on (0-based) line `idx` covers.
@@ -336,113 +345,225 @@ fn bound_lines(file: &SourceFile, idx: usize) -> Vec<usize> {
     out
 }
 
-/// Collects `bf-taint: sanitized(<why>)` markers: the justification lives
-/// *inside* the parentheses, and an empty one is itself a `directive`
-/// error — a trust decision with no recorded reason is unreviewable.
-fn collect_sanitized(
-    file: &SourceFile,
-    out: &mut Vec<Diagnostic>,
-) -> std::collections::HashSet<usize> {
-    const MARKER: &str = "bf-taint: sanitized(";
-    let mut lines = std::collections::HashSet::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        let Some(pos) = line.comment.find(MARKER) else {
-            continue;
-        };
-        if pos > 0 && line.comment.as_bytes()[pos - 1] == b'`' {
-            continue;
-        }
-        let rest = &line.comment[pos + MARKER.len()..];
-        let Some(close) = rest.rfind(')') else {
-            out.push(
-                Diagnostic::new(
-                    "directive",
-                    &file.path,
-                    idx + 1,
-                    "malformed bf-taint sanitized directive: missing `)`".to_string(),
-                )
-                .at_column(pos + 1),
-            );
-            continue;
-        };
-        let why = rest[..close].trim();
-        if why.is_empty() {
-            out.push(
-                Diagnostic::new(
-                    "directive",
-                    &file.path,
-                    idx + 1,
-                    "bf-taint: sanitized(..) needs a justification inside the parentheses, \
-                     e.g. `// bf-taint: sanitized(len is clamped to the shm segment cap)`"
-                        .to_string(),
-                )
-                .at_column(pos + 1),
-            );
-            continue;
-        }
-        // An unjustified marker must not clear taint: only the justified
-        // form reaches this point and takes effect.
-        lines.extend(bound_lines(file, idx));
-    }
-    lines
+/// How a per-file rule inspects a file.
+enum Check {
+    /// A line-pattern rule: the first hit on each line fires.
+    Line {
+        /// Whether the rule looks at a file (by path) at all.
+        scope: fn(&str) -> bool,
+        /// Whether `#[cfg(test)]` lines (and test targets) are exempt.
+        skip_tests: bool,
+        /// The line's first offending token as `(what, byte offset)`; the
+        /// flag carries state across lines (`std_sync`'s open `use` group).
+        hit: fn(&str, &mut bool) -> Option<(&'static str, usize)>,
+        /// The finding's message, given the `what` of the hit.
+        message: fn(&str) -> String,
+    },
+    /// A rule that needs more than one line at a time.
+    File(fn(&Unit, &[&str], &mut Vec<Diagnostic>)),
 }
 
-/// Runs every per-file rule over a parsed unit, appending findings to
-/// `out`. Directive diagnostics were already emitted by [`Unit::analyze`].
-pub fn check_file(unit: &Unit, lock_hierarchy: &[&str], out: &mut Vec<Diagnostic>) {
-    let file = &unit.file;
-    let allows = &unit.dirs.lint;
-    rule_panic(file, allows, out);
-    rule_std_sync(file, allows, out);
-    rule_wall_clock(file, allows, out);
-    rule_lock_order(file, lock_hierarchy, allows, out);
-    rule_raw_sync(file, allows, out);
-    rule_wildcard_match(file, allows, out);
-    rule_unbounded_channel(file, allows, out);
-    rule_payload_copy(file, allows, out);
-}
-
-/// Rule `raw_sync`: inside [`INSTRUMENTED_CRATES`] every lock, condvar,
-/// atomic and channel goes through the bf-sync facade (`crate::sync`,
-/// re-exported from `bf-race`), so the whole crate runs under the model
-/// scheduler. Importing the raw primitives bypasses every yield point the
-/// checker relies on; the import line is the gateway that must be
-/// justified.
-fn rule_raw_sync(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    if !INSTRUMENTED_CRATES.iter().any(|p| file.path.starts_with(p)) {
-        return;
-    }
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let hit = if code.contains("use parking_lot") || code.contains("parking_lot::") {
-            code.find("parking_lot")
-                .map(|p| ("parking_lot primitive", p))
-        } else {
-            code.find("std::sync::atomic")
-                .map(|p| ("std::sync atomic", p))
-        };
-        let Some((what, pos)) = hit else { continue };
-        if allows.permits(idx + 1, "raw_sync") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "raw_sync",
-                &file.path,
-                idx + 1,
+/// The per-file rules, in report order.
+const PER_FILE: [(&str, Check); 8] = [
+    (
+        "panic",
+        Check::Line {
+            scope: |_| true,
+            skip_tests: true,
+            hit: |code, _| match code.find(".unwrap()") {
+                Some(p) => Some((".unwrap()", p)),
+                None => code.find(".expect(").map(|p| (".expect(..)", p)),
+            },
+            message: |what| {
+                format!(
+                    "{what} in library code: propagate the error or justify with \
+                     `// bf-lint: allow(panic): ...`"
+                )
+            },
+        },
+    ),
+    // `parking_lot` only: no poisoning to unwrap, const `new`. The flag
+    // tracks a multi-line `use std::sync::{ ... };` group.
+    (
+        "std_sync",
+        Check::Line {
+            scope: |_| true,
+            skip_tests: false,
+            hit: |code, in_use| {
+                let relevant = code.contains("std::sync::") || *in_use;
+                if code.contains("use std::sync::") && !code.contains(';') {
+                    *in_use = true;
+                } else if *in_use && code.contains(';') {
+                    *in_use = false;
+                }
+                let pos = find_keyword(code, "Mutex")
+                    .into_iter()
+                    .chain(find_keyword(code, "RwLock"))
+                    .min();
+                pos.filter(|_| relevant).map(|p| ("", p))
+            },
+            message: |_| {
+                "std::sync lock detected: use parking_lot::{Mutex, RwLock} instead".to_string()
+            },
+        },
+    ),
+    // The host's clocks only tick inside the virtual-clock module.
+    (
+        "wall_clock",
+        Check::Line {
+            scope: |path| path != CLOCK_MODULE,
+            skip_tests: false,
+            hit: |code, _| match code.find("Instant::now") {
+                Some(p) => Some(("Instant::now()", p)),
+                None => code
+                    .find("SystemTime::now")
+                    .map(|p| ("SystemTime::now()", p)),
+            },
+            message: |what| {
+                format!("{what} outside {CLOCK_MODULE}: simulated code must use VirtualClock")
+            },
+        },
+    ),
+    ("lock_order", Check::File(rule_lock_order)),
+    // Inside the instrumented crates every lock, condvar, atomic and
+    // channel goes through the bf-sync facade, so the whole crate runs
+    // under the model scheduler; the import line is the gateway.
+    (
+        "raw_sync",
+        Check::Line {
+            scope: |path| INSTRUMENTED_CRATES.iter().any(|p| path.starts_with(p)),
+            skip_tests: true,
+            hit: |code, _| {
+                if code.contains("use parking_lot") || code.contains("parking_lot::") {
+                    code.find("parking_lot")
+                        .map(|p| ("parking_lot primitive", p))
+                } else {
+                    code.find("std::sync::atomic")
+                        .map(|p| ("std::sync atomic", p))
+                }
+            },
+            message: |what| {
                 format!(
                     "{what} in an instrumented crate: route synchronization \
                      through the bf-sync facade (`crate::sync`) so the model \
                      scheduler sees it, or justify with \
                      `// bf-lint: allow(raw_sync): ...`"
-                ),
-            )
-            .at_column(pos + 1),
-        );
+                )
+            },
+        },
+    ),
+    ("wildcard_match", Check::File(rule_wildcard_match)),
+    // Every hot-path queue is bounded so overload surfaces as explicit
+    // backpressure; imports are fine, only constructions fire.
+    (
+        "unbounded_channel",
+        Check::Line {
+            scope: |_| true,
+            skip_tests: true,
+            hit: |code, _| {
+                find_keyword(code, "unbounded")
+                    .into_iter()
+                    .find(|&pos| {
+                        let after = code[pos + "unbounded".len()..].trim_start();
+                        after.starts_with('(') || after.starts_with("::<")
+                    })
+                    .map(|p| ("", p))
+            },
+            message: |_| {
+                "unbounded channel constructed in library code: use \
+                 `bounded(depth)` so overload surfaces as backpressure, or \
+                 justify with `// bf-lint: allow(unbounded_channel): ...`"
+                    .to_string()
+            },
+        },
+    ),
+    // Datapath payloads travel as refcounted `Bytes`: `.to_vec()` and
+    // `.clone()` on a payload-named receiver are conscious copies, counted
+    // with `bf_metrics::record_memcpy` and justified.
+    (
+        "payload_copy",
+        Check::Line {
+            scope: |path| DATAPATH_MODULES.contains(&path),
+            skip_tests: true,
+            hit: |code, _| match code.find(".to_vec()") {
+                Some(p) => Some((".to_vec()", p)),
+                None => find_all(code, ".clone()")
+                    .into_iter()
+                    .find(|&pos| {
+                        ident_before(code, pos).is_some_and(|id| PAYLOAD_IDENTS.contains(&id))
+                    })
+                    .map(|p| (".clone() on a payload value", p)),
+            },
+            message: |what| {
+                format!(
+                    "{what} in a datapath module: pass `Bytes`/`Payload` slices or \
+                     `share()` the buffer; a deliberate copy must call \
+                     `bf_metrics::record_memcpy` and justify with \
+                     `// bf-lint: allow(payload_copy): ...`"
+                )
+            },
+        },
+    ),
+];
+
+/// Runs every per-file rule over a parsed unit, appending findings to
+/// `out`. Directive diagnostics were already emitted by [`Unit::analyze`].
+pub fn check_file(unit: &Unit, lock_hierarchy: &[&str], out: &mut Vec<Diagnostic>) {
+    let file = &unit.file;
+    for (rule, check) in &PER_FILE {
+        match check {
+            Check::File(run) => run(unit, lock_hierarchy, out),
+            Check::Line { scope, .. } if !scope(&file.path) => {}
+            Check::Line {
+                skip_tests,
+                hit,
+                message,
+                ..
+            } => {
+                let mut state = false;
+                for (idx, line) in file.lines.iter().enumerate() {
+                    if *skip_tests && line.in_test {
+                        continue;
+                    }
+                    let Some((what, pos)) = hit(&line.code, &mut state) else {
+                        continue;
+                    };
+                    if !unit.permits(idx + 1, rule) {
+                        out.push(
+                            Diagnostic::new(rule, &file.path, idx + 1, message(what))
+                                .at_column(pos + 1),
+                        );
+                    }
+                }
+            }
+        }
     }
+}
+
+/// Every lock acquisition on one line, in order: each `<name>.lock()`
+/// receiver (at its `.`), then a `tracked(&…, "name")` call (at
+/// `tracked(`), whose name is read from the raw line — masking blanks
+/// string contents — and canonicalised against `hierarchy`. The one
+/// reader behind `lock_order`, `lock_graph` and bf-flow's lock ranks.
+pub(crate) fn lock_acquisitions<'a>(
+    line: &'a Line,
+    hierarchy: &[&'a str],
+) -> Vec<(&'a str, usize)> {
+    let code = &line.code;
+    let mut out: Vec<(&str, usize)> = find_all(code, ".lock()")
+        .into_iter()
+        .filter_map(|pos| Some((ident_before(code, pos)?, pos)))
+        .collect();
+    if let Some(pos) = code.find("tracked(") {
+        let tracked = (|| {
+            let rest = &line.raw[line.raw.find("tracked(")?..];
+            let after = &rest[rest.find('"')? + 1..];
+            let name = &after[..after.find('"')?];
+            hierarchy.iter().find(|&&h| h == name).copied()
+        })();
+        out.extend(tracked.map(|name| (name, pos)));
+    }
+    out
 }
 
 /// The whole-program lock-graph pass (`lock_graph` rule): run once over
@@ -463,18 +584,12 @@ fn rule_raw_sync(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) 
 ///    or acquired lock somewhere in the program, so the table cannot
 ///    accumulate stale names that the runtime tracker would still accept.
 pub fn check_program(units: &[Unit], hierarchy: &[&str], out: &mut Vec<Diagnostic>) {
-    use std::collections::BTreeMap;
-
-    let ranked = |name: &str| hierarchy.contains(&name);
     let mut seen: Vec<String> = Vec::new();
     // (from, to) → first site, kept ordered for deterministic reports.
     let mut edges: BTreeMap<(String, String), (String, usize)> = BTreeMap::new();
 
     for unit in units {
         let file = &unit.file;
-        // Directives were collected once by `Unit::analyze`.
-        let allows = &unit.dirs.lint;
-
         let mut held: Vec<(String, i64)> = Vec::new();
         let mut depth: i64 = 0;
         for (idx, line) in file.lines.iter().enumerate() {
@@ -482,10 +597,10 @@ pub fn check_program(units: &[Unit], hierarchy: &[&str], out: &mut Vec<Diagnosti
             if !line.in_test {
                 // Check 1: declarations.
                 if let Some(name) = declared_lock_name(code) {
-                    if !seen.contains(&name.to_string()) {
+                    if !seen.iter().any(|s| s == name) {
                         seen.push(name.to_string());
                     }
-                    if !ranked(name) && !allows.permits(idx + 1, "lock_graph") {
+                    if !hierarchy.contains(&name) && !unit.permits(idx + 1, "lock_graph") {
                         out.push(Diagnostic::new(
                             "lock_graph",
                             &file.path,
@@ -500,29 +615,16 @@ pub fn check_program(units: &[Unit], hierarchy: &[&str], out: &mut Vec<Diagnosti
                 }
 
                 // Check 2: acquisition edges.
-                let mut acquired: Vec<&str> = Vec::new();
-                for pos in find_all(code, ".lock()") {
-                    if let Some(name) = ident_before(code, pos) {
-                        acquired.push(name);
-                    }
-                }
-                if code.contains("tracked(") {
-                    if let Some(name) = tracked_lock_name(&line.raw, hierarchy) {
-                        acquired.push(name);
-                    }
-                }
                 let is_binding = code.trim_start().starts_with("let ");
-                for name in acquired {
-                    if !seen.contains(&name.to_string()) {
+                for (name, _) in lock_acquisitions(line, hierarchy) {
+                    if !seen.iter().any(|s| s == name) {
                         seen.push(name.to_string());
                     }
-                    if !allows.permits(idx + 1, "lock_graph") {
-                        for (h, _) in &held {
-                            if h != name {
-                                edges
-                                    .entry((h.clone(), name.to_string()))
-                                    .or_insert_with(|| (file.path.clone(), idx + 1));
-                            }
+                    if !unit.permits(idx + 1, "lock_graph") {
+                        for (h, _) in held.iter().filter(|(h, _)| h != name) {
+                            edges
+                                .entry((h.clone(), name.to_string()))
+                                .or_insert_with(|| (file.path.clone(), idx + 1));
                         }
                     }
                     if is_binding {
@@ -575,16 +677,12 @@ pub fn check_program(units: &[Unit], hierarchy: &[&str], out: &mut Vec<Diagnosti
 fn declared_lock_name(code: &str) -> Option<&str> {
     let lock_pos = match (code.find("Mutex<"), code.find("RwLock<")) {
         (Some(a), Some(b)) => a.min(b),
-        (Some(a), None) => a,
-        (None, Some(b)) => b,
-        (None, None) => return None,
+        (a, b) => a.or(b)?,
     };
     let trimmed = code.trim_start();
-    if trimmed.starts_with("let ")
-        || trimmed.starts_with("use ")
-        || trimmed.starts_with("impl")
-        || trimmed.starts_with("trait ")
-        || trimmed.starts_with("pub trait ")
+    if ["let ", "use ", "impl", "trait ", "pub trait "]
+        .iter()
+        .any(|p| trimmed.starts_with(p))
         || code.contains("fn ")
     {
         return None;
@@ -606,16 +704,13 @@ fn declared_lock_name(code: &str) -> Option<&str> {
 /// Every distinct cycle in the acquisition graph, as name paths ending at
 /// their starting node (`a -> b -> a`). Deterministic: nodes are explored
 /// in sorted order and each cycle is reported from its smallest node.
-fn find_cycles(
-    edges: &std::collections::BTreeMap<(String, String), (String, usize)>,
-) -> Vec<Vec<String>> {
-    use std::collections::{BTreeMap, BTreeSet};
+fn find_cycles(edges: &BTreeMap<(String, String), (String, usize)>) -> Vec<Vec<String>> {
     let mut graph: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
     for (from, to) in edges.keys() {
         graph.entry(from).or_default().push(to);
     }
     let mut cycles: Vec<Vec<String>> = Vec::new();
-    let mut done: BTreeSet<&str> = BTreeSet::new();
+    let mut done: HashSet<&str> = HashSet::new();
     for &start in graph.keys() {
         if done.contains(start) {
             continue;
@@ -656,102 +751,6 @@ fn find_cycles(
     cycles
 }
 
-/// Rule `panic`: no `.unwrap()` / `.expect(` in non-test code.
-fn rule_panic(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let hit = if let Some(p) = line.code.find(".unwrap()") {
-            Some((".unwrap()", p))
-        } else {
-            line.code.find(".expect(").map(|p| (".expect(..)", p))
-        };
-        let Some((what, pos)) = hit else { continue };
-        if allows.permits(idx + 1, "panic") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "panic",
-                &file.path,
-                idx + 1,
-                format!(
-                    "{what} in library code: propagate the error or justify with \
-                     `// bf-lint: allow(panic): ...`"
-                ),
-            )
-            .at_column(pos + 1),
-        );
-    }
-}
-
-/// Rule `std_sync`: `std::sync::Mutex`/`RwLock` are banned — the workspace
-/// standardizes on `parking_lot` (no poisoning to unwrap, const `new`).
-fn rule_std_sync(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    // Tracks a multi-line `use std::sync::{ ... };` group.
-    let mut in_std_sync_use = false;
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        let relevant = code.contains("std::sync::") || in_std_sync_use;
-        if code.contains("use std::sync::") && !code.contains(';') {
-            in_std_sync_use = true;
-        } else if in_std_sync_use && code.contains(';') {
-            in_std_sync_use = false;
-        }
-        if !relevant {
-            continue;
-        }
-        let pos = find_keyword(code, "Mutex")
-            .into_iter()
-            .chain(find_keyword(code, "RwLock"))
-            .min();
-        let Some(pos) = pos else { continue };
-        if allows.permits(idx + 1, "std_sync") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "std_sync",
-                &file.path,
-                idx + 1,
-                "std::sync lock detected: use parking_lot::{Mutex, RwLock} instead".to_string(),
-            )
-            .at_column(pos + 1),
-        );
-    }
-}
-
-/// Rule `wall_clock`: the host's clocks only tick inside the virtual-clock
-/// module; everything else must take time from `VirtualClock`.
-fn rule_wall_clock(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    if file.path == CLOCK_MODULE {
-        return;
-    }
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        let hit = if let Some(p) = code.find("Instant::now") {
-            Some(("Instant::now()", p))
-        } else {
-            code.find("SystemTime::now")
-                .map(|p| ("SystemTime::now()", p))
-        };
-        let Some((what, pos)) = hit else { continue };
-        if allows.permits(idx + 1, "wall_clock") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "wall_clock",
-                &file.path,
-                idx + 1,
-                format!("{what} outside {CLOCK_MODULE}: simulated code must use VirtualClock"),
-            )
-            .at_column(pos + 1),
-        );
-    }
-}
-
 /// Rule `lock_order`: within a function, a lock may only be acquired while
 /// every held lock ranks strictly *earlier* in the declared hierarchy.
 ///
@@ -759,44 +758,28 @@ fn rule_wall_clock(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>
 /// enclosing block closes; acquisitions without a `let` binding are treated
 /// as statement-scoped temporaries. Cross-function nesting is covered by
 /// the runtime tracker in `bf-devmgr::lock_order`.
-fn rule_lock_order(
-    file: &SourceFile,
-    hierarchy: &[&str],
-    allows: &Allows,
-    out: &mut Vec<Diagnostic>,
-) {
-    let rank_of = |name: &str| hierarchy.iter().position(|&h| h == name);
+fn rule_lock_order(unit: &Unit, hierarchy: &[&str], out: &mut Vec<Diagnostic>) {
     // (rank, depth the guard binding lives at)
     let mut held: Vec<(usize, i64)> = Vec::new();
     let mut depth: i64 = 0;
-
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-
-        // Find acquisitions on this line: `<name>.lock()` receivers plus
-        // `lock_order::tracked(&..., "name")` (name read from the raw line,
-        // since masking blanks string contents).
-        let mut acquired: Vec<(&str, usize)> = Vec::new();
-        for pos in find_all(code, ".lock()") {
-            if let Some(name) = ident_before(code, pos) {
-                acquired.push((name, pos - name.len()));
-            }
-        }
-        if let Some(pos) = code.find("tracked(") {
-            if let Some(name) = tracked_lock_name(&line.raw, hierarchy) {
-                acquired.push((name, pos));
-            }
-        }
-
-        let is_binding = code.trim_start().starts_with("let ");
-        for (name, pos) in acquired {
-            let Some(rank) = rank_of(name) else { continue };
+    for (idx, line) in unit.file.lines.iter().enumerate() {
+        let is_binding = line.code.trim_start().starts_with("let ");
+        for (name, pos) in lock_acquisitions(line, hierarchy) {
+            let Some(rank) = hierarchy.iter().position(|&h| h == name) else {
+                continue;
+            };
+            // Receivers report at the name, `tracked(` at the call.
+            let column = if line.code.as_bytes()[pos] == b'.' {
+                pos - name.len()
+            } else {
+                pos
+            };
             if let Some(&(top_rank, _)) = held.iter().max_by_key(|&&(r, _)| r) {
-                if rank <= top_rank && !allows.permits(idx + 1, "lock_order") {
+                if rank <= top_rank && !unit.permits(idx + 1, "lock_order") {
                     out.push(
                         Diagnostic::new(
                             "lock_order",
-                            &file.path,
+                            &unit.file.path,
                             idx + 1,
                             format!(
                                 "acquiring lock `{name}` (rank {rank}) while `{}` (rank \
@@ -804,7 +787,7 @@ fn rule_lock_order(
                                 hierarchy[top_rank],
                             ),
                         )
-                        .at_column(pos + 1),
+                        .at_column(column + 1),
                     );
                 }
             }
@@ -812,93 +795,16 @@ fn rule_lock_order(
                 held.push((rank, depth));
             }
         }
-
         depth += line.brace_delta();
         held.retain(|&(_, d)| d <= depth);
-    }
-}
-
-/// Rule `unbounded_channel`: no `unbounded()` channel construction in
-/// non-test code — every hot-path queue must be bounded so that overload
-/// surfaces as explicit backpressure instead of unbounded buffering
-/// behind a slow consumer. (Imports are fine; only constructions fire.)
-fn rule_unbounded_channel(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let hit = find_keyword(code, "unbounded").into_iter().find(|&pos| {
-            let after = code[pos + "unbounded".len()..].trim_start();
-            after.starts_with('(') || after.starts_with("::<")
-        });
-        let Some(pos) = hit else { continue };
-        if allows.permits(idx + 1, "unbounded_channel") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "unbounded_channel",
-                &file.path,
-                idx + 1,
-                "unbounded channel constructed in library code: use \
-                 `bounded(depth)` so overload surfaces as backpressure, or \
-                 justify with `// bf-lint: allow(unbounded_channel): ...`"
-                    .to_string(),
-            )
-            .at_column(pos + 1),
-        );
-    }
-}
-
-/// Rule `payload_copy`: inside [`DATAPATH_MODULES`] the payload travels as
-/// refcounted `Bytes` — `.to_vec()` (always a byte copy) and `.clone()` on
-/// a payload-named receiver are flagged so every copy on the hot path is a
-/// conscious, justified decision. Copies that must stay (e.g. copy-on-write
-/// materialization) carry an allow directive and call
-/// `bf_metrics::record_memcpy` so the datapath benchmark accounts for them.
-fn rule_payload_copy(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
-    if !DATAPATH_MODULES.contains(&file.path.as_str()) {
-        return;
-    }
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let code = &line.code;
-        let hit = if let Some(p) = code.find(".to_vec()") {
-            Some((".to_vec()", p))
-        } else {
-            find_all(code, ".clone()")
-                .into_iter()
-                .find(|&pos| ident_before(code, pos).is_some_and(|id| PAYLOAD_IDENTS.contains(&id)))
-                .map(|p| (".clone() on a payload value", p))
-        };
-        let Some((what, pos)) = hit else { continue };
-        if allows.permits(idx + 1, "payload_copy") {
-            continue;
-        }
-        out.push(
-            Diagnostic::new(
-                "payload_copy",
-                &file.path,
-                idx + 1,
-                format!(
-                    "{what} in a datapath module: pass `Bytes`/`Payload` slices or \
-                     `share()` the buffer; a deliberate copy must call \
-                     `bf_metrics::record_memcpy` and justify with \
-                     `// bf-lint: allow(payload_copy): ...`"
-                ),
-            )
-            .at_column(pos + 1),
-        );
     }
 }
 
 /// Rule `wildcard_match`: `match`es over the status enums in
 /// [`STATUS_ENUMS`] must list every variant — a `_` arm would silently
 /// swallow states added later.
-fn rule_wildcard_match(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnostic>) {
+fn rule_wildcard_match(unit: &Unit, _: &[&str], out: &mut Vec<Diagnostic>) {
+    let file = &unit.file;
     // Work over the full masked text with a line-number map.
     let mut text = String::new();
     let mut line_starts = Vec::with_capacity(file.lines.len());
@@ -916,13 +822,21 @@ fn rule_wildcard_match(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnos
         let Some(open) = text[match_pos..].find('{').map(|p| match_pos + p) else {
             continue;
         };
-        let Some(close) = matching_brace(&text, open) else {
+        let Some(close) = closing(&text, open, b"{", b"}") else {
             continue;
         };
         let block = &text[open + 1..close];
         // Only depth-≤1 text counts as *this* match's patterns and inline
         // arms; nested blocks are scanned as their own matches.
-        let surface = surface_text(block);
+        let surface: String = depths(block, b"{", b"}")
+            .map(|(_, b, d)| {
+                if d > 0 && !b"{}\n".contains(&b) {
+                    ' '
+                } else {
+                    char::from(b)
+                }
+            })
+            .collect();
         if !STATUS_ENUMS
             .iter()
             .any(|e| surface.contains(&format!("{e}::")))
@@ -932,7 +846,7 @@ fn rule_wildcard_match(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnos
         for arm_offset in wildcard_arms(block) {
             let offset = open + 1 + arm_offset;
             let line = line_of(offset);
-            if allows.permits(line, "wildcard_match") {
+            if unit.permits(line, "wildcard_match") {
                 continue;
             }
             let column = offset - line_starts.get(line - 1).copied().unwrap_or(offset) + 1;
@@ -951,141 +865,23 @@ fn rule_wildcard_match(file: &SourceFile, allows: &Allows, out: &mut Vec<Diagnos
     }
 }
 
-/// Byte offsets of every occurrence of `needle` in `haystack`.
-pub(crate) fn find_all(haystack: &str, needle: &str) -> Vec<usize> {
-    let mut out = Vec::new();
-    let mut from = 0usize;
-    while let Some(pos) = haystack[from..].find(needle) {
-        out.push(from + pos);
-        from += pos + needle.len();
-    }
-    out
-}
-
-/// Occurrences of `word` bounded by non-identifier characters.
-pub(crate) fn find_keyword(text: &str, word: &str) -> Vec<usize> {
-    find_all(text, word)
-        .into_iter()
-        .filter(|&pos| {
-            let before_ok = pos == 0
-                || !text[..pos]
-                    .chars()
-                    .next_back()
-                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
-            let after = text[pos + word.len()..].chars().next();
-            let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
-            before_ok && after_ok
-        })
-        .collect()
-}
-
-/// The identifier immediately preceding byte offset `pos` (e.g. the
-/// receiver of a `.lock()` call).
-pub(crate) fn ident_before(code: &str, pos: usize) -> Option<&str> {
-    let bytes = code.as_bytes();
-    let mut start = pos;
-    while start > 0 {
-        let b = bytes[start - 1];
-        if b.is_ascii_alphanumeric() || b == b'_' {
-            start -= 1;
-        } else {
-            break;
-        }
-    }
-    (start < pos).then(|| &code[start..pos])
-}
-
-/// Extracts the lock name from a `tracked(&..., "name")` call on a raw
-/// line, returning the canonical `&'static str` from the hierarchy table.
-pub(crate) fn tracked_lock_name<'h>(raw: &str, hierarchy: &[&'h str]) -> Option<&'h str> {
-    let pos = raw.find("tracked(")?;
-    let rest = &raw[pos..];
-    let quote = rest.find('"')?;
-    let after = &rest[quote + 1..];
-    let end = after.find('"')?;
-    let name = &after[..end];
-    hierarchy.iter().find(|&&h| h == name).copied()
-}
-
-/// Byte offset (within `text`) of the `}` matching the `{` at `open`.
-fn matching_brace(text: &str, open: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for (i, b) in text.bytes().enumerate().skip(open) {
-        match b {
-            b'{' => depth += 1,
-            b'}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// `block` with every nested brace-block's contents blanked: what remains
-/// is the match's own patterns and brace-less arm bodies.
-fn surface_text(block: &str) -> String {
-    let mut depth = 0i64;
-    block
-        .chars()
-        .map(|c| match c {
-            '{' => {
-                depth += 1;
-                c
-            }
-            '}' => {
-                depth -= 1;
-                c
-            }
-            '\n' => c,
-            _ if depth > 0 => ' ',
-            _ => c,
-        })
-        .collect()
-}
-
 /// Byte offsets (within `block`) of arms whose pattern is a bare `_`.
 fn wildcard_arms(block: &str) -> Vec<usize> {
-    let mut out = Vec::new();
     let bytes = block.as_bytes();
-    let mut depth = 0i64;
-    // Start of block counts as an arm boundary.
+    let mut out = Vec::new();
+    // Start of block counts as an arm boundary; so does a `,` or a
+    // block-bodied arm's closing `}` back at arm level.
     let mut at_arm_start = true;
-    let mut i = 0usize;
-    while i < bytes.len() {
-        let b = bytes[i];
-        match b {
-            b'{' | b'(' | b'[' => depth += 1,
-            b'}' | b')' | b']' => {
-                depth -= 1;
-                // A closing brace back at arm level ends a block-bodied arm.
-                if b == b'}' && depth == 0 {
-                    at_arm_start = true;
-                    i += 1;
-                    continue;
-                }
-            }
-            b',' if depth == 0 => {
-                at_arm_start = true;
-                i += 1;
-                continue;
-            }
-            _ => {}
-        }
-        if at_arm_start && !b.is_ascii_whitespace() {
+    for (i, b, d) in depths(block, b"{([", b"})]") {
+        if d == 0 && (b == b',' || b == b'}') {
+            at_arm_start = true;
+        } else if at_arm_start && !b.is_ascii_whitespace() {
             at_arm_start = false;
-            if b == b'_' {
-                let after = bytes.get(i + 1);
-                let standalone = !after.is_some_and(|&a| a.is_ascii_alphanumeric() || a == b'_');
-                if standalone {
-                    out.push(i);
-                }
+            let after = bytes.get(i + 1);
+            if b == b'_' && !after.is_some_and(|&a| a.is_ascii_alphanumeric() || a == b'_') {
+                out.push(i);
             }
         }
-        i += 1;
     }
     out
 }
@@ -1166,6 +962,14 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].rule, "std_sync");
         assert!(check("use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n").is_empty());
+    }
+
+    #[test]
+    fn flags_std_sync_locks_inside_a_multi_line_use_group() {
+        let out = check("use std::sync::{\n    Arc,\n    Mutex,\n};\nfn f() {}\n");
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert_eq!(out[0].rule, "std_sync");
+        assert_eq!(out[0].line, 3);
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! that `.unwrap()` inside a doc example or an error message never
 //! triggers a diagnostic. The raw text is kept alongside for the one thing
 //! that legitimately lives in comments: `bf-lint: allow(...)` directives.
+//!
+//! The text helpers at the end (keyword search, the one bracket-depth
+//! counter and what is built on it) are shared by every pass.
 
 /// One source line in raw, masked, and comments-only form.
 #[derive(Debug, Clone)]
@@ -345,6 +348,122 @@ pub fn parse(path: &str, text: &str, whole_file_is_test: bool) -> SourceFile {
         path: path.to_string(),
         lines,
     }
+}
+
+// ---------------------------------------------------------------------------
+// Text helpers over the masked view, shared by every pass
+// ---------------------------------------------------------------------------
+
+/// Byte offsets of every occurrence of `needle` in `haystack`.
+pub(crate) fn find_all(haystack: &str, needle: &str) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut from = 0usize;
+    while let Some(pos) = haystack[from..].find(needle) {
+        out.push(from + pos);
+        from += pos + needle.len();
+    }
+    out
+}
+
+/// Occurrences of `word` bounded by non-identifier characters.
+pub(crate) fn find_keyword(text: &str, word: &str) -> Vec<usize> {
+    find_all(text, word)
+        .into_iter()
+        .filter(|&pos| {
+            let before_ok = pos == 0
+                || !text[..pos]
+                    .chars()
+                    .next_back()
+                    .is_some_and(|c| c.is_alphanumeric() || c == '_');
+            let after = text[pos + word.len()..].chars().next();
+            let after_ok = !after.is_some_and(|c| c.is_alphanumeric() || c == '_');
+            before_ok && after_ok
+        })
+        .collect()
+}
+
+/// The identifier immediately preceding byte offset `pos` (e.g. the
+/// receiver of a `.lock()` call).
+pub(crate) fn ident_before(code: &str, pos: usize) -> Option<&str> {
+    let bytes = code.as_bytes();
+    let mut start = pos;
+    while start > 0 && (bytes[start - 1].is_ascii_alphanumeric() || bytes[start - 1] == b'_') {
+        start -= 1;
+    }
+    (start < pos).then(|| &code[start..pos])
+}
+
+/// Every byte of `text` with the bracket depth *after* it, counting the
+/// `opens`/`closes` delimiters (`->` never closes an angle bracket). The
+/// one bracket counter behind [`closing`] and every top-level scan.
+pub(crate) fn depths<'a>(
+    text: &'a str,
+    opens: &'a [u8],
+    closes: &'a [u8],
+) -> impl Iterator<Item = (usize, u8, i64)> + 'a {
+    let bytes = text.as_bytes();
+    let mut depth = 0i64;
+    bytes.iter().enumerate().map(move |(i, &b)| {
+        if opens.contains(&b) {
+            depth += 1;
+        } else if closes.contains(&b) && !(b == b'>' && i > 0 && bytes[i - 1] == b'-') {
+            depth -= 1;
+        }
+        (i, b, depth)
+    })
+}
+
+/// Byte offset of the delimiter closing the one at `open`.
+pub(crate) fn closing(text: &str, open: usize, opens: &[u8], closes: &[u8]) -> Option<usize> {
+    depths(&text[open..], opens, closes)
+        .find(|&(_, b, d)| d == 0 && closes.contains(&b))
+        .map(|(i, _, _)| open + i)
+}
+
+/// Splits `text` on top-level commas (ignoring nesting in `()`, `[]`,
+/// `<>`; `->` does not close an angle bracket).
+pub(crate) fn split_top_level(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut start = 0usize;
+    for (i, b, d) in depths(text, b"([<", b")]>") {
+        if b == b',' && d == 0 {
+            out.push(&text[start..i]);
+            start = i + 1;
+        }
+    }
+    out.push(&text[start..]);
+    out
+}
+
+/// The text inside the `(`/`[` at byte `open` of line `lineno` (1-based),
+/// balanced across at most `max_lines` lines (each followed by a space);
+/// everything collected when it does not close in time.
+pub(crate) fn delimited(lines: &[Line], lineno: usize, open: usize, max_lines: usize) -> String {
+    let mut text = String::new();
+    for line in lines.iter().skip(lineno - 1).take(max_lines) {
+        text.push_str(&line.code);
+        text.push(' ');
+        if let Some(close) = closing(&text, open, b"([", b")]") {
+            return text[open + 1..close].to_string();
+        }
+    }
+    text.get(open + 1..).unwrap_or("").to_string()
+}
+
+/// Offsets of the `[` of every indexing or slicing site on a code line:
+/// `ident[..]`, `)[..]` or `][..]`, outside attribute lines.
+pub(crate) fn index_sites(code: &str) -> Vec<usize> {
+    if code.trim_start().starts_with('#') {
+        return Vec::new();
+    }
+    let bytes = code.as_bytes();
+    (1..bytes.len())
+        .filter(|&i| {
+            let prev = bytes[i - 1];
+            bytes[i] == b'['
+                && (prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']')
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -20,7 +20,8 @@
 //!   decode call sits behind a transport the call graph cannot see
 //!   through.
 //!
-//! **Propagation** rides the bf-flow symbol model: `let` bindings whose
+//! **Propagation** rides the shared bf-flow [`Model`], whose call sites
+//! are resolved once before the fixpoint starts: `let` bindings whose
 //! RHS mentions a tainted value (or calls a tainted-return fn), pattern
 //! bindings in `match`/`if let`/`for` over a tainted scrutinee (field
 //! projections arrive this way: destructuring a tainted envelope taints
@@ -57,21 +58,18 @@
 //! `bf-devmgr::session` exists precisely because the first blind spot is
 //! real — see ARCHITECTURE.md §14.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
-use crate::flow::{
-    build_model, extract_fn_facts, is_keyword, split_top_level, CallSite, FnDef, FnFacts, Model,
-    EXCLUDED_PREFIXES,
+use crate::explain::Family;
+use crate::flow::{is_keyword, CallSite, FnDef, FnFacts, Model, BIND_WINDOW, EXCLUDED_PREFIXES};
+use crate::rules::{Diagnostic, Hop, Unit};
+use crate::scan::{
+    closing, delimited, depths, find_all, find_keyword, index_sites, split_top_level,
 };
-use crate::rules::{find_all, find_keyword, Diagnostic, Hop, Unit};
 
 /// Rules of the taint pass, accepted by `bf-taint: allow(..)` directives.
-pub const TAINT_RULES: &[&str] = &["taint_alloc", "taint_index", "taint_loop", "taint_auth"];
+pub const TAINT_RULES: Family = Family("bf-taint");
 
-/// Annotation marking the next fn's return value as a wire source.
-const SOURCE_MARKER: &str = "bf-taint: source(wire)";
-/// A source annotation binds to the next fn within this many lines.
-const SOURCE_BIND_WINDOW: usize = 8;
 /// Witness chains stop extending past this many hops (bounded widening).
 const MAX_CHAIN: usize = 8;
 /// A function is re-analyzed at most this many times in the fixpoint.
@@ -134,36 +132,25 @@ struct MatchCtx {
     pattern: bool,
 }
 
-fn is_test_path(path: &str) -> bool {
-    path.starts_with("tests/") || path.contains("/tests/") || path.contains("/benches/")
-}
-
 fn skip_unit(path: &str) -> bool {
-    is_test_path(path) || EXCLUDED_PREFIXES.iter().any(|p| path.starts_with(p))
+    crate::is_test_path(path) || EXCLUDED_PREFIXES.iter().any(|p| path.starts_with(p))
 }
 
 /// Word-boundary mention of `ident` in `text`.
 fn mentions(text: &str, ident: &str) -> bool {
     let bytes = text.as_bytes();
-    for pos in find_all(text, ident) {
-        let before_ok = pos == 0 || {
-            let b = bytes[pos - 1];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
+    let word = |b: u8| b.is_ascii_alphanumeric() || b == b'_';
+    find_all(text, ident).into_iter().any(|pos| {
         let after = pos + ident.len();
-        let after_ok = after >= bytes.len() || {
-            let b = bytes[after];
-            !(b.is_ascii_alphanumeric() || b == b'_')
-        };
         // `foo.ident` is a field projection of `foo`, not a use of the
         // local `ident`; `path::ident` likewise names something else.
         let projected = pos > 0 && bytes[pos - 1] == b'.';
         let pathed = pos >= 2 && bytes[pos - 1] == b':' && bytes[pos - 2] == b':';
-        if before_ok && after_ok && !projected && !pathed {
-            return true;
-        }
-    }
-    false
+        (pos == 0 || !word(bytes[pos - 1]))
+            && (after >= bytes.len() || !word(bytes[after]))
+            && !projected
+            && !pathed
+    })
 }
 
 /// Extends a provenance chain by one hop, respecting the widening cap.
@@ -242,52 +229,35 @@ fn pattern_idents(text: &str) -> Vec<String> {
     out
 }
 
+/// The first top-level (outside `()`/`[]`/`{}`) byte of `text` that
+/// `hit(text bytes, offset)` accepts.
+fn top_level_find(text: &str, hit: impl Fn(&[u8], usize) -> bool) -> Option<usize> {
+    depths(text, b"([{", b")]}")
+        .find(|&(i, _, d)| d == 0 && hit(text.as_bytes(), i))
+        .map(|(i, _, _)| i)
+}
+
 /// A top-level type-ascription `:` in a `let` pattern (`let n: usize`),
 /// ignoring `::` paths and anything nested in `()`/`[]`/`{}`.
 fn top_level_colon(text: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut depth = 0i64;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b':' if depth == 0 => {
-                let next_double = bytes.get(i + 1) == Some(&b':');
-                let prev_double = i > 0 && bytes[i - 1] == b':';
-                if !next_double && !prev_double {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    top_level_find(text, |b, i| {
+        b[i] == b':' && b.get(i + 1) != Some(&b':') && (i == 0 || b[i - 1] != b':')
+    })
 }
 
 /// Finds a top-level `=` that is an assignment (not `==`, `=>`, `<=`,
 /// `>=`, `!=`, `+=` …).
 fn find_assign(text: &str) -> Option<usize> {
-    let bytes = text.as_bytes();
-    let mut depth = 0i64;
-    for (i, &b) in bytes.iter().enumerate() {
-        match b {
-            b'(' | b'[' | b'{' => depth += 1,
-            b')' | b']' | b'}' => depth -= 1,
-            b'=' if depth == 0 => {
-                let prev = if i > 0 { bytes[i - 1] } else { b' ' };
-                let next = bytes.get(i + 1).copied().unwrap_or(b' ');
-                if !matches!(
-                    prev,
-                    b'=' | b'!' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/' | b'%'
-                ) && !matches!(next, b'=' | b'>')
-                {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+    top_level_find(text, |b, i| {
+        let prev = if i > 0 { b[i - 1] } else { b' ' };
+        let next = b.get(i + 1).copied().unwrap_or(b' ');
+        b[i] == b'='
+            && !matches!(
+                prev,
+                b'=' | b'!' | b'<' | b'>' | b'+' | b'-' | b'*' | b'/' | b'%'
+            )
+            && !matches!(next, b'=' | b'>')
+    })
 }
 
 /// Concatenated masked code of the statement starting at `lineno`
@@ -307,86 +277,28 @@ fn statement_text(unit: &Unit, lineno: usize, last: usize) -> String {
     text
 }
 
-/// The argument texts of one call site, collected across up to 16 lines
-/// by balancing parentheses from the call's opening `(`.
+/// The argument texts of one call site, balanced across up to 16 lines
+/// from the call's opening `(`.
 fn call_args(unit: &Unit, call: &CallSite) -> Vec<String> {
-    let first = &unit.file.lines[call.line - 1].code;
     let open = call.column - 1 + call.name.len();
-    if first.as_bytes().get(open) != Some(&b'(') {
+    if unit.file.lines[call.line - 1].code.as_bytes().get(open) != Some(&b'(') {
         return Vec::new();
     }
-    let mut inner = String::new();
-    let mut depth = 1i64;
-    let mut pos = open + 1;
-    for l in call.line..=(call.line + 15).min(unit.file.lines.len()) {
-        let code = &unit.file.lines[l - 1].code;
-        for b in code.bytes().skip(if l == call.line { pos } else { 0 }) {
-            match b {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return split_top_level(&inner)
-                            .into_iter()
-                            .map(|s| s.trim().to_string())
-                            .collect();
-                    }
-                }
-                _ => {}
-            }
-            inner.push(b as char);
-        }
-        inner.push(' ');
-        pos = 0;
-    }
-    // Unbalanced within the cap: use what was collected.
+    let inner = delimited(&unit.file.lines, call.line, open, 16);
     split_top_level(&inner)
         .into_iter()
         .map(|s| s.trim().to_string())
         .collect()
 }
 
-/// Taint carried by an expression: a mentioned tainted variable, or a
-/// call into a tainted-return function on the statement's lines.
-#[allow(clippy::too_many_arguments)] // threads the per-fn analysis context
-fn expr_taint(
-    text: &str,
-    lines: (usize, usize),
-    vars: &BTreeMap<String, Vec<Hop>>,
-    def: &FnDef,
-    facts: &FnFacts,
-    model: &Model,
-    state: &TaintState,
-    path: &str,
-) -> Option<Vec<Hop>> {
-    if sanitized_expr(text) {
-        return None;
-    }
-    if let Some((_, prov)) = first_tainted(text, vars) {
-        return Some(prov.clone());
-    }
-    for call in &facts.calls {
-        // Method names hide behind a `.`, so word-boundary `mentions`
-        // would miss them: match `name(` instead.
-        if call.line < lines.0 || call.line > lines.1 || !text.contains(&format!("{}(", call.name))
-        {
-            continue;
-        }
-        let (targets, _) = model.resolve(def, facts, call);
-        for t in targets {
-            if let Some(prov) = &state.ret[t] {
-                return Some(extend(
-                    prov,
-                    Hop {
-                        function: def.qualified.clone(),
-                        file: path.to_string(),
-                        line: call.line,
-                    },
-                ));
-            }
-        }
-    }
-    None
+/// One function under analysis: everything the line-based dataflow reads.
+struct FnCtx<'a> {
+    unit: &'a Unit,
+    def: &'a FnDef,
+    facts: &'a FnFacts,
+    model: &'a Model,
+    state: &'a TaintState,
+    idx: usize,
 }
 
 /// Result of one intra-function analysis.
@@ -394,167 +306,175 @@ struct FnAnalysis {
     ret: Option<Vec<Hop>>,
     /// (callee fn idx, param name, provenance) taint proposals.
     props: Vec<(usize, String, Vec<Hop>)>,
-    /// Call edges out of this fn (for worklist invalidation).
-    edges: Vec<usize>,
     /// Sink findings, collected flow-sensitively on the final pass (the
     /// taint state *at the sink's line* decides — a later clean rebinding
     /// of the same name must not retroactively bless an earlier sink).
     sinks: Vec<Sink>,
 }
 
-/// Runs the line-based dataflow over one function body: seeds from the
-/// interprocedural state, propagates through bindings/patterns, and
-/// collects call-argument taint proposals plus the return-value verdict.
-#[allow(clippy::too_many_lines)]
-fn analyze_fn(
-    unit: &Unit,
-    def: &FnDef,
-    facts: &FnFacts,
-    model: &Model,
-    state: &TaintState,
-    idx: usize,
-    want_sinks: bool,
-) -> FnAnalysis {
-    let path = &unit.file.path;
-    let mut vars = state.params[idx].clone();
-    let mut ret = None;
-    let mut sinks = Vec::new();
-    let Some((start, end)) = def.body else {
-        return FnAnalysis {
-            ret,
-            props: Vec::new(),
-            edges: Vec::new(),
-            sinks,
+impl<'a> FnCtx<'a> {
+    fn new(units: &'a [Unit], model: &'a Model, state: &'a TaintState, idx: usize) -> Self {
+        let def = &model.fns[idx];
+        FnCtx {
+            unit: &units[def.unit_idx],
+            def,
+            facts: &model.facts[idx],
+            model,
+            state,
+            idx,
+        }
+    }
+
+    /// A provenance hop at `line` of this function.
+    fn hop(&self, line: usize) -> Hop {
+        Hop {
+            function: self.def.qualified.clone(),
+            file: self.unit.file.path.clone(),
+            line,
+        }
+    }
+
+    /// Taint carried by an expression: a mentioned tainted variable, or a
+    /// call into a tainted-return function on the statement's lines.
+    fn expr_taint(
+        &self,
+        text: &str,
+        lines: (usize, usize),
+        vars: &BTreeMap<String, Vec<Hop>>,
+    ) -> Option<Vec<Hop>> {
+        if sanitized_expr(text) {
+            return None;
+        }
+        if let Some((_, prov)) = first_tainted(text, vars) {
+            return Some(prov.clone());
+        }
+        // Method names hide behind a `.`, so word-boundary `mentions` would
+        // miss them: match `name(` instead.
+        let calls = self.facts.calls.iter().filter(|call| {
+            call.line >= lines.0
+                && call.line <= lines.1
+                && text.contains(&format!("{}(", call.name))
+        });
+        calls
+            .flat_map(|call| call.targets.iter().map(move |&t| (call, t)))
+            .find_map(|(call, t)| Some(extend(self.state.ret[t].as_ref()?, self.hop(call.line))))
+    }
+
+    /// Runs the line-based dataflow over the body: seeds from the
+    /// interprocedural state, propagates through bindings/patterns, and
+    /// collects call-argument taint proposals plus the return-value verdict.
+    fn analyze(&self, want_sinks: bool) -> FnAnalysis {
+        let (unit, def) = (self.unit, self.def);
+        let mut vars = self.state.params[self.idx].clone();
+        let mut ret = None;
+        let mut sinks = Vec::new();
+        let Some((start, end)) = def.body else {
+            return FnAnalysis {
+                ret,
+                props: Vec::new(),
+                sinks,
+            };
         };
-    };
-    for pass in 0..BODY_PASSES {
-        let mut depth = 0i64;
-        let mut match_stack: Vec<MatchCtx> = Vec::new();
-        for lineno in start..=end.min(unit.file.lines.len()) {
-            let line = &unit.file.lines[lineno - 1];
-            let depth_before = depth;
-            depth += line.brace_delta();
-            if line.in_test {
-                continue;
-            }
-            let code = &line.code;
-            let trimmed = code.trim_start();
-            let clean_line = unit.dirs.sanitized.contains(&lineno);
-
-            while match_stack.last().is_some_and(|m| depth_before <= m.depth) {
-                match_stack.pop();
-            }
-            if let Some(m) = match_stack.last_mut() {
-                if depth_before == m.depth + 1 {
-                    m.pattern = true;
+        for pass in 0..BODY_PASSES {
+            let mut depth = 0i64;
+            let mut match_stack: Vec<MatchCtx> = Vec::new();
+            for lineno in start..=end.min(unit.file.lines.len()) {
+                let line = &unit.file.lines[lineno - 1];
+                let depth_before = depth;
+                depth += line.brace_delta();
+                if line.in_test {
+                    continue;
                 }
-                if m.pattern && !clean_line {
-                    let prov = m.prov.clone();
-                    let pat_text = match code.find("=>") {
-                        Some(arrow) => {
-                            m.pattern = false;
-                            &code[..arrow]
-                        }
-                        None => code.as_str(),
-                    };
-                    for name in pattern_idents(pat_text) {
-                        vars.insert(name, prov.clone());
+                let code = &line.code;
+                let trimmed = code.trim_start();
+                let clean_line = unit.dirs.sanitized.contains(&lineno);
+                let one = (lineno, lineno);
+
+                while match_stack.last().is_some_and(|m| depth_before <= m.depth) {
+                    match_stack.pop();
+                }
+                if let Some(m) = match_stack.last_mut() {
+                    if depth_before == m.depth + 1 {
+                        m.pattern = true;
                     }
-                }
-            }
-
-            // Sinks see the taint state *at this line* (pattern bindings
-            // above included, this line's own rebindings not yet applied).
-            if want_sinks && pass == BODY_PASSES - 1 && !clean_line {
-                scan_line_sinks(unit, facts, lineno, code, &vars, &mut sinks);
-            }
-
-            // `let` bindings, including `if let` / `while let` / `else`.
-            let mut head = trimmed;
-            for prefix in ["else ", "if ", "while "] {
-                if let Some(r) = head.strip_prefix(prefix) {
-                    head = r.trim_start();
-                }
-            }
-            if head.starts_with("let ") {
-                let span = statement_text(unit, lineno, end);
-                let let_pos = span.find("let ").unwrap_or(0);
-                let after_let = &span[let_pos + 4..];
-                if let Some(eq) = find_assign(after_let) {
-                    let pat = &after_let[..eq];
-                    // `let n: usize = ..`: the ascribed type is not a
-                    // binding — cut the pattern at the ascription colon.
-                    let pat = match top_level_colon(pat) {
-                        Some(c) => &pat[..c],
-                        None => pat,
-                    };
-                    let rhs = &after_let[eq + 1..];
-                    let taint = if clean_line {
-                        None
-                    } else {
-                        expr_taint(
-                            rhs,
-                            (lineno, (lineno + 7).min(end)),
-                            &vars,
-                            def,
-                            facts,
-                            model,
-                            state,
-                            path,
-                        )
-                    };
-                    match taint {
-                        Some(prov) => {
-                            for name in pattern_idents(pat) {
-                                vars.insert(name, prov.clone());
+                    if m.pattern && !clean_line {
+                        let prov = m.prov.clone();
+                        let pat_text = match code.find("=>") {
+                            Some(arrow) => {
+                                m.pattern = false;
+                                &code[..arrow]
                             }
-                        }
-                        // Strong update: a rebinding from a clean RHS
-                        // clears the old taint.
-                        None => {
-                            for name in pattern_idents(pat) {
-                                vars.remove(&name);
-                            }
+                            None => code.as_str(),
+                        };
+                        for name in pattern_idents(pat_text) {
+                            vars.insert(name, prov.clone());
                         }
                     }
                 }
-            } else if let Some(r) = trimmed.strip_prefix("for ") {
-                if let Some(in_pos) = r.find(" in ") {
-                    let pat = &r[..in_pos];
-                    let iter = r[in_pos + 4..].trim_end().trim_end_matches('{');
-                    if !clean_line {
-                        if let Some(prov) = expr_taint(
-                            iter,
-                            (lineno, lineno),
-                            &vars,
-                            def,
-                            facts,
-                            model,
-                            state,
-                            path,
-                        ) {
-                            for name in pattern_idents(pat) {
+
+                // Sinks see the taint state *at this line* (pattern bindings
+                // above included, this line's own rebindings not yet applied).
+                if want_sinks && pass == BODY_PASSES - 1 && !clean_line {
+                    scan_line_sinks(unit, self.facts, lineno, code, &vars, &mut sinks);
+                }
+
+                // `let` bindings, including `if let` / `while let` / `else`.
+                let mut head = trimmed;
+                for prefix in ["else ", "if ", "while "] {
+                    if let Some(r) = head.strip_prefix(prefix) {
+                        head = r.trim_start();
+                    }
+                }
+                if head.starts_with("let ") {
+                    let span = statement_text(unit, lineno, end);
+                    let let_pos = span.find("let ").unwrap_or(0);
+                    let after_let = &span[let_pos + 4..];
+                    if let Some(eq) = find_assign(after_let) {
+                        let pat = &after_let[..eq];
+                        // `let n: usize = ..`: the ascribed type is not a
+                        // binding — cut the pattern at the ascription colon.
+                        let pat = &pat[..top_level_colon(pat).unwrap_or(pat.len())];
+                        let rhs = &after_let[eq + 1..];
+                        let lines = (lineno, (lineno + 7).min(end));
+                        match (!clean_line)
+                            .then(|| self.expr_taint(rhs, lines, &vars))
+                            .flatten()
+                        {
+                            Some(prov) => {
+                                for name in pattern_idents(pat) {
+                                    vars.insert(name, prov.clone());
+                                }
+                            }
+                            // Strong update: a rebinding from a clean RHS
+                            // clears the old taint.
+                            None => {
+                                for name in pattern_idents(pat) {
+                                    vars.remove(&name);
+                                }
+                            }
+                        }
+                    }
+                } else if let Some(r) = trimmed.strip_prefix("for ") {
+                    if let Some(in_pos) = r.find(" in ") {
+                        let iter = r[in_pos + 4..].trim_end().trim_end_matches('{');
+                        if let Some(prov) = (!clean_line)
+                            .then(|| self.expr_taint(iter, one, &vars))
+                            .flatten()
+                        {
+                            for name in pattern_idents(&r[..in_pos]) {
                                 vars.insert(name, prov.clone());
                             }
                         }
                     }
                 }
-            }
+                if clean_line {
+                    continue;
+                }
 
-            // Tainted scrutinee: the arms' pattern bindings inherit it.
-            if let Some(&mpos) = find_keyword(code, "match").first() {
-                let expr = code[mpos + 5..].trim_end().trim_end_matches('{');
-                if !clean_line {
-                    if let Some(prov) = expr_taint(
-                        expr,
-                        (lineno, lineno),
-                        &vars,
-                        def,
-                        facts,
-                        model,
-                        state,
-                        path,
-                    ) {
+                // Tainted scrutinee: the arms' pattern bindings inherit it.
+                if let Some(&mpos) = find_keyword(code, "match").first() {
+                    let expr = code[mpos + 5..].trim_end().trim_end_matches('{');
+                    if let Some(prov) = self.expr_taint(expr, one, &vars) {
                         match_stack.push(MatchCtx {
                             depth: depth_before,
                             prov,
@@ -562,170 +482,107 @@ fn analyze_fn(
                         });
                     }
                 }
-            }
 
-            // Return-value taint: explicit `return`s plus the tail line.
-            if !clean_line && !def.ret.is_empty() {
-                if let Some(&rpos) = find_keyword(code, "return").first() {
-                    if let Some(prov) = expr_taint(
-                        &code[rpos + 6..],
-                        (lineno, lineno),
-                        &vars,
-                        def,
-                        facts,
-                        model,
-                        state,
-                        path,
-                    ) {
-                        ret.get_or_insert(prov);
+                // Return-value taint: explicit `return`s plus the tail line.
+                if !def.ret.is_empty() {
+                    if let Some(&rpos) = find_keyword(code, "return").first() {
+                        if let Some(prov) = self.expr_taint(&code[rpos + 6..], one, &vars) {
+                            ret.get_or_insert(prov);
+                        }
                     }
                 }
             }
         }
-    }
 
-    // Tail-expression heuristic: the last code line before the closing
-    // braces carries the fn's value in expression position.
-    if ret.is_none() && !def.ret.is_empty() {
-        for lineno in (start..=end.min(unit.file.lines.len())).rev() {
-            let line = &unit.file.lines[lineno - 1];
-            let code = line.code.trim();
-            if code.is_empty() || code.chars().all(|c| "}));,".contains(c)) {
-                continue;
-            }
-            if !line.in_test && !unit.dirs.sanitized.contains(&lineno) {
-                ret = expr_taint(
-                    code,
-                    (lineno, lineno),
-                    &vars,
-                    def,
-                    facts,
-                    model,
-                    state,
-                    path,
-                );
-            }
-            break;
-        }
-    }
-
-    // Call-argument propagation into callee parameters.
-    let mut props = Vec::new();
-    let mut edges = Vec::new();
-    for call in &facts.calls {
-        let (targets, _) = model.resolve(def, facts, call);
-        if targets.is_empty() {
-            continue;
-        }
-        for &t in &targets {
-            if t != idx && !edges.contains(&t) {
-                edges.push(t);
-            }
-        }
-        if unit.file.lines[call.line - 1].in_test || unit.dirs.sanitized.contains(&call.line) {
-            continue;
-        }
-        let args = call_args(unit, call);
-        for (i, arg) in args.iter().enumerate() {
-            if sanitized_expr(arg) {
-                continue;
-            }
-            let Some((_, prov)) = first_tainted(arg, &vars) else {
-                continue;
-            };
-            let prov = extend(
-                prov,
-                Hop {
-                    function: def.qualified.clone(),
-                    file: path.clone(),
-                    line: call.line,
-                },
-            );
-            for &t in &targets {
-                if let Some((pname, _)) = model.fns[t].params.get(i) {
-                    props.push((t, pname.clone(), prov.clone()));
+        // Tail-expression heuristic: the last code line before the closing
+        // braces carries the fn's value in expression position.
+        if ret.is_none() && !def.ret.is_empty() {
+            let tail = (start..=end.min(unit.file.lines.len())).rev().find(|&l| {
+                let code = unit.file.lines[l - 1].code.trim();
+                !code.is_empty() && !code.chars().all(|c| "}));,".contains(c))
+            });
+            if let Some(lineno) = tail {
+                let line = &unit.file.lines[lineno - 1];
+                if !line.in_test && !unit.dirs.sanitized.contains(&lineno) {
+                    ret = self.expr_taint(line.code.trim(), (lineno, lineno), &vars);
                 }
             }
         }
-    }
-    FnAnalysis {
-        ret,
-        props,
-        edges,
-        sinks,
+
+        // Call-argument propagation into callee parameters.
+        let mut props = Vec::new();
+        for call in &self.facts.calls {
+            if call.targets.is_empty()
+                || unit.file.lines[call.line - 1].in_test
+                || unit.dirs.sanitized.contains(&call.line)
+            {
+                continue;
+            }
+            for (i, arg) in call_args(unit, call).iter().enumerate() {
+                if sanitized_expr(arg) {
+                    continue;
+                }
+                let Some((_, prov)) = first_tainted(arg, &vars) else {
+                    continue;
+                };
+                let prov = extend(prov, self.hop(call.line));
+                for &t in &call.targets {
+                    if let Some((pname, _)) = self.model.fns[t].params.get(i) {
+                        props.push((t, pname.clone(), prov.clone()));
+                    }
+                }
+            }
+        }
+        FnAnalysis { ret, props, sinks }
     }
 }
 
-/// Seeds the interprocedural state: explicit source annotations,
-/// auto-seeded decode fns, and wire-typed parameters.
+/// Seeds the interprocedural state: auto-seeded decode fns, wire-typed
+/// parameters, and explicit source annotations.
 fn seed(units: &[Unit], model: &Model, state: &mut TaintState, out: &mut Vec<Diagnostic>) {
+    let source_hop = |def: &FnDef| Hop {
+        function: def.qualified.clone(),
+        file: units[def.unit_idx].file.path.clone(),
+        line: def.line,
+    };
     for (idx, def) in model.fns.iter().enumerate() {
-        let unit = &units[def.unit_idx];
-        let source_hop = || Hop {
-            function: def.qualified.clone(),
-            file: unit.file.path.clone(),
-            line: def.line,
-        };
-        if DECODE_NAMES.contains(&def.name.as_str())
-            && unit.file.path.starts_with(DECODE_CRATE_PREFIX)
-        {
-            state.ret[idx].get_or_insert_with(|| vec![source_hop()]);
+        let path = &units[def.unit_idx].file.path;
+        if DECODE_NAMES.contains(&def.name.as_str()) && path.starts_with(DECODE_CRATE_PREFIX) {
+            state.ret[idx].get_or_insert_with(|| vec![source_hop(def)]);
         }
-        if skip_unit(&unit.file.path) {
+        if skip_unit(path) {
             continue;
         }
         for (pname, ptype) in &def.params {
             if WIRE_PARAM_TYPES.contains(&ptype.as_str()) {
                 state.params[idx]
                     .entry(pname.clone())
-                    .or_insert_with(|| vec![source_hop()]);
+                    .or_insert_with(|| vec![source_hop(def)]);
             }
         }
     }
-    // Explicit annotations bind to the next fn within the window; a
-    // dangling one would silently unprotect its surface, so it errors.
+    // Explicit annotations bind like bf-flow entries; a dangling one would
+    // silently unprotect its surface, so it errors.
     for (uidx, unit) in units.iter().enumerate() {
         if skip_unit(&unit.file.path) {
             continue;
         }
-        for (lidx, line) in unit.file.lines.iter().enumerate() {
-            let Some(pos) = line.comment.find(SOURCE_MARKER) else {
-                continue;
-            };
-            if pos > 0 && line.comment.as_bytes()[pos - 1] == b'`' {
-                continue;
-            }
-            let anno_line = lidx + 1;
-            let bound = model
-                .fns
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| {
-                    d.unit_idx == uidx
-                        && d.line > anno_line
-                        && d.line <= anno_line + SOURCE_BIND_WINDOW
-                })
-                .min_by_key(|(_, d)| d.line);
-            match bound {
-                Some((idx, def)) => {
-                    let hop = Hop {
-                        function: def.qualified.clone(),
-                        file: unit.file.path.clone(),
-                        line: def.line,
-                    };
-                    state.ret[idx].get_or_insert_with(|| vec![hop]);
+        for anchor in &unit.dirs.sources {
+            match model.fn_after(uidx, anchor.line) {
+                Some(idx) => {
+                    state.ret[idx].get_or_insert_with(|| vec![source_hop(&model.fns[idx])]);
                 }
                 None => out.push(
                     Diagnostic::new(
                         "directive",
                         &unit.file.path,
-                        anno_line,
+                        anchor.line,
                         format!(
-                            "dangling `{SOURCE_MARKER})` annotation: no fn follows \
-                             within {SOURCE_BIND_WINDOW} lines"
+                            "dangling `bf-taint: source(wire))` annotation: no fn follows \
+                             within {BIND_WINDOW} lines"
                         ),
                     )
-                    .at_column(pos + 1),
+                    .at_column(anchor.column),
                 ),
             }
         }
@@ -743,7 +600,6 @@ struct Sink {
 }
 
 /// Scans one line for sinks fed by variables tainted *at that line*.
-#[allow(clippy::too_many_lines)]
 fn scan_line_sinks(
     unit: &Unit,
     facts: &FnFacts,
@@ -755,6 +611,17 @@ fn scan_line_sinks(
     if vars.is_empty() {
         return;
     }
+    let mut sink = |rule, column, token, message, prov: &Vec<Hop>| {
+        let (line, prov) = (lineno, prov.clone());
+        sinks.push(Sink {
+            rule,
+            line,
+            column,
+            token,
+            message,
+            prov,
+        });
+    };
 
     // Allocation + buffer-math sinks share the paren-arg shape.
     for (rule, patterns, what) in [
@@ -763,8 +630,7 @@ fn scan_line_sinks(
     ] {
         for pat in patterns {
             for pos in find_all(code, pat) {
-                let open = pos + pat.len() - 1;
-                let arg = paren_text(unit, lineno, open);
+                let arg = delimited(&unit.file.lines, lineno, pos + pat.len() - 1, 8);
                 if sanitized_expr(&arg) {
                     continue;
                 }
@@ -772,111 +638,96 @@ fn scan_line_sinks(
                     continue;
                 };
                 let op = pat.trim_matches(['.', '(']);
-                sinks.push(Sink {
+                sink(
                     rule,
-                    line: lineno,
-                    column: pos + 1,
-                    token: format!("{op}:{name}"),
-                    message: format!(
+                    pos + 1,
+                    format!("{op}:{name}"),
+                    format!(
                         "{what} by wire-tainted `{name}` in `{op}(..)`: cap it \
                          against a named bound (`.min(CAP)`) or justify with \
                          `// bf-taint: sanitized(<why>)`",
                     ),
-                    prov: prov.clone(),
-                });
+                    prov,
+                );
             }
         }
     }
 
     // Slice/array indexing: `ident[..tainted..]`.
-    if !code.trim_start().starts_with('#') {
-        for (i, b) in code.bytes().enumerate() {
-            if b != b'[' || i == 0 {
-                continue;
-            }
-            let prev = code.as_bytes()[i - 1];
-            if !(prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']') {
-                continue;
-            }
-            let inner = bracket_text(code, i);
-            if sanitized_expr(&inner) {
-                continue;
-            }
-            if let Some((name, prov)) = first_tainted(&inner, vars) {
-                sinks.push(Sink {
-                    rule: "taint_index",
-                    line: lineno,
-                    column: i + 1,
-                    token: format!("index:{name}"),
-                    message: format!(
-                        "slice indexed by wire-tainted `{name}`: bounds-check \
-                         or clamp before indexing, or justify with \
-                         `// bf-taint: sanitized(<why>)`",
-                    ),
-                    prov: prov.clone(),
-                });
-            }
+    for i in index_sites(code) {
+        let inner = match closing(code, i, b"[(", b"])") {
+            Some(close) => &code[i + 1..close],
+            None => &code[i + 1..],
+        };
+        if sanitized_expr(inner) {
+            continue;
+        }
+        if let Some((name, prov)) = first_tainted(inner, vars) {
+            sink(
+                "taint_index",
+                i + 1,
+                format!("index:{name}"),
+                format!(
+                    "slice indexed by wire-tainted `{name}`: bounds-check \
+                     or clamp before indexing, or justify with \
+                     `// bf-taint: sanitized(<why>)`",
+                ),
+                prov,
+            );
         }
     }
 
     // Loop bounds: ranges in `for`, conditions in `while`.
     let trimmed = code.trim_start();
-    if let Some(r) = trimmed.strip_prefix("for ") {
-        if let Some(in_pos) = r.find(" in ") {
-            let iter = r[in_pos + 4..].trim_end().trim_end_matches('{');
-            if iter.contains("..") && !sanitized_expr(iter) {
-                if let Some((name, prov)) = first_tainted(iter, vars) {
-                    sinks.push(Sink {
-                        rule: "taint_loop",
-                        line: lineno,
-                        column: code.len() - code.trim_start().len() + 1,
-                        token: format!("for:{name}"),
-                        message: format!(
-                            "loop range bounded by wire-tainted `{name}`: a \
-                             client-chosen bound is a CPU-exhaustion lever — \
-                             cap it or justify with \
-                             `// bf-taint: sanitized(<why>)`",
-                        ),
-                        prov: prov.clone(),
-                    });
-                }
-            }
+    let indent = code.len() - trimmed.len() + 1;
+    let for_range = trimmed.strip_prefix("for ").and_then(|r| {
+        let iter = r[r.find(" in ")? + 4..].trim_end().trim_end_matches('{');
+        iter.contains("..").then_some(iter)
+    });
+    let while_cond = trimmed
+        .strip_prefix("while ")
+        .filter(|r| !r.trim_start().starts_with("let "))
+        .map(|r| r.trim_end().trim_end_matches('{'));
+    if let Some(iter) = for_range.filter(|iter| !sanitized_expr(iter)) {
+        if let Some((name, prov)) = first_tainted(iter, vars) {
+            sink(
+                "taint_loop",
+                indent,
+                format!("for:{name}"),
+                format!(
+                    "loop range bounded by wire-tainted `{name}`: a \
+                     client-chosen bound is a CPU-exhaustion lever — \
+                     cap it or justify with \
+                     `// bf-taint: sanitized(<why>)`",
+                ),
+                prov,
+            );
         }
-    } else if let Some(r) = trimmed.strip_prefix("while ") {
-        if !r.trim_start().starts_with("let ") {
-            let cond = r.trim_end().trim_end_matches('{');
-            if !sanitized_expr(cond) {
-                if let Some((name, prov)) = first_tainted(cond, vars) {
-                    sinks.push(Sink {
-                        rule: "taint_loop",
-                        line: lineno,
-                        column: code.len() - code.trim_start().len() + 1,
-                        token: format!("while:{name}"),
-                        message: format!(
-                            "`while` condition reads wire-tainted `{name}`: a \
-                             client-steered loop bound is a CPU-exhaustion \
-                             lever — cap it or justify with \
-                             `// bf-taint: sanitized(<why>)`",
-                        ),
-                        prov: prov.clone(),
-                    });
-                }
-            }
+    } else if let Some(cond) = while_cond.filter(|cond| !sanitized_expr(cond)) {
+        if let Some((name, prov)) = first_tainted(cond, vars) {
+            sink(
+                "taint_loop",
+                indent,
+                format!("while:{name}"),
+                format!(
+                    "`while` condition reads wire-tainted `{name}`: a \
+                     client-steered loop bound is a CPU-exhaustion \
+                     lever — cap it or justify with \
+                     `// bf-taint: sanitized(<why>)`",
+                ),
+                prov,
+            );
         }
     }
 
     // Authorization sinks ride the extracted call sites on this line.
-    for call in &facts.calls {
-        if call.line != lineno {
-            continue;
-        }
+    for call in facts.calls.iter().filter(|call| call.line == lineno) {
         let name = call.name.as_str();
         let cache_recv = call
             .chain
             .last()
             .is_some_and(|seg| seg.contains("cache") || seg.contains("admitted"));
-        let auth = AUTH_METHODS.contains(&name) || (cache_recv && CACHE_METHODS.contains(&name));
-        if !auth {
+        if !(AUTH_METHODS.contains(&name) || (cache_recv && CACHE_METHODS.contains(&name))) {
             continue;
         }
         let args = call_args(unit, call);
@@ -886,93 +737,43 @@ fn scan_line_sinks(
             .find_map(|a| first_tainted(a, vars));
         if let Some((var, prov)) = hit {
             let recv = call.chain.join(".");
-            sinks.push(Sink {
-                rule: "taint_auth",
-                line: call.line,
-                column: call.column,
-                token: format!("auth:{name}:{var}"),
-                message: format!(
+            sink(
+                "taint_auth",
+                call.column,
+                format!("auth:{name}:{var}"),
+                format!(
                     "admission/authorization call `{recv}.{name}(..)` keyed by \
                      wire-tainted `{var}`: an untrusted value is deciding a \
                      cache or residency outcome — recompute server-side \
                      (`content_digest`) or justify with \
                      `// bf-taint: allow(taint_auth): <why>`",
                 ),
-                prov: prov.clone(),
-            });
+                prov,
+            );
         }
     }
 }
 
-/// Balanced-paren argument text starting at the `(` at byte `open`.
-fn paren_text(unit: &Unit, lineno: usize, open: usize) -> String {
-    let mut inner = String::new();
-    let mut depth = 0i64;
-    let mut pos = open;
-    for l in lineno..=(lineno + 7).min(unit.file.lines.len()) {
-        let code = &unit.file.lines[l - 1].code;
-        for b in code.bytes().skip(if l == lineno { pos } else { 0 }) {
-            match b {
-                b'(' | b'[' => depth += 1,
-                b')' | b']' => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return inner;
-                    }
-                }
-                _ => {}
-            }
-            if depth >= 1 && !(depth == 1 && (b == b'(' || b == b'[')) {
-                inner.push(b as char);
-            }
-        }
-        inner.push(' ');
-        pos = 0;
-    }
-    inner
-}
-
-/// `[..]` content starting at the `[` at byte `open`, same line only.
-fn bracket_text(code: &str, open: usize) -> String {
-    let mut depth = 0i64;
-    let mut inner = String::new();
-    for b in code.bytes().skip(open) {
-        match b {
-            b'[' | b'(' => depth += 1,
-            b']' | b')' => {
-                depth -= 1;
-                if depth == 0 {
-                    return inner;
-                }
-            }
-            _ => {}
-        }
-        if depth >= 1 && !(depth == 1 && (b == b'[' || b == b'(')) {
-            inner.push(b as char);
-        }
-    }
-    inner
-}
-
-/// Runs the taint pass over the parsed workspace, appending findings.
-pub fn check(units: &[Unit], out: &mut Vec<Diagnostic>) {
-    let model = build_model(units);
+/// Runs the taint pass over the parsed workspace and its shared model,
+/// appending findings.
+pub fn check(units: &[Unit], model: &Model, out: &mut Vec<Diagnostic>) {
     let n = model.fns.len();
-    let facts: Vec<FnFacts> = model
-        .fns
-        .iter()
-        .map(|d| extract_fn_facts(&units[d.unit_idx], d))
-        .collect();
     let mut state = TaintState {
         params: vec![BTreeMap::new(); n],
         ret: vec![None; n],
     };
-    seed(units, &model, &mut state, out);
+    seed(units, model, &mut state, out);
 
-    // Fixpoint: process every fn once to learn edges, then chase changes.
+    // Fixpoint: every fn once, then chase changes. The call graph is the
+    // model's, so callers are known up front.
     let mut callers: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for (idx, facts) in model.facts.iter().enumerate() {
+        for &t in &facts.callees {
+            callers[t].push(idx);
+        }
+    }
     let mut visits = vec![0usize; n];
-    let mut queue: std::collections::VecDeque<usize> = (0..n).collect();
+    let mut queue: VecDeque<usize> = (0..n).collect();
     let mut queued: Vec<bool> = vec![true; n];
     while let Some(idx) = queue.pop_front() {
         queued[idx] = false;
@@ -980,14 +781,7 @@ pub fn check(units: &[Unit], out: &mut Vec<Diagnostic>) {
             continue; // widening cap: stop chasing this fn
         }
         visits[idx] += 1;
-        let def = &model.fns[idx];
-        let unit = &units[def.unit_idx];
-        let analysis = analyze_fn(unit, def, &facts[idx], &model, &state, idx, false);
-        for &t in &analysis.edges {
-            if !callers[t].contains(&idx) {
-                callers[t].push(idx);
-            }
-        }
+        let analysis = FnCtx::new(units, model, &state, idx).analyze(false);
         let mut dirty: Vec<usize> = Vec::new();
         for (t, pname, prov) in analysis.props {
             if let std::collections::btree_map::Entry::Vacant(e) = state.params[t].entry(pname) {
@@ -1015,22 +809,21 @@ pub fn check(units: &[Unit], out: &mut Vec<Diagnostic>) {
     let mut fn_order: Vec<usize> = (0..n).collect();
     fn_order.sort_by_key(|&i| (model.fns[i].unit_idx, model.fns[i].line));
     for idx in fn_order {
-        let def = &model.fns[idx];
-        let unit = &units[def.unit_idx];
+        let ctx = FnCtx::new(units, model, &state, idx);
+        let (unit, def) = (ctx.unit, ctx.def);
         let path = &unit.file.path;
         if skip_unit(path) {
             continue;
         }
-        let analysis = analyze_fn(unit, def, &facts[idx], &model, &state, idx, true);
-        for sink in analysis.sinks {
-            if unit.dirs.taint.permits(sink.line, sink.rule) {
+        for sink in ctx.analyze(true).sinks {
+            if unit.permits(sink.line, sink.rule) {
                 continue;
             }
             let key = format!("{}|{path}|{}|{}", sink.rule, def.qualified, sink.token);
             if !seen.insert(key.clone()) {
                 continue;
             }
-            let mut witness = sink.prov.clone();
+            let mut witness = sink.prov;
             witness.push(Hop {
                 function: format!("{} [{}]", def.qualified, sink.token),
                 file: path.clone(),
@@ -1105,7 +898,7 @@ mod tests {
             .map(|(path, src)| Unit::analyze(parse(path, src, false), &mut Vec::new()))
             .collect();
         let mut out = Vec::new();
-        check(&units, &mut out);
+        check(&units, &crate::flow::build_model(&units), &mut out);
         out
     }
 
@@ -1182,6 +975,84 @@ pub fn entry(buf: &mut Bytes) {
             diags.iter().all(|d| !d.rule.starts_with("taint_")),
             "{diags:?}"
         );
+    }
+
+    #[test]
+    fn slice_indexing_and_buffer_math_are_index_sinks() {
+        let diags = run(&[
+            ("crates/demo/src/wire.rs", WIRE_SRC),
+            (
+                "crates/demo/src/lib.rs",
+                "
+pub fn entry(buf: &mut Bytes, table: &[u8]) {
+    let off = read_len(buf) as usize;
+    let b = table[off];
+    let len = read_len(buf) as usize;
+    let head = buf.split_to(len);
+    drop((b, head));
+}
+",
+            ),
+        ]);
+        let keys: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.rule == "taint_index")
+            .map(|d| d.key.as_str())
+            .collect();
+        assert!(
+            keys.iter().any(|k| k.ends_with("|entry|index:off")),
+            "{diags:?}"
+        );
+        assert!(
+            keys.iter().any(|k| k.ends_with("|entry|split_to:len")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn range_and_while_bounds_are_loop_sinks() {
+        let diags = run(&[
+            ("crates/demo/src/wire.rs", WIRE_SRC),
+            (
+                "crates/demo/src/lib.rs",
+                "
+pub fn entry(buf: &mut Bytes) {
+    let n = read_len(buf);
+    for _ in 0..=n {
+        work();
+    }
+    let mut i = 0;
+    while i < n {
+        i += 1;
+    }
+}
+",
+            ),
+        ]);
+        let keys: Vec<&str> = diags
+            .iter()
+            .filter(|d| d.rule == "taint_loop")
+            .map(|d| d.key.as_str())
+            .collect();
+        assert!(
+            keys.iter().any(|k| k.ends_with("|entry|for:n")),
+            "{diags:?}"
+        );
+        assert!(
+            keys.iter().any(|k| k.ends_with("|entry|while:n")),
+            "{diags:?}"
+        );
+    }
+
+    #[test]
+    fn dangling_source_annotation_is_a_directive_error() {
+        let diags = run(&[(
+            "crates/demo/src/wire.rs",
+            "pub fn f() {}\n// bf-taint: source(wire)\n",
+        )]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].rule, "directive");
+        assert_eq!(diags[0].line, 2);
     }
 
     #[test]

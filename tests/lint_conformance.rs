@@ -64,15 +64,9 @@ fn workspace_passes_bf_lint() {
 fn every_flow_entry_annotation_resolves() {
     let report = run(&workspace_root()).expect("bf-lint scan");
     let classes: Vec<&str> = report.entries.iter().map(|e| e.class.as_str()).collect();
-    for class in [
-        "poller",
-        "devmgr_events",
-        "remote_reactor",
-        "batcher",
-        "shm",
-    ] {
+    for (class, _) in ENTRY_CLASSES {
         assert!(
-            classes.contains(&class),
+            classes.contains(class),
             "entry class {class:?} has no resolved root; got {classes:?}"
         );
     }
@@ -167,7 +161,8 @@ fn flow_check(sources: &[(&str, &str)]) -> Vec<bf_lint::Diagnostic> {
         .iter()
         .map(|(path, src)| bf_lint::Unit::analyze(bf_lint::scan::parse(path, src, false), &mut out))
         .collect();
-    bf_lint::flow::check(&units, LOCK_HIERARCHY, &mut out);
+    let model = bf_lint::build_model(&units);
+    bf_lint::flow::check(&units, &model, LOCK_HIERARCHY, &mut out);
     out
 }
 
@@ -298,7 +293,7 @@ fn taint_check(sources: &[(&str, &str)]) -> Vec<bf_lint::Diagnostic> {
         .iter()
         .map(|(path, src)| bf_lint::Unit::analyze(bf_lint::scan::parse(path, src, false), &mut out))
         .collect();
-    bf_lint::taint::check(&units, &mut out);
+    bf_lint::taint::check(&units, &bf_lint::build_model(&units), &mut out);
     out
 }
 
