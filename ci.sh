@@ -78,9 +78,10 @@ for harness in datapath gateway scale cache federation; do
   cargo run -q --release -p bf-bench --bin "$harness" -- --smoke --check "experiments/BENCH_$harness.json"
 done
 
-# Virtual-time conformance: no refactor may move the paper's Fig. 4
-# numbers — regenerate all three sweeps and require byte-identical JSON.
-for fig in fig4a fig4b fig4c; do
+# Virtual-time conformance: no refactor may move the paper's Fig. 4 or
+# Table I–IV numbers — regenerate each artifact and require byte-identical
+# JSON.
+for fig in fig4a fig4b fig4c table1 table2 table3 table4; do
   echo "==> $fig virtual-time check"
   cargo run -q --release -p bf-bench --bin "$fig" > /dev/null
   cmp "target/experiments/$fig.json" "experiments/$fig.json"

@@ -3,7 +3,10 @@
 //! Each connected client gets its own [`Session`] — its own resource pool,
 //! the isolation mechanism of §III-B: handles are session-scoped, so a
 //! client can never name (let alone touch) another tenant's buffers,
-//! kernels or queues. Sessions are no longer threads: the manager's single
+//! kernels or queues. The pool is a [`Resources`] table, the same OpenCL
+//! object model the native backend keeps; the session only translates
+//! wire handles and arguments into it and its refusals back into wire
+//! codes ([`Refusal`]). Sessions are not threads: the manager's single
 //! event loop drives every session from poller readiness events.
 //!
 //! *Context & information methods* are answered synchronously from the
@@ -18,12 +21,15 @@
 //! draining past the configured limit is force-disconnected instead of
 //! buffering without bound.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bf_cache::{content_digest, DigestTracker};
-use bf_fpga::{KernelArg, KernelInvocation, MAX_KERNEL_ARGS};
 use bf_model::VirtualTime;
+use bf_ocl::{
+    ArgValue, ClError, ContextId, DeviceInfo, KernelId, MemId, NdRange, ProgramId, QueueId,
+    Resources,
+};
 use bf_rpc::{
     ClientId, DataRef, ErrorCode, PathCosts, Request, RequestEnvelope, Response, ResponseEnvelope,
     ServerChannel, ShmSegment, TransportError, WireArg,
@@ -49,30 +55,32 @@ pub(crate) struct SessionSeed {
     pub shm: Option<ShmSegment>,
 }
 
-#[derive(Debug, Default)]
-struct KernelSlot {
-    name: String,
-    args: BTreeMap<u32, WireArg>,
-}
+/// A request the session refuses: the wire code and a message.
+struct Refusal(ErrorCode, String);
 
-#[derive(Default)]
-struct SessionState {
-    next_handle: u64,
-    contexts: HashSet<u64>,
-    programs: HashMap<u64, String>,
-    kernels: HashMap<u64, KernelSlot>,
-    buffers: HashMap<u64, (bf_fpga::BufferId, u64)>,
-    queues: HashMap<u64, Vec<Operation>>,
-}
-
-impl SessionState {
-    fn fresh(&mut self) -> u64 {
-        self.next_handle += 1;
-        self.next_handle
+impl From<ClError> for Refusal {
+    /// The one translation of the handle table's errors into wire codes.
+    /// A buffer handle the session does not hold is answered as "not
+    /// yours" (`AccessDenied`), the isolation answer; every other unknown
+    /// handle is `InvalidHandle`.
+    fn from(e: ClError) -> Self {
+        let code = match e {
+            ClError::InvalidBuffer => ErrorCode::AccessDenied,
+            ClError::InvalidContext
+            | ClError::InvalidProgram
+            | ClError::InvalidKernel
+            | ClError::InvalidQueue => ErrorCode::InvalidHandle,
+            ClError::MissingKernelArg(_) | ClError::InvalidKernelLaunch(_) => {
+                ErrorCode::InvalidLaunch
+            }
+            ClError::BuildProgramFailure(_) => ErrorCode::BuildFailure,
+            _ => ErrorCode::Internal,
+        };
+        Refusal(code, e.to_string())
     }
 }
 
-type ReqResult = Result<(Response, VirtualTime), (ErrorCode, String)>;
+type ReqResult = Result<(Response, VirtualTime), Refusal>;
 
 /// One client session, driven by the manager's event loop.
 pub(crate) struct Session {
@@ -82,7 +90,8 @@ pub(crate) struct Session {
     name: String,
     costs: PathCosts,
     shm: Option<ShmSegment>,
-    state: SessionState,
+    /// This session's OpenCL objects; each queue stages its open task.
+    pool: Resources<Vec<Operation>>,
     /// Responses the bounded completion stream could not take yet, FIFO.
     outbound: VecDeque<ResponseEnvelope>,
     /// The session is winding down (`Disconnect` seen, peer vanished, or
@@ -112,7 +121,7 @@ impl Session {
             name: seed.name,
             costs: seed.costs,
             shm: seed.shm,
-            state: SessionState::default(),
+            pool: Resources::default(),
             outbound: VecDeque::new(),
             closing: false,
             peer_gone: false,
@@ -155,7 +164,7 @@ impl Session {
         let outcome = self.handle_request(&env, arrival, tasks);
         let (body, sent_at) = match outcome {
             Ok((body, at)) => (body, at),
-            Err((code, message)) => (Response::Error { code, message }, arrival),
+            Err(Refusal(code, message)) => (Response::Error { code, message }, arrival),
         };
         self.queue_response(ResponseEnvelope {
             tag: env.tag,
@@ -210,13 +219,12 @@ impl Session {
     /// Releases every board resource the session still holds.
     pub(crate) fn cleanup(&mut self) {
         let mut board = lock_order::tracked(&self.shared.board, "board");
-        for (fpga, _) in self.state.buffers.values() {
-            let _ = board.free_buffer(*fpga);
+        for fpga in self.pool.take_buffers() {
+            let _ = board.free_buffer(fpga);
             if let Some(cache) = &self.shared.cache {
                 cache.invalidate_buffer(fpga.0);
             }
         }
-        self.state.buffers.clear();
     }
 
     fn handle_request(
@@ -229,27 +237,24 @@ impl Session {
             Request::Hello { .. } => Ok((Response::Handle { id: self.client.0 }, arrival)),
             Request::GetDeviceInfo => {
                 let board = lock_order::tracked(&self.shared.board, "board");
-                Ok((
-                    Response::DeviceInfo {
-                        name: board.spec().model.clone(),
-                        vendor: "Intel".to_string(),
-                        platform: "Intel(R) FPGA SDK for OpenCL(TM)".to_string(),
-                        memory_bytes: board.spec().memory_bytes,
-                        node: self.shared.node.id().to_string(),
-                        bitstream: board.bitstream_id().map(str::to_string),
-                    },
-                    arrival,
-                ))
+                let info = DeviceInfo::of_board(&board, self.shared.node.id());
+                let response = Response::DeviceInfo {
+                    name: info.name,
+                    vendor: info.vendor,
+                    platform: info.platform,
+                    memory_bytes: info.memory_bytes,
+                    node: info.node.to_string(),
+                    bitstream: info.bitstream,
+                };
+                Ok((response, arrival))
             }
             Request::CreateContext => {
-                let id = self.state.fresh();
-                self.state.contexts.insert(id);
+                let id = self.pool.new_context().0;
                 Ok((Response::Handle { id }, arrival))
             }
             Request::BuildProgram { bitstream } => {
                 let done = self.ensure_bitstream(bitstream, arrival)?;
-                let id = self.state.fresh();
-                self.state.programs.insert(id, bitstream.clone());
+                let id = self.pool.new_program(bitstream).0;
                 Ok((Response::Handle { id }, done))
             }
             Request::Reconfigure { bitstream } => {
@@ -257,93 +262,43 @@ impl Session {
                 Ok((Response::Ack, done))
             }
             Request::CreateKernel { program, name } => {
-                let bitstream = self.state.programs.get(program).ok_or((
-                    ErrorCode::InvalidHandle,
-                    format!("program {program} not found"),
-                ))?;
-                let image = self.shared.catalog.get(bitstream).ok_or((
-                    ErrorCode::BuildFailure,
-                    format!("bitstream {bitstream:?} missing from catalog"),
-                ))?;
-                if image.kernel(name).is_none() {
-                    return Err((
-                        ErrorCode::BuildFailure,
-                        format!("kernel {name:?} not in bitstream {bitstream:?}"),
-                    ));
-                }
-                let id = self.state.fresh();
-                self.state.kernels.insert(
-                    id,
-                    KernelSlot {
-                        name: name.clone(),
-                        args: BTreeMap::new(),
-                    },
-                );
-                Ok((Response::Handle { id }, arrival))
+                let catalog = &self.shared.catalog;
+                let id = self.pool.new_kernel(ProgramId(*program), name, catalog)?;
+                Ok((Response::Handle { id: id.0 }, arrival))
             }
             Request::SetKernelArg { kernel, index, arg } => {
-                // The wire index is attacker-controlled and argument
-                // slots materialize positionally at launch: an unchecked
-                // u32::MAX here would buy four billion iterations of
-                // launch-time work for one frame (bf-taint: taint_loop).
-                if *index >= MAX_KERNEL_ARGS {
-                    return Err((
-                        ErrorCode::InvalidLaunch,
-                        format!(
-                            "kernel argument index {index} exceeds the \
-                             per-kernel limit of {MAX_KERNEL_ARGS}"
-                        ),
-                    ));
-                }
-                let slot = self.state.kernels.get_mut(kernel).ok_or((
-                    ErrorCode::InvalidHandle,
-                    format!("kernel {kernel} not found"),
-                ))?;
-                slot.args.insert(*index, *arg);
+                // The pool caps the attacker-controlled index before it is
+                // stored (bf-taint: taint_loop).
+                let arg = arg_value(*arg);
+                self.pool.bind_arg(KernelId(*kernel), *index, arg)?;
                 Ok((Response::Ack, arrival))
             }
             Request::CreateBuffer { context, len } => {
-                if !self.state.contexts.contains(context) {
-                    return Err((
-                        ErrorCode::InvalidHandle,
-                        format!("context {context} not found"),
-                    ));
-                }
+                self.pool.context(ContextId(*context))?;
                 let fpga = lock_order::tracked(&self.shared.board, "board")
                     .alloc_buffer(*len)
-                    .map_err(|e| (ErrorCode::OutOfResources, e.to_string()))?;
-                let id = self.state.fresh();
-                self.state.buffers.insert(id, (fpga, *len));
+                    .map_err(|e| Refusal(ErrorCode::OutOfResources, e.to_string()))?;
+                let id = self.pool.new_buffer(fpga).0;
                 Ok((Response::Handle { id }, arrival))
             }
             Request::ReleaseBuffer { buffer } => {
-                let (fpga, _) = self.state.buffers.remove(buffer).ok_or((
-                    ErrorCode::AccessDenied,
-                    format!("buffer {buffer} is not yours"),
-                ))?;
+                let fpga = self.pool.remove_buffer(MemId(*buffer))?;
                 lock_order::tracked(&self.shared.board, "board")
                     .free_buffer(fpga)
-                    .map_err(|e| (ErrorCode::Internal, e.to_string()))?;
+                    .map_err(|e| Refusal(ErrorCode::Internal, e.to_string()))?;
                 if let Some(cache) = &self.shared.cache {
                     // A freed id can be reissued; stale residency on it
                     // would let a later digest hit skip a needed DMA.
                     // bf-taint: allow(taint_auth): `fpga` is the
                     // server-assigned board id read back from this
-                    // session's own handle table; the remove() above is
-                    // the ownership check on the wire handle.
+                    // session's own pool; remove_buffer() above is the
+                    // ownership check on the wire handle.
                     cache.invalidate_buffer(fpga.0);
                 }
                 Ok((Response::Ack, arrival))
             }
             Request::CreateQueue { context } => {
-                if !self.state.contexts.contains(context) {
-                    return Err((
-                        ErrorCode::InvalidHandle,
-                        format!("context {context} not found"),
-                    ));
-                }
-                let id = self.state.fresh();
-                self.state.queues.insert(id, Vec::new());
+                let id = self.pool.new_queue(ContextId(*context))?.0;
                 Ok((Response::Handle { id }, arrival))
             }
             Request::EnqueueWrite {
@@ -352,28 +307,16 @@ impl Session {
                 offset,
                 data,
             } => {
-                let (fpga, _) = *self.state.buffers.get(buffer).ok_or((
-                    ErrorCode::AccessDenied,
-                    format!("buffer {buffer} is not yours"),
-                ))?;
+                let buffer = self.pool.buffer(MemId(*buffer))?;
                 let (data, digest) = self.resolve_write_payload(data)?;
-                let ops = self
-                    .state
-                    .queues
-                    .get_mut(queue)
-                    .ok_or((ErrorCode::InvalidHandle, format!("queue {queue} not found")))?;
-                stage_op(
-                    ops,
-                    Operation::Write {
-                        tag: env.tag,
-                        buffer: fpga,
-                        offset: *offset,
-                        data,
-                        digest,
-                    },
-                    self.shared.config.max_queued_ops,
-                )?;
-                Ok((Response::Enqueued, arrival))
+                let op = Operation::Write {
+                    tag: env.tag,
+                    buffer,
+                    offset: *offset,
+                    data,
+                    digest,
+                };
+                self.stage(*queue, op, arrival)
             }
             Request::EnqueueRead {
                 queue,
@@ -381,26 +324,13 @@ impl Session {
                 offset,
                 len,
             } => {
-                let (fpga, _) = *self.state.buffers.get(buffer).ok_or((
-                    ErrorCode::AccessDenied,
-                    format!("buffer {buffer} is not yours"),
-                ))?;
-                let ops = self
-                    .state
-                    .queues
-                    .get_mut(queue)
-                    .ok_or((ErrorCode::InvalidHandle, format!("queue {queue} not found")))?;
-                stage_op(
-                    ops,
-                    Operation::Read {
-                        tag: env.tag,
-                        buffer: fpga,
-                        offset: *offset,
-                        len: *len,
-                    },
-                    self.shared.config.max_queued_ops,
-                )?;
-                Ok((Response::Enqueued, arrival))
+                let op = Operation::Read {
+                    tag: env.tag,
+                    buffer: self.pool.buffer(MemId(*buffer))?,
+                    offset: *offset,
+                    len: *len,
+                };
+                self.stage(*queue, op, arrival)
             }
             Request::EnqueueCopy {
                 queue,
@@ -410,54 +340,29 @@ impl Session {
                 dst_offset,
                 len,
             } => {
-                let (src_fpga, _) = *self.state.buffers.get(src).ok_or((
-                    ErrorCode::AccessDenied,
-                    format!("buffer {src} is not yours"),
-                ))?;
-                let (dst_fpga, _) = *self.state.buffers.get(dst).ok_or((
-                    ErrorCode::AccessDenied,
-                    format!("buffer {dst} is not yours"),
-                ))?;
-                let ops = self
-                    .state
-                    .queues
-                    .get_mut(queue)
-                    .ok_or((ErrorCode::InvalidHandle, format!("queue {queue} not found")))?;
-                stage_op(
-                    ops,
-                    Operation::Copy {
-                        tag: env.tag,
-                        src: src_fpga,
-                        dst: dst_fpga,
-                        src_offset: *src_offset,
-                        dst_offset: *dst_offset,
-                        len: *len,
-                    },
-                    self.shared.config.max_queued_ops,
-                )?;
-                Ok((Response::Enqueued, arrival))
+                let op = Operation::Copy {
+                    tag: env.tag,
+                    src: self.pool.buffer(MemId(*src))?,
+                    dst: self.pool.buffer(MemId(*dst))?,
+                    src_offset: *src_offset,
+                    dst_offset: *dst_offset,
+                    len: *len,
+                };
+                self.stage(*queue, op, arrival)
             }
             Request::EnqueueKernel {
                 queue,
                 kernel,
                 work,
             } => {
-                let (name, invocation) = resolve_invocation(&self.state, *kernel, *work)?;
-                let ops = self
-                    .state
-                    .queues
-                    .get_mut(queue)
-                    .ok_or((ErrorCode::InvalidHandle, format!("queue {queue} not found")))?;
-                stage_op(
-                    ops,
-                    Operation::Kernel {
-                        tag: env.tag,
-                        name,
-                        invocation,
-                    },
-                    self.shared.config.max_queued_ops,
-                )?;
-                Ok((Response::Enqueued, arrival))
+                let kernel = KernelId(*kernel);
+                let (name, invocation) = self.pool.invocation(kernel, NdRange(*work))?;
+                let op = Operation::Kernel {
+                    tag: env.tag,
+                    name,
+                    invocation,
+                };
+                self.stage(*queue, op, arrival)
             }
             Request::Flush { queue } => {
                 self.submit_task(*queue, arrival, None, tasks)?;
@@ -484,13 +389,10 @@ impl Session {
     /// Also returns the payload's content digest when one was computed,
     /// so the executor's device-residency tier never hashes the same
     /// bytes a second time.
-    fn resolve_write_payload(
-        &self,
-        data: &DataRef,
-    ) -> Result<(DataRef, Option<u128>), (ErrorCode, String)> {
+    fn resolve_write_payload(&self, data: &DataRef) -> Result<(DataRef, Option<u128>), Refusal> {
         let (Some(cache), Some(admitted)) = (&self.shared.cache, &self.admitted) else {
             return match data {
-                DataRef::Digest { digest, .. } => Err((
+                DataRef::Digest { digest, .. } => Err(Refusal(
                     ErrorCode::CacheMiss,
                     format!("no payload cache on this manager for digest {digest:#034x}"),
                 )),
@@ -510,7 +412,7 @@ impl Session {
                 // check IS the authorization for the untrusted digest —
                 // only content this session itself shipped may hit.
                 if !admitted.holds(*digest) {
-                    return Err((
+                    return Err(Refusal(
                         ErrorCode::CacheMiss,
                         format!("digest {digest:#034x} was not shipped by this session"),
                     ));
@@ -522,11 +424,11 @@ impl Session {
                     Some(bytes) if bytes.len() as u64 == *len => {
                         Ok((DataRef::Inline(bytes.into()), Some(*digest)))
                     }
-                    Some(_) => Err((
+                    Some(_) => Err(Refusal(
                         ErrorCode::CacheMiss,
                         format!("digest {digest:#034x} resident with a different length"),
                     )),
-                    None => Err((
+                    None => Err(Refusal(
                         ErrorCode::CacheMiss,
                         format!("digest {digest:#034x} not resident"),
                     )),
@@ -564,8 +466,8 @@ impl Session {
         &self,
         bitstream: &str,
         arrival: VirtualTime,
-    ) -> Result<VirtualTime, (ErrorCode, String)> {
-        let image = self.shared.catalog.get(bitstream).ok_or((
+    ) -> Result<VirtualTime, Refusal> {
+        let image = self.shared.catalog.get(bitstream).ok_or(Refusal(
             ErrorCode::BuildFailure,
             format!("unknown bitstream {bitstream:?}"),
         ))?;
@@ -583,7 +485,7 @@ impl Session {
             }),
         };
         if !allowed {
-            return Err((
+            return Err(Refusal(
                 ErrorCode::ReconfigurationRefused,
                 format!("reconfiguration to {bitstream:?} refused by policy"),
             ));
@@ -607,13 +509,8 @@ impl Session {
         arrival: VirtualTime,
         finish_tag: Option<u64>,
         tasks: &mut VecDeque<Task>,
-    ) -> Result<(), (ErrorCode, String)> {
-        let ops = self
-            .state
-            .queues
-            .get_mut(&queue)
-            .ok_or((ErrorCode::InvalidHandle, format!("queue {queue} not found")))?;
-        let ops = std::mem::take(ops);
+    ) -> Result<(), Refusal> {
+        let ops = std::mem::take(self.pool.queue_mut(QueueId(queue))?);
         if ops.is_empty() && finish_tag.is_none() {
             return Ok(()); // nothing to flush
         }
@@ -629,66 +526,31 @@ impl Session {
         });
         Ok(())
     }
-}
 
-/// Stages one operation on a command queue, refusing past the configured
-/// per-queue cap so one client cannot grow a queue without bound.
-fn stage_op(
-    ops: &mut Vec<Operation>,
-    op: Operation,
-    max_queued_ops: usize,
-) -> Result<(), (ErrorCode, String)> {
-    if ops.len() >= max_queued_ops {
-        return Err((
-            ErrorCode::OutOfResources,
-            format!("queue already holds {max_queued_ops} unflushed operations"),
-        ));
-    }
-    // bf-flow: allow(hot_alloc): bounded by max_queued_ops, enforced above
-    ops.push(op);
-    Ok(())
-}
-
-/// Validates one kernel launch and returns the kernel's name alongside the
-/// resolved invocation, so the caller never re-indexes the handle map.
-fn resolve_invocation(
-    state: &SessionState,
-    kernel: u64,
-    work: [u64; 3],
-) -> Result<(String, KernelInvocation), (ErrorCode, String)> {
-    let slot = state.kernels.get(&kernel).ok_or((
-        ErrorCode::InvalidHandle,
-        format!("kernel {kernel} not found"),
-    ))?;
-    // bf-taint: sanitized(SetKernelArg rejects indices >= MAX_KERNEL_ARGS, so args.len() is capped at 256)
-    let mut args = Vec::with_capacity(slot.args.len());
-    if let Some(max) = slot.args.keys().next_back().copied() {
-        // bf-taint: sanitized(max < MAX_KERNEL_ARGS — enforced at the SetKernelArg trust boundary)
-        for i in 0..=max {
-            let arg = slot.args.get(&i).ok_or((
-                ErrorCode::InvalidLaunch,
-                format!("kernel argument {i} was never set"),
-            ))?;
-            args.push(match *arg {
-                WireArg::Buffer(handle) => {
-                    let (fpga, _) = state.buffers.get(&handle).ok_or((
-                        ErrorCode::AccessDenied,
-                        format!("buffer {handle} is not yours"),
-                    ))?;
-                    KernelArg::Buffer(*fpga)
-                }
-                WireArg::U32(v) => KernelArg::U32(v),
-                WireArg::I32(v) => KernelArg::I32(v),
-                WireArg::U64(v) => KernelArg::U64(v),
-                WireArg::F32(v) => KernelArg::F32(v),
-            });
+    /// Stages `op` in `queue`'s open task, refusing past the configured
+    /// per-queue cap so one client cannot grow a queue without bound.
+    fn stage(&mut self, queue: u64, op: Operation, arrival: VirtualTime) -> ReqResult {
+        let ops = self.pool.queue_mut(QueueId(queue))?;
+        let cap = self.shared.config.max_queued_ops;
+        if ops.len() >= cap {
+            return Err(Refusal(
+                ErrorCode::OutOfResources,
+                format!("queue already holds {cap} unflushed operations"),
+            ));
         }
+        // bf-flow: allow(hot_alloc): bounded by max_queued_ops, enforced above
+        ops.push(op);
+        Ok((Response::Enqueued, arrival))
     }
-    Ok((
-        slot.name.clone(),
-        KernelInvocation {
-            args,
-            global_work: work,
-        },
-    ))
+}
+
+/// A wire kernel argument as the handle table stores it.
+fn arg_value(arg: WireArg) -> ArgValue {
+    match arg {
+        WireArg::Buffer(handle) => ArgValue::Buffer(MemId(handle)),
+        WireArg::U32(v) => ArgValue::U32(v),
+        WireArg::I32(v) => ArgValue::I32(v),
+        WireArg::U64(v) => ArgValue::U64(v),
+        WireArg::F32(v) => ArgValue::F32(v),
+    }
 }

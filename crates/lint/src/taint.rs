@@ -55,8 +55,10 @@
 //! (insert tainted, read back later), receiver taint does not flow into
 //! callee bodies through `self`, and a skipped unparseable parameter can
 //! shift argument positions. The kernel-arg index cap in
-//! `bf-devmgr::session` exists precisely because the first blind spot is
-//! real — see ARCHITECTURE.md §14.
+//! `bf_ocl::Resources::bind_arg` exists precisely because the first blind
+//! spot is real — see ARCHITECTURE.md §14. Return taint is
+//! context-insensitive: a function called from the wire taints its result
+//! for every caller.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
 

@@ -14,7 +14,9 @@
 //!   status lifecycle, [`wait_for_events`] and profiling timestamps;
 //! * the [`Backend`] trait — the seam between the API and a runtime — and
 //!   the [`NativeBackend`] (direct PCIe access, the paper's baseline). The
-//!   Remote OpenCL Library in `bf-remote` implements the same trait.
+//!   Remote OpenCL Library in `bf-remote` implements the same trait;
+//! * [`Resources`], the handle table of one resource pool — the object
+//!   model the [`NativeBackend`] and every Device Manager session share.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -65,6 +67,7 @@ mod error;
 mod event;
 mod handle;
 mod native;
+mod resources;
 mod types;
 
 pub use backend::Backend;
@@ -72,6 +75,7 @@ pub use error::{ClError, ClResult};
 pub use event::{wait_for_events, CommandType, Event, EventCallback, EventProfile, EventStatus};
 pub use handle::{Buffer, Context, Device, Kernel, Platform, Program, Queue};
 pub use native::NativeBackend;
+pub use resources::Resources;
 pub use types::{
     ArgValue, BitstreamCatalog, ContextId, DeviceInfo, KernelId, MemId, NdRange, ProgramId, QueueId,
 };

@@ -1,56 +1,23 @@
 //! The native backend: direct PCIe access to a board, as in the paper's
 //! "Native" baseline (one function per device, no sharing layer).
 
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
-use bf_fpga::{Board, KernelArg, KernelInvocation, Payload};
+use bf_fpga::{Board, FpgaError, OpTiming, Payload};
 use bf_model::{NodeSpec, VirtualClock, VirtualTime};
 use parking_lot::Mutex;
 
 use crate::backend::Backend;
 use crate::error::{ClError, ClResult};
 use crate::event::{CommandType, Event};
+use crate::resources::Resources;
 use crate::types::{
     ArgValue, BitstreamCatalog, ContextId, DeviceInfo, KernelId, MemId, NdRange, ProgramId, QueueId,
 };
 
-#[derive(Debug, Default)]
-struct KernelState {
-    name: String,
-    args: BTreeMap<u32, ArgValue>,
-}
-
-#[derive(Debug)]
-struct BufferState {
-    fpga: bf_fpga::BufferId,
-    len: u64,
-}
-
-#[derive(Debug, Default)]
-struct QueueState {
-    last_end: VirtualTime,
-}
-
-#[derive(Debug, Default)]
-struct State {
-    next_id: u64,
-    contexts: HashSet<u64>,
-    programs: HashMap<u64, String>,
-    kernels: HashMap<u64, KernelState>,
-    buffers: HashMap<u64, BufferState>,
-    queues: HashMap<u64, QueueState>,
-}
-
-impl State {
-    fn fresh_id(&mut self) -> u64 {
-        self.next_id += 1;
-        self.next_id
-    }
-}
-
-/// Direct (unshared) access to a [`Board`], used by the paper's Native
-/// baseline and internally by the Device Manager's executor.
+/// Direct (unshared) access to a [`Board`], the paper's Native baseline:
+/// one client owns the board, with no Device Manager in between. Its
+/// handle table is the same [`Resources`] a Device Manager session keeps.
 ///
 /// Commands are timed eagerly on the virtual timeline: the board resolves
 /// start/end instants immediately, the returned [`Event`] is already
@@ -63,7 +30,9 @@ pub struct NativeBackend {
     clock: VirtualClock,
     catalog: BitstreamCatalog,
     owner: String,
-    state: Mutex<State>,
+    /// The handle table; each queue holds its drain point, the end of its
+    /// last command. Never held while the board lock is taken.
+    state: Mutex<Resources<VirtualTime>>,
 }
 
 impl NativeBackend {
@@ -83,7 +52,7 @@ impl NativeBackend {
             clock,
             catalog,
             owner: owner.into(),
-            state: Mutex::new(State::default()),
+            state: Mutex::new(Resources::default()),
         }
     }
 
@@ -97,47 +66,40 @@ impl NativeBackend {
         &self.node
     }
 
-    fn queue_touch(&self, queue: QueueId, end: VirtualTime) -> ClResult<()> {
-        let mut state = self.state.lock();
-        let q = state
-            .queues
-            .get_mut(&queue.0)
-            .ok_or(ClError::InvalidQueue)?;
-        q.last_end = q.last_end.max(end);
-        Ok(())
-    }
-
-    fn resolve_buffer(&self, buffer: MemId) -> ClResult<(bf_fpga::BufferId, u64)> {
-        let state = self.state.lock();
-        let b = state.buffers.get(&buffer.0).ok_or(ClError::InvalidBuffer)?;
-        Ok((b.fpga, b.len))
-    }
-
-    fn snapshot_invocation(&self, kernel: KernelId, work: NdRange) -> ClResult<KernelInvocation> {
-        let state = self.state.lock();
-        let k = state.kernels.get(&kernel.0).ok_or(ClError::InvalidKernel)?;
-        let max_index = k.args.keys().next_back().copied();
-        let mut args = Vec::new();
-        if let Some(max) = max_index {
-            // bf-taint: sanitized(set_kernel_arg rejects indices >= MAX_KERNEL_ARGS, capping the highest key at 256)
-            for i in 0..=max {
-                let v = k.args.get(&i).ok_or(ClError::MissingKernelArg(i))?;
-                args.push(match *v {
-                    ArgValue::Buffer(mem) => {
-                        let b = state.buffers.get(&mem.0).ok_or(ClError::InvalidBuffer)?;
-                        KernelArg::Buffer(b.fpga)
-                    }
-                    ArgValue::U32(v) => KernelArg::U32(v),
-                    ArgValue::I32(v) => KernelArg::I32(v),
-                    ArgValue::U64(v) => KernelArg::U64(v),
-                    ArgValue::F32(v) => KernelArg::F32(v),
-                });
+    /// Runs one command on `queue`. The queue is checked before the board
+    /// is touched; the returned event is already terminal, the queue's
+    /// drain point moves to the command's end, and a blocking command
+    /// advances the host clock to it.
+    fn run(
+        &self,
+        queue: QueueId,
+        kind: CommandType,
+        blocking: bool,
+        command: impl FnOnce(&mut Board, VirtualTime) -> Result<(OpTiming, Option<Payload>), FpgaError>,
+    ) -> ClResult<Event> {
+        self.state.lock().queue(queue)?;
+        let now = self.clock.now();
+        let event = Event::new(kind, now);
+        event.attach_clock(self.clock.clone());
+        let outcome = command(&mut self.board.lock(), now);
+        match outcome {
+            Ok((t, payload)) => {
+                event.mark_submitted(now);
+                event.complete(t.started_at, t.ended_at, payload);
+                let mut state = self.state.lock();
+                let drain = state.queue_mut(queue)?;
+                *drain = (*drain).max(t.ended_at);
+                if blocking {
+                    self.clock.advance_to(t.ended_at);
+                }
+                Ok(event)
+            }
+            Err(e) => {
+                let cl: ClError = e.into();
+                event.fail(cl.clone());
+                Err(cl)
             }
         }
-        Ok(KernelInvocation {
-            args,
-            global_work: work.0,
-        })
     }
 }
 
@@ -152,15 +114,7 @@ impl std::fmt::Debug for NativeBackend {
 
 impl Backend for NativeBackend {
     fn device_info(&self) -> DeviceInfo {
-        let board = self.board.lock();
-        DeviceInfo {
-            name: board.spec().model.clone(),
-            vendor: "Intel".to_string(),
-            platform: "Intel(R) FPGA SDK for OpenCL(TM)".to_string(),
-            memory_bytes: board.spec().memory_bytes,
-            node: self.node.id().clone(),
-            bitstream: board.bitstream_id().map(str::to_string),
-        }
+        DeviceInfo::of_board(&self.board.lock(), self.node.id())
     }
 
     fn clock(&self) -> &VirtualClock {
@@ -168,19 +122,11 @@ impl Backend for NativeBackend {
     }
 
     fn create_context(&self) -> ClResult<ContextId> {
-        let mut state = self.state.lock();
-        let id = state.fresh_id();
-        state.contexts.insert(id);
-        Ok(ContextId(id))
+        Ok(self.state.lock().new_context())
     }
 
     fn build_program(&self, ctx: ContextId, bitstream: &str) -> ClResult<ProgramId> {
-        {
-            let state = self.state.lock();
-            if !state.contexts.contains(&ctx.0) {
-                return Err(ClError::InvalidContext);
-            }
-        }
+        self.state.lock().context(ctx)?;
         let image = self.catalog.get(bitstream).ok_or_else(|| {
             ClError::BuildProgramFailure(format!("unknown bitstream {bitstream:?}"))
         })?;
@@ -192,94 +138,32 @@ impl Backend for NativeBackend {
                 self.clock.advance_to(timing.ended_at);
             }
         }
-        let mut state = self.state.lock();
-        let id = state.fresh_id();
-        state.programs.insert(id, bitstream.to_string());
-        Ok(ProgramId(id))
+        Ok(self.state.lock().new_program(bitstream))
     }
 
     fn create_kernel(&self, program: ProgramId, name: &str) -> ClResult<KernelId> {
-        let mut state = self.state.lock();
-        let bitstream = state
-            .programs
-            .get(&program.0)
-            .ok_or(ClError::InvalidProgram)?
-            .clone();
-        let image = self
-            .catalog
-            .get(&bitstream)
-            .ok_or_else(|| ClError::BuildProgramFailure(format!("bitstream {bitstream:?} gone")))?;
-        if image.kernel(name).is_none() {
-            return Err(ClError::BuildProgramFailure(format!(
-                "kernel {name:?} not in bitstream {bitstream:?}"
-            )));
-        }
-        let id = state.fresh_id();
-        state.kernels.insert(
-            id,
-            KernelState {
-                name: name.to_string(),
-                args: BTreeMap::new(),
-            },
-        );
-        Ok(KernelId(id))
+        self.state.lock().new_kernel(program, name, &self.catalog)
     }
 
     fn set_kernel_arg(&self, kernel: KernelId, index: u32, arg: ArgValue) -> ClResult<()> {
-        // Same bound the device-manager session enforces on the wire:
-        // launch materializes slots positionally, so an unchecked index
-        // would buy `index` iterations of launch-time work.
-        if index >= bf_fpga::MAX_KERNEL_ARGS {
-            return Err(ClError::InvalidKernelLaunch(format!(
-                "kernel argument index {index} exceeds the per-kernel \
-                 limit of {}",
-                bf_fpga::MAX_KERNEL_ARGS
-            )));
-        }
-        let mut state = self.state.lock();
-        let k = state
-            .kernels
-            .get_mut(&kernel.0)
-            .ok_or(ClError::InvalidKernel)?;
-        k.args.insert(index, arg);
-        Ok(())
+        self.state.lock().bind_arg(kernel, index, arg)
     }
 
     fn create_buffer(&self, ctx: ContextId, len: u64) -> ClResult<MemId> {
-        {
-            let state = self.state.lock();
-            if !state.contexts.contains(&ctx.0) {
-                return Err(ClError::InvalidContext);
-            }
-        }
+        self.state.lock().context(ctx)?;
         let fpga = self.board.lock().alloc_buffer(len)?;
-        let mut state = self.state.lock();
-        let id = state.fresh_id();
-        state.buffers.insert(id, BufferState { fpga, len });
-        Ok(MemId(id))
+        Ok(self.state.lock().new_buffer(fpga))
     }
 
     fn release_buffer(&self, buffer: MemId) -> ClResult<()> {
-        let fpga = {
-            let mut state = self.state.lock();
-            let b = state
-                .buffers
-                .remove(&buffer.0)
-                .ok_or(ClError::InvalidBuffer)?;
-            b.fpga
-        };
-        self.board.lock().free_buffer(fpga)?;
+        // Board before table, the order the lock hierarchy ranks them in.
+        let mut board = self.board.lock();
+        board.free_buffer(self.state.lock().remove_buffer(buffer)?)?;
         Ok(())
     }
 
     fn create_queue(&self, ctx: ContextId) -> ClResult<QueueId> {
-        let mut state = self.state.lock();
-        if !state.contexts.contains(&ctx.0) {
-            return Err(ClError::InvalidContext);
-        }
-        let id = state.fresh_id();
-        state.queues.insert(id, QueueState::default());
-        Ok(QueueId(id))
+        self.state.lock().new_queue(ctx)
     }
 
     fn enqueue_write(
@@ -290,30 +174,11 @@ impl Backend for NativeBackend {
         payload: Payload,
         blocking: bool,
     ) -> ClResult<Event> {
-        let (fpga, _) = self.resolve_buffer(buffer)?;
-        let now = self.clock.now();
-        let event = Event::new(CommandType::WriteBuffer, now);
-        event.attach_clock(self.clock.clone());
-        let timing = {
-            let mut board = self.board.lock();
-            board.write_buffer(fpga, offset, &payload, now, &self.owner)
-        };
-        match timing {
-            Ok(t) => {
-                event.mark_submitted(now);
-                event.complete(t.started_at, t.ended_at, None);
-                self.queue_touch(queue, t.ended_at)?;
-                if blocking {
-                    self.clock.advance_to(t.ended_at);
-                }
-                Ok(event)
-            }
-            Err(e) => {
-                let cl: ClError = e.into();
-                event.fail(cl.clone());
-                Err(cl)
-            }
-        }
+        let fpga = self.state.lock().buffer(buffer)?;
+        self.run(queue, CommandType::WriteBuffer, blocking, |board, now| {
+            let t = board.write_buffer(fpga, offset, &payload, now, &self.owner)?;
+            Ok((t, None))
+        })
     }
 
     fn enqueue_read(
@@ -324,63 +189,20 @@ impl Backend for NativeBackend {
         len: u64,
         blocking: bool,
     ) -> ClResult<Event> {
-        let (fpga, _) = self.resolve_buffer(buffer)?;
-        let now = self.clock.now();
-        let event = Event::new(CommandType::ReadBuffer, now);
-        event.attach_clock(self.clock.clone());
-        let result = {
-            let mut board = self.board.lock();
-            board.read_buffer(fpga, offset, len, now, &self.owner)
-        };
-        match result {
-            Ok((t, payload)) => {
-                event.mark_submitted(now);
-                event.complete(t.started_at, t.ended_at, Some(payload));
-                self.queue_touch(queue, t.ended_at)?;
-                if blocking {
-                    self.clock.advance_to(t.ended_at);
-                }
-                Ok(event)
-            }
-            Err(e) => {
-                let cl: ClError = e.into();
-                event.fail(cl.clone());
-                Err(cl)
-            }
-        }
+        let fpga = self.state.lock().buffer(buffer)?;
+        self.run(queue, CommandType::ReadBuffer, blocking, |board, now| {
+            let (t, payload) = board.read_buffer(fpga, offset, len, now, &self.owner)?;
+            Ok((t, Some(payload)))
+        })
     }
 
     fn enqueue_kernel(&self, queue: QueueId, kernel: KernelId, work: NdRange) -> ClResult<Event> {
-        let invocation = self.snapshot_invocation(kernel, work)?;
-        let name = {
-            let state = self.state.lock();
-            state
-                .kernels
-                .get(&kernel.0)
-                .ok_or(ClError::InvalidKernel)?
-                .name
-                .clone()
-        };
-        let now = self.clock.now();
-        let event = Event::new(CommandType::NdRangeKernel, now);
-        event.attach_clock(self.clock.clone());
-        let timing = {
-            let mut board = self.board.lock();
-            board.launch_kernel(&name, &invocation, now, &self.owner)
-        };
-        match timing {
-            Ok(t) => {
-                event.mark_submitted(now);
-                event.complete(t.started_at, t.ended_at, None);
-                self.queue_touch(queue, t.ended_at)?;
-                Ok(event)
-            }
-            Err(e) => {
-                let cl: ClError = e.into();
-                event.fail(cl.clone());
-                Err(cl)
-            }
-        }
+        // bf-taint: sanitized(host code calls the native backend, never the wire — the pool's return is tainted only by a session's calls into the same table)
+        let (name, invocation) = self.state.lock().invocation(kernel, work)?;
+        self.run(queue, CommandType::NdRangeKernel, false, |board, now| {
+            let t = board.launch_kernel(&name, &invocation, now, &self.owner)?;
+            Ok((t, None))
+        })
     }
 
     fn enqueue_copy(
@@ -392,54 +214,25 @@ impl Backend for NativeBackend {
         dst_offset: u64,
         len: u64,
     ) -> ClResult<Event> {
-        let (src_fpga, _) = self.resolve_buffer(src)?;
-        let (dst_fpga, _) = self.resolve_buffer(dst)?;
-        let now = self.clock.now();
-        let event = Event::new(CommandType::CopyBuffer, now);
-        event.attach_clock(self.clock.clone());
-        let timing = {
-            let mut board = self.board.lock();
-            board.copy_buffer(
-                src_fpga,
-                dst_fpga,
-                src_offset,
-                dst_offset,
-                len,
-                now,
-                &self.owner,
-            )
+        let (src, dst) = {
+            let state = self.state.lock();
+            (state.buffer(src)?, state.buffer(dst)?)
         };
-        match timing {
-            Ok(t) => {
-                event.mark_submitted(now);
-                event.complete(t.started_at, t.ended_at, None);
-                self.queue_touch(queue, t.ended_at)?;
-                Ok(event)
-            }
-            Err(e) => {
-                let cl: ClError = e.into();
-                event.fail(cl.clone());
-                Err(cl)
-            }
-        }
+        self.run(queue, CommandType::CopyBuffer, false, |board, now| {
+            let t = board.copy_buffer(src, dst, src_offset, dst_offset, len, now, &self.owner)?;
+            Ok((t, None))
+        })
     }
 
     fn enqueue_marker(&self, queue: QueueId) -> ClResult<Event> {
         // Native commands are executed eagerly, so the marker's completion
         // is simply the queue's current drain point.
-        let last_end = {
-            let state = self.state.lock();
-            state
-                .queues
-                .get(&queue.0)
-                .ok_or(ClError::InvalidQueue)?
-                .last_end
-        };
+        let drain = *self.state.lock().queue(queue)?;
         let now = self.clock.now();
         let event = Event::new(CommandType::Marker, now);
         event.attach_clock(self.clock.clone());
         event.mark_submitted(now);
-        event.complete(last_end.max(now), last_end.max(now), None);
+        event.complete(drain.max(now), drain.max(now), None);
         Ok(event)
     }
 
@@ -450,31 +243,19 @@ impl Backend for NativeBackend {
 
     fn flush(&self, queue: QueueId) -> ClResult<()> {
         // Native commands are submitted eagerly; flush only validates.
-        let state = self.state.lock();
-        state
-            .queues
-            .get(&queue.0)
-            .map(|_| ())
-            .ok_or(ClError::InvalidQueue)
+        self.state.lock().queue(queue).map(drop)
     }
 
     fn finish(&self, queue: QueueId) -> ClResult<()> {
-        let last_end = {
-            let state = self.state.lock();
-            state
-                .queues
-                .get(&queue.0)
-                .ok_or(ClError::InvalidQueue)?
-                .last_end
-        };
-        self.clock.advance_to(last_end);
+        let drain = *self.state.lock().queue(queue)?;
+        self.clock.advance_to(drain);
         Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use bf_fpga::{Bitstream, BoardSpec, FnKernel, KernelDescriptor};
+    use bf_fpga::{Bitstream, BoardSpec, FnKernel, KernelDescriptor, KernelInvocation};
     use bf_model::{node_b, PcieGeneration, PcieLink, VirtualDuration};
 
     use super::*;
@@ -614,6 +395,53 @@ mod tests {
             be.enqueue_kernel(q, kernel, NdRange::d1(1)),
             Err(ClError::MissingKernelArg(0))
         ));
+    }
+
+    /// Regression: an enqueue on an unknown queue used to run on the board
+    /// first — writing memory, charging busy time to the owner — and only
+    /// then report `InvalidQueue`. The queue is validated before the board
+    /// is touched.
+    #[test]
+    fn enqueue_on_a_stale_queue_never_touches_the_board() {
+        let be = backend();
+        let ctx = be.create_context().expect("ctx");
+        let prog = be.build_program(ctx, "double").expect("program");
+        let kernel = be.create_kernel(prog, "double").expect("kernel");
+        let buf = be.create_buffer(ctx, 4).expect("buffer");
+        let q = be.create_queue(ctx).expect("queue");
+        be.enqueue_write(q, buf, 0, Payload::Data(vec![1, 2, 3, 4].into()), true)
+            .expect("write");
+        be.set_kernel_arg(kernel, 0, ArgValue::Buffer(buf))
+            .expect("arg");
+        let busy = || be.board().lock().busy_tracker().total_busy();
+        let before = busy();
+
+        let stale = QueueId(999);
+        let payload = Payload::Data(vec![9; 4].into());
+        assert_eq!(
+            be.enqueue_write(stale, buf, 0, payload, true).err(),
+            Some(ClError::InvalidQueue)
+        );
+        assert_eq!(
+            be.enqueue_read(stale, buf, 0, 4, true).err(),
+            Some(ClError::InvalidQueue)
+        );
+        assert_eq!(
+            be.enqueue_kernel(stale, kernel, NdRange::d1(4)).err(),
+            Some(ClError::InvalidQueue)
+        );
+        assert_eq!(
+            be.enqueue_copy(stale, buf, buf, 0, 2, 2).err(),
+            Some(ClError::InvalidQueue)
+        );
+
+        assert_eq!(busy(), before, "no busy time charged");
+        let ev = be.enqueue_read(q, buf, 0, 4, true).expect("read");
+        assert_eq!(
+            ev.take_payload().expect("payload"),
+            Payload::Data(vec![1, 2, 3, 4].into()),
+            "buffer bytes untouched"
+        );
     }
 
     #[test]

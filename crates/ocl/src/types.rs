@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use bf_fpga::Bitstream;
+use bf_fpga::{Bitstream, Board};
 use bf_model::NodeId;
 
 macro_rules! handle_id {
@@ -98,6 +98,21 @@ pub struct DeviceInfo {
     pub node: NodeId,
     /// Currently configured bitstream id, if any.
     pub bitstream: Option<String>,
+}
+
+impl DeviceInfo {
+    /// What `clGetDeviceInfo` reports for `board` on `node`, whichever
+    /// executor fronts it.
+    pub fn of_board(board: &Board, node: &NodeId) -> Self {
+        DeviceInfo {
+            name: board.spec().model.clone(),
+            vendor: "Intel".to_string(),
+            platform: "Intel(R) FPGA SDK for OpenCL(TM)".to_string(),
+            memory_bytes: board.spec().memory_bytes,
+            node: node.clone(),
+            bitstream: board.bitstream_id().map(str::to_string),
+        }
+    }
 }
 
 /// The set of synthesized bitstream binaries available to host code — the
