@@ -23,6 +23,19 @@ if [ "$(printf '%s' "$unsafe_sites" | grep -c .)" -ne 1 ] ||
   exit 1
 fi
 
+# Layering: as in the paper, only the Accelerators Registry knows about
+# boards. The serverless substrate (gateway, batcher, autoscaler) reaches
+# them through the cluster's admission hook, never by linking the
+# registry or the Device Manager.
+echo "==> layering (bf-serverless links neither bf-registry nor bf-devmgr)"
+layering=$(cargo tree --offline -q -p bf-serverless -e normal |
+  grep -E ' bf-(registry|devmgr) ' || true)
+if [ -n "$layering" ]; then
+  echo "bf-serverless must not depend on the registry or the device manager; found:"
+  printf '%s\n' "$layering"
+  exit 1
+fi
+
 # Workspace lints are deny-level for clippy::unwrap_used (tests exempt via
 # clippy.toml); the full-target pass keeps benches and examples honest too.
 echo "==> cargo clippy"

@@ -62,7 +62,7 @@ impl From<ClError> for Refusal {
     /// The one translation of the handle table's errors into wire codes.
     /// A buffer handle the session does not hold is answered as "not
     /// yours" (`AccessDenied`), the isolation answer; every other unknown
-    /// handle is `InvalidHandle`.
+    /// handle is `InvalidHandle`, and a full pool is `OutOfResources`.
     fn from(e: ClError) -> Self {
         let code = match e {
             ClError::InvalidBuffer => ErrorCode::AccessDenied,
@@ -74,6 +74,7 @@ impl From<ClError> for Refusal {
                 ErrorCode::InvalidLaunch
             }
             ClError::BuildProgramFailure(_) => ErrorCode::BuildFailure,
+            ClError::OutOfResources(_) => ErrorCode::OutOfResources,
             _ => ErrorCode::Internal,
         };
         Refusal(code, e.to_string())
@@ -249,12 +250,12 @@ impl Session {
                 Ok((response, arrival))
             }
             Request::CreateContext => {
-                let id = self.pool.new_context().0;
+                let id = self.pool.new_context()?.0;
                 Ok((Response::Handle { id }, arrival))
             }
             Request::BuildProgram { bitstream } => {
                 let done = self.ensure_bitstream(bitstream, arrival)?;
-                let id = self.pool.new_program(bitstream).0;
+                let id = self.pool.new_program(bitstream)?.0;
                 Ok((Response::Handle { id }, done))
             }
             Request::Reconfigure { bitstream } => {
@@ -275,10 +276,19 @@ impl Session {
             }
             Request::CreateBuffer { context, len } => {
                 self.pool.context(ContextId(*context))?;
-                let fpga = lock_order::tracked(&self.shared.board, "board")
+                let mut board = lock_order::tracked(&self.shared.board, "board");
+                let fpga = board
                     .alloc_buffer(*len)
                     .map_err(|e| Refusal(ErrorCode::OutOfResources, e.to_string()))?;
-                let id = self.pool.new_buffer(fpga).0;
+                let id = match self.pool.new_buffer(fpga) {
+                    Ok(id) => id.0,
+                    Err(full) => {
+                        board
+                            .free_buffer(fpga)
+                            .map_err(|e| Refusal(ErrorCode::Internal, e.to_string()))?;
+                        return Err(full.into());
+                    }
+                };
                 Ok((Response::Handle { id }, arrival))
             }
             Request::ReleaseBuffer { buffer } => {

@@ -75,7 +75,7 @@ pub use error::{ClError, ClResult};
 pub use event::{wait_for_events, CommandType, Event, EventCallback, EventProfile, EventStatus};
 pub use handle::{Buffer, Context, Device, Kernel, Platform, Program, Queue};
 pub use native::NativeBackend;
-pub use resources::Resources;
+pub use resources::{Resources, MAX_POOL_OBJECTS};
 pub use types::{
     ArgValue, BitstreamCatalog, ContextId, DeviceInfo, KernelId, MemId, NdRange, ProgramId, QueueId,
 };

@@ -122,7 +122,7 @@ impl Backend for NativeBackend {
     }
 
     fn create_context(&self) -> ClResult<ContextId> {
-        Ok(self.state.lock().new_context())
+        self.state.lock().new_context()
     }
 
     fn build_program(&self, ctx: ContextId, bitstream: &str) -> ClResult<ProgramId> {
@@ -138,7 +138,7 @@ impl Backend for NativeBackend {
                 self.clock.advance_to(timing.ended_at);
             }
         }
-        Ok(self.state.lock().new_program(bitstream))
+        self.state.lock().new_program(bitstream)
     }
 
     fn create_kernel(&self, program: ProgramId, name: &str) -> ClResult<KernelId> {
@@ -151,8 +151,14 @@ impl Backend for NativeBackend {
 
     fn create_buffer(&self, ctx: ContextId, len: u64) -> ClResult<MemId> {
         self.state.lock().context(ctx)?;
-        let fpga = self.board.lock().alloc_buffer(len)?;
-        Ok(self.state.lock().new_buffer(fpga))
+        // Board before table, the order the lock hierarchy ranks them in.
+        let mut board = self.board.lock();
+        let fpga = board.alloc_buffer(len)?;
+        let issued = self.state.lock().new_buffer(fpga);
+        if issued.is_err() {
+            board.free_buffer(fpga)?;
+        }
+        issued
     }
 
     fn release_buffer(&self, buffer: MemId) -> ClResult<()> {

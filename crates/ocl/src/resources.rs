@@ -21,6 +21,15 @@ use crate::types::{
     ArgValue, BitstreamCatalog, ContextId, KernelId, MemId, NdRange, ProgramId, QueueId,
 };
 
+/// The most live objects one pool holds, all kinds together. A Device
+/// Manager session's pool grows by one entry per create or build request
+/// and shrinks only on a buffer release or when the session ends, so
+/// without a cap a client looping `CreateContext` would grow the
+/// manager's memory without bound. The fullest in-tree pool is the
+/// benchmark's `open_arrivals` session at 99 objects (64 buffers, 32
+/// kernels, a context, a program and a queue); 4096 is 41 times that.
+pub const MAX_POOL_OBJECTS: usize = 4096;
+
 /// One pool of OpenCL objects — contexts, programs, kernels, buffers and
 /// command queues — named by handles from one counter shared by every
 /// kind, so the first handle is 1 and the values a caller sees do not
@@ -43,19 +52,39 @@ pub struct Resources<Q> {
 
 impl<Q> Resources<Q> {
     /// Files `value` in the `map` of its kind under the next handle.
-    fn issue<T>(&mut self, map: fn(&mut Self) -> &mut HashMap<u64, T>, value: T) -> u64 {
+    ///
+    /// # Errors
+    ///
+    /// [`ClError::OutOfResources`] when the pool already holds
+    /// [`MAX_POOL_OBJECTS`] live objects.
+    fn issue<T>(&mut self, map: fn(&mut Self) -> &mut HashMap<u64, T>, value: T) -> ClResult<u64> {
+        let live = self.contexts.len()
+            + self.programs.len()
+            + self.kernels.len()
+            + self.buffers.len()
+            + self.queues.len();
+        if live >= MAX_POOL_OBJECTS {
+            return Err(ClError::OutOfResources(format!(
+                "the pool already holds its limit of {MAX_POOL_OBJECTS} live objects"
+            )));
+        }
         self.last_handle += 1;
         let handle = self.last_handle;
-        // bf-flow: allow(hot_alloc): one entry per create or build call;
-        // only a buffer release frees one early, the rest live as long as
-        // the pool (a session's until it ends). No per-pool cap exists.
+        // bf-flow: allow(hot_alloc): one entry per create or build call,
+        // refused above once the pool holds MAX_POOL_OBJECTS (4096) live
+        // objects; a buffer release frees one early, the rest live as long
+        // as the pool (a session's until it ends).
         map(self).insert(handle, value);
-        handle
+        Ok(handle)
     }
 
     /// `clCreateContext`.
-    pub fn new_context(&mut self) -> ContextId {
-        ContextId(self.issue(|r| &mut r.contexts, ()))
+    ///
+    /// # Errors
+    ///
+    /// [`ClError::OutOfResources`] when the pool is full.
+    pub fn new_context(&mut self) -> ClResult<ContextId> {
+        self.issue(|r| &mut r.contexts, ()).map(ContextId)
     }
 
     /// Checks that `ctx` names a context of this pool.
@@ -72,8 +101,13 @@ impl<Q> Resources<Q> {
 
     /// Records a program built from the catalog bitstream `bitstream`; the
     /// caller has configured the board.
-    pub fn new_program(&mut self, bitstream: &str) -> ProgramId {
-        ProgramId(self.issue(|r| &mut r.programs, bitstream.to_string()))
+    ///
+    /// # Errors
+    ///
+    /// [`ClError::OutOfResources`] when the pool is full.
+    pub fn new_program(&mut self, bitstream: &str) -> ClResult<ProgramId> {
+        self.issue(|r| &mut r.programs, bitstream.to_string())
+            .map(ProgramId)
     }
 
     /// `clCreateKernel`: `name` must be a kernel of the program's bitstream
@@ -83,7 +117,8 @@ impl<Q> Resources<Q> {
     ///
     /// [`ClError::InvalidProgram`] for an unknown program,
     /// [`ClError::BuildProgramFailure`] when the kernel (or its bitstream)
-    /// is not in the catalog.
+    /// is not in the catalog, [`ClError::OutOfResources`] when the pool is
+    /// full.
     pub fn new_kernel(
         &mut self,
         program: ProgramId,
@@ -103,7 +138,7 @@ impl<Q> Resources<Q> {
             )));
         }
         let kernel = (name.to_string(), BTreeMap::new());
-        Ok(KernelId(self.issue(|r| &mut r.kernels, kernel)))
+        self.issue(|r| &mut r.kernels, kernel).map(KernelId)
     }
 
     /// `clSetKernelArg`.
@@ -169,8 +204,13 @@ impl<Q> Resources<Q> {
     }
 
     /// Records a board buffer the caller allocated.
-    pub fn new_buffer(&mut self, fpga: BufferId) -> MemId {
-        MemId(self.issue(|r| &mut r.buffers, fpga))
+    ///
+    /// # Errors
+    ///
+    /// [`ClError::OutOfResources`] when the pool is full; the caller still
+    /// owns `fpga` and frees it.
+    pub fn new_buffer(&mut self, fpga: BufferId) -> ClResult<MemId> {
+        self.issue(|r| &mut r.buffers, fpga).map(MemId)
     }
 
     /// The board buffer behind `buffer`.
@@ -204,13 +244,14 @@ impl<Q> Resources<Q> {
     ///
     /// # Errors
     ///
-    /// [`ClError::InvalidContext`] for an unknown context.
+    /// [`ClError::InvalidContext`] for an unknown context,
+    /// [`ClError::OutOfResources`] when the pool is full.
     pub fn new_queue(&mut self, ctx: ContextId) -> ClResult<QueueId>
     where
         Q: Default,
     {
         self.context(ctx)?;
-        Ok(QueueId(self.issue(|r| &mut r.queues, Q::default())))
+        self.issue(|r| &mut r.queues, Q::default()).map(QueueId)
     }
 
     /// What `queue` holds.

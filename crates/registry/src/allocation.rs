@@ -107,6 +107,48 @@ impl DeviceView {
     }
 }
 
+/// How cheaply a device — or a shard, one level up — can serve an
+/// accelerator: the placement-warmth rule, configured > warm-staged >
+/// cold. Ordered so a plain descending sort prefers the cheaper target;
+/// with no warm caches in the cluster this collapses to the paper's
+/// configured-vs-not ordering.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Warmth {
+    /// Neither configured nor staged: full bitstream transfer + program.
+    Cold = 0,
+    /// Staged in the board's warm bitstream cache: cheap reprogram.
+    Warm = 1,
+    /// Already configured: no reconfiguration at all. A query with no
+    /// accelerator is served by any image, so it is always configured.
+    Configured = 2,
+}
+
+impl Warmth {
+    /// Classifies a target for `accelerator`, given whether it is
+    /// `configured` with an image and whether it has one `staged` warm.
+    pub(crate) fn of(
+        accelerator: Option<&str>,
+        configured: impl Fn(&str) -> bool,
+        staged: impl Fn(&str) -> bool,
+    ) -> Self {
+        match accelerator {
+            None => Warmth::Configured,
+            Some(acc) if configured(acc) => Warmth::Configured,
+            Some(acc) if staged(acc) => Warmth::Warm,
+            Some(_) => Warmth::Cold,
+        }
+    }
+
+    /// The `outcome` label of `bf_registry_placements_total`.
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Warmth::Configured => "configured",
+            Warmth::Warm => "warm",
+            Warmth::Cold => "cold",
+        }
+    }
+}
+
 /// A successful allocation decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Allocation {
@@ -120,6 +162,9 @@ pub struct Allocation {
     pub reconfigure: Option<String>,
     /// Instances to migrate if a reconfiguration is needed.
     pub displaced: Vec<String>,
+    /// How warm the chosen device was for the query: the tier Algorithm 1
+    /// ordered it by.
+    pub warmth: Warmth,
 }
 
 /// Why allocation failed.
@@ -145,20 +190,6 @@ impl fmt::Display for AllocateError {
 }
 
 impl Error for AllocateError {}
-
-/// Warm-pool tier of a candidate: how cheaply it can serve the queried
-/// accelerator. Ordered so a plain descending sort prefers the cheaper
-/// device; with no warm caches in the cluster this collapses to the
-/// original configured-vs-not ordering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Warmth {
-    /// Neither configured nor staged: full bitstream transfer + program.
-    Cold = 0,
-    /// Staged in the board's warm bitstream cache: cheap reprogram.
-    Warm = 1,
-    /// Already configured: no reconfiguration at all.
-    Configured = 2,
-}
 
 /// Per-candidate sort key, computed exactly once per candidate (the sort
 /// itself compares precomputed values — no metric/compatibility/rank
@@ -218,7 +249,11 @@ pub fn allocate(
         .map(|d| {
             let score = Score {
                 metrics: policy.metrics_order.iter().map(|k| d.metric(*k)).collect(),
-                warmth: warmth_of(query, d),
+                warmth: Warmth::of(
+                    query.accelerator.as_deref(),
+                    |acc| d.bitstream.as_deref() == Some(acc),
+                    |acc| d.warm_bitstreams.iter().any(|w| w == acc),
+                ),
                 node_rank: node_rank(&d.node),
             };
             (d, score)
@@ -259,27 +294,13 @@ pub fn allocate(
             } else {
                 dev.connected.keys().cloned().collect()
             },
+            warmth: score.warmth,
         });
     }
     Err(AllocateError::DeviceNotFound {
         candidates: survived,
         query: format!("{query:?}"),
     })
-}
-
-/// How cheaply `dev` can serve the queried accelerator.
-fn warmth_of(query: &DeviceQuery, dev: &DeviceView) -> Warmth {
-    if query.accelerator_matches(dev.bitstream.as_deref()) {
-        Warmth::Configured
-    } else if query
-        .accelerator
-        .as_deref()
-        .is_some_and(|acc| dev.warm_bitstreams.iter().any(|w| w == acc))
-    {
-        Warmth::Warm
-    } else {
-        Warmth::Cold
-    }
 }
 
 /// Whether every workload currently on `dev` could run on some *other*

@@ -39,6 +39,7 @@ mod shard;
 
 pub use allocation::{
     allocate, AllocateError, Allocation, AllocationPolicy, DeviceView, MetricFilter, MetricKey,
+    Warmth,
 };
 pub use device::{BoardState, RegistryDevice, StaticDevice};
 pub use gatherer::{gauge_for_device, parse_scrape, ScrapeSample};

@@ -12,10 +12,11 @@ use std::sync::Arc;
 
 use bf_devmgr::DeviceManager;
 use bf_metrics::MetricsRegistry;
-use bf_model::NodeId;
 use bf_race::sync::Mutex;
 
-use crate::allocation::{allocate, AllocateError, Allocation, AllocationPolicy, DeviceView};
+use crate::allocation::{
+    allocate, AllocateError, Allocation, AllocationPolicy, DeviceView, Warmth,
+};
 use crate::device::RegistryDevice;
 use crate::gatherer::{gauge_for_device, parse_scrape};
 use crate::query::DeviceQuery;
@@ -361,25 +362,12 @@ impl Shard {
             .ok_or_else(|| RegistryError::UnknownFunction(function.to_string()))?
             .query
             .clone();
-        let views = Self::views(&inner);
-        let decision = allocate(&query, &views, &inner.policy)?;
-        // Placement warmth accounting: did Algorithm 1 land on a
-        // configured board, a warm-staged one, or a cold reprogram?
-        let outcome = match &decision.reconfigure {
-            None => "configured",
-            Some(bitstream) => {
-                let warm = views.iter().any(|v| {
-                    v.id == decision.device_id && v.warm_bitstreams.iter().any(|w| w == bitstream)
-                });
-                if warm {
-                    "warm"
-                } else {
-                    "cold"
-                }
-            }
-        };
+        let decision = allocate(&query, &Self::views(&inner), &inner.policy)?;
         self.metrics
-            .counter("bf_registry_placements_total", &[("outcome", outcome)])
+            .counter(
+                "bf_registry_placements_total",
+                &[("outcome", decision.warmth.label())],
+            )
             .inc();
         inner.bindings.insert(
             instance.to_string(),
@@ -462,14 +450,6 @@ impl Shard {
         Self::views(&inner)
     }
 
-    /// Nodes currently hosting at least one registered device.
-    pub(crate) fn device_nodes(&self) -> Vec<NodeId> {
-        let inner = self.registry.lock();
-        let mut nodes = Vec::with_capacity(inner.devices.len());
-        nodes.extend(inner.devices.values().map(|d| d.device.node().id().clone()));
-        nodes
-    }
-
     /// The aggregate load summary the federated router sees for this
     /// shard: counts, mean utilization, and the configured/warm bitstream
     /// hint sets — never per-device state.
@@ -514,15 +494,18 @@ impl Shard {
 
     /// Placement outcome totals from this shard's metrics.
     pub(crate) fn placement_outcomes(&self) -> PlacementOutcomes {
-        let read = |outcome: &str| {
+        let read = |warmth: Warmth| {
             self.metrics
-                .counter_value("bf_registry_placements_total", &[("outcome", outcome)])
+                .counter_value(
+                    "bf_registry_placements_total",
+                    &[("outcome", warmth.label())],
+                )
                 .unwrap_or(0.0) as u64
         };
         PlacementOutcomes {
-            configured: read("configured"),
-            warm: read("warm"),
-            cold: read("cold"),
+            configured: read(Warmth::Configured),
+            warm: read(Warmth::Warm),
+            cold: read(Warmth::Cold),
         }
     }
 

@@ -1,6 +1,6 @@
-//! The typed placement API: the trait boundary between callers (gateway,
-//! autoscaler, cluster admission, the DES harnesses) and whatever
-//! allocates devices behind it.
+//! The typed placement API: the trait boundary between callers (cluster
+//! admission, the DES harnesses, the benchmarks) and whatever allocates
+//! devices behind it.
 //!
 //! [`PlacementService`] is the registry's whole surface — place /
 //! release / reconfigure / failure / views — as a trait, so callers hold
@@ -17,9 +17,8 @@ use std::sync::Arc;
 
 use bf_cluster::{Cluster, WatchEvent};
 use bf_devmgr::{DeviceManager, ReconfigRequest};
-use bf_model::NodeId;
 
-use crate::allocation::{Allocation, DeviceView};
+use crate::allocation::{Allocation, DeviceView, Warmth};
 use crate::device::RegistryDevice;
 use crate::query::DeviceQuery;
 use crate::registry::{
@@ -62,21 +61,15 @@ impl ShardLoadSummary {
         }
     }
 
-    /// Routing warmth of this shard for `accelerator`: 2 when some board
-    /// is configured with it, 1 when it is staged warm somewhere, else 0.
-    pub fn warmth_for(&self, accelerator: Option<&str>) -> u8 {
-        match accelerator {
-            None => 0,
-            Some(b) => {
-                if self.configured.contains(b) {
-                    2
-                } else if self.warm.contains(b) {
-                    1
-                } else {
-                    0
-                }
-            }
-        }
+    /// Routing warmth of this shard for `accelerator`: configured when
+    /// some board is configured with it, warm when it is staged warm
+    /// somewhere, else cold.
+    pub fn warmth_for(&self, accelerator: Option<&str>) -> Warmth {
+        Warmth::of(
+            accelerator,
+            |acc| self.configured.contains(acc),
+            |acc| self.warm.contains(acc),
+        )
     }
 }
 
@@ -136,9 +129,6 @@ pub trait PlacementService: Send + Sync {
     /// Snapshot of the allocator's device views (diagnostics, tests).
     fn device_views(&self) -> Vec<DeviceView>;
 
-    /// Nodes currently hosting at least one registered device.
-    fn device_nodes(&self) -> Vec<NodeId>;
-
     /// The device an instance is bound to.
     fn binding(&self, instance: &str) -> Option<String>;
 
@@ -169,9 +159,6 @@ pub trait PlacementService: Send + Sync {
 
     /// Refreshes the utilization metrics the allocator orders by.
     fn gather_metrics(&self);
-
-    /// Per-shard aggregate load summaries.
-    fn load_summaries(&self) -> Vec<ShardLoadSummary>;
 
     /// Placement outcome totals summed across shards.
     fn placement_outcomes(&self) -> PlacementOutcomes;

@@ -23,7 +23,7 @@ use std::sync::Arc;
 
 use bf_cluster::Cluster;
 use bf_devmgr::DeviceManager;
-use bf_model::{Fnv1a, NodeId};
+use bf_model::Fnv1a;
 use bf_race::sync::Mutex;
 
 use crate::allocation::{Allocation, AllocationPolicy, DeviceView};
@@ -421,15 +421,6 @@ impl PlacementService for ShardedRegistry {
         views
     }
 
-    fn device_nodes(&self) -> Vec<NodeId> {
-        let state = self.shard_map.lock();
-        let mut nodes = Vec::new();
-        for shard in &state.shards {
-            nodes.extend(shard.device_nodes());
-        }
-        nodes
-    }
-
     fn binding(&self, instance: &str) -> Option<String> {
         let state = self.shard_map.lock();
         let shard_id = self.federation.lock().instances.get(instance).cloned()?;
@@ -489,10 +480,6 @@ impl PlacementService for ShardedRegistry {
         for shard in &state.shards {
             shard.gather_metrics();
         }
-    }
-
-    fn load_summaries(&self) -> Vec<ShardLoadSummary> {
-        self.shard_map.lock().summaries()
     }
 
     fn placement_outcomes(&self) -> PlacementOutcomes {

@@ -19,7 +19,6 @@ use std::sync::Arc;
 use bf_cluster::{Cluster, ClusterError, InstanceId, InstanceTemplate};
 use bf_model::VirtualDuration;
 use bf_race::sync::Mutex;
-use bf_registry::PlacementService;
 
 use crate::gateway::Gateway;
 
@@ -33,10 +32,6 @@ pub struct LoadSignal {
     pub queue_depth: u32,
     /// Rate of admission-control sheds (rq/s).
     pub shed_rps: f64,
-    /// Mean device utilization under the placement service (0 when no
-    /// placement view was attached to the signal): the federated
-    /// control plane's aggregate board-pressure hint.
-    pub device_utilization: f64,
 }
 
 impl LoadSignal {
@@ -47,7 +42,6 @@ impl LoadSignal {
             observed_rps,
             queue_depth: 0,
             shed_rps: 0.0,
-            device_utilization: 0.0,
         }
     }
 
@@ -60,12 +54,6 @@ impl LoadSignal {
     /// Sets the shed rate.
     pub fn with_shed_rps(mut self, shed_rps: f64) -> Self {
         self.shed_rps = shed_rps;
-        self
-    }
-
-    /// Attaches the placement service's mean device utilization.
-    pub fn with_device_utilization(mut self, device_utilization: f64) -> Self {
-        self.device_utilization = device_utilization;
         self
     }
 
@@ -363,38 +351,6 @@ impl Autoscaler {
             .load_signal(function, span)
             .ok_or_else(|| AutoscaleError::UnknownFunction(function.to_string()))?;
         self.reconcile(function, &signal)
-    }
-
-    /// Reconciles `function` against the gateway's load view enriched
-    /// with the placement service's aggregate board pressure: the
-    /// signal's `device_utilization` is the binding-weighted mean of the
-    /// per-shard summaries — no per-device state crosses the boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`Autoscaler::reconcile_from_gateway`].
-    pub fn reconcile_with_placement(
-        &self,
-        function: &str,
-        gateway: &Gateway,
-        span: VirtualDuration,
-        placement: &dyn PlacementService,
-    ) -> Result<ReconcileAction, AutoscaleError> {
-        let signal = gateway
-            .load_signal(function, span)
-            .ok_or_else(|| AutoscaleError::UnknownFunction(function.to_string()))?;
-        let summaries = placement.load_summaries();
-        let devices: usize = summaries.iter().map(|s| s.devices).sum();
-        let utilization = if devices == 0 {
-            0.0
-        } else {
-            summaries
-                .iter()
-                .map(|s| s.mean_utilization * s.devices as f64)
-                .sum::<f64>()
-                / devices as f64
-        };
-        self.reconcile(function, &signal.with_device_utilization(utilization))
     }
 }
 

@@ -23,15 +23,18 @@
 //!   behind Tables II–IV's processed-vs-target gaps;
 //! * [`OpenLoopPacer`] — fixed-rate arrivals decoupled from completions,
 //!   under which overload surfaces as queue growth and sheds instead;
-//! * [`route_batch`] — batch co-location: sends a drained batch to the
-//!   board that serves its accelerator most cheaply (configured >
-//!   warm-staged > cold, shortest queue as the tie-break);
 //! * [`table1_rates`] — the paper's Table I load matrix;
 //! * [`Autoscaler`] — the gateway-side replica scaler (OpenFaaS-style
 //!   per-replica load targets with scale-down hysteresis, plus
 //!   queue-depth/shed-rate pressure from the batching pipeline via
 //!   [`LoadSignal`]), reconciling through the cluster so every replica
 //!   passes the registry's admission.
+//!
+//! Like the paper's OpenFaaS gateway, this crate knows nothing about
+//! boards and does not depend on the Accelerators Registry: it creates
+//! and deletes instances through `bf-cluster`, and the registry — the one
+//! owner of board and placement state — places each of them from the
+//! cluster's admission hook.
 //!
 //! # Migrating from the closure `Handler` API
 //!
@@ -59,14 +62,12 @@
 
 mod autoscale;
 mod batch;
-mod colocate;
 mod gateway;
 mod invoke;
 mod load;
 
 pub use autoscale::{AutoscaleError, AutoscalePolicy, Autoscaler, LoadSignal, ReconcileAction};
 pub use batch::{Batch, Batcher, SubmitError, Ticket};
-pub use colocate::{board_snapshots, route_batch, BoardSnapshot, BoardWarmth};
 pub use gateway::{
     run_closed_loop, run_open_loop, FunctionStats, Gateway, GatewayError, LoadRunResult,
     OpenLoopResult, Outcome,

@@ -57,6 +57,50 @@ fn device_memory_exhaustion_maps_to_out_of_resources() {
 }
 
 #[test]
+fn a_session_past_its_object_cap_is_refused_without_harming_others() {
+    use blastfunction::ocl::MAX_POOL_OBJECTS;
+
+    // 1 MB of board memory: a leaked 768 KB buffer would exhaust it.
+    let manager = manager_with(small_board(1 << 20), 1 << 20);
+    let greedy = connect(&manager, PathCosts::local_grpc());
+    let ctx = greedy.create_context().expect("ctx");
+    let queue = ctx.create_queue().expect("queue");
+    let buffer = ctx.create_buffer(64).expect("buffer");
+    let mut contexts = Vec::new();
+    for _ in 3..MAX_POOL_OBJECTS {
+        contexts.push(greedy.create_context().expect("under the cap"));
+    }
+    let err = greedy.create_context().expect_err("the pool is full");
+    assert!(matches!(err, ClError::OutOfResources(_)), "got {err:?}");
+    // A refused buffer gives its board memory back: were the first one
+    // leaked, the second would fail on device memory instead.
+    for _ in 0..2 {
+        match ctx.create_buffer(768 << 10) {
+            Err(ClError::OutOfResources(m)) => assert!(m.contains("live objects"), "{m}"),
+            other => panic!("expected the pool cap, got {other:?}"),
+        }
+    }
+    // What the session already holds still works.
+    queue.write(&buffer, vec![7u8; 64]).expect("write");
+    assert_eq!(queue.read_vec(&buffer).expect("read"), vec![7u8; 64]);
+
+    // Another session has its own pool, and the board memory is free.
+    let other = connect(&manager, PathCosts::local_grpc());
+    let other_ctx = other.create_context().expect("own pool");
+    let other_queue = other_ctx.create_queue().expect("queue");
+    let big = other_ctx
+        .create_buffer(768 << 10)
+        .expect("memory was freed");
+    other_queue
+        .write(&big, vec![9u8; 768 << 10])
+        .expect("write");
+    assert_eq!(
+        other_queue.read_vec(&big).expect("read"),
+        vec![9u8; 768 << 10]
+    );
+}
+
+#[test]
 fn out_of_bounds_transfers_fail_without_corrupting_the_session() {
     let manager = manager_with(small_board(1 << 24), 1 << 24);
     let device = connect(&manager, PathCosts::local_grpc());
