@@ -52,6 +52,15 @@ cargo test -q --workspace
 echo "==> cargo test (transport crates, single-threaded)"
 cargo test -q -p bf-rpc -p bf-devmgr -p bf-remote -- --test-threads=1
 
+# The five examples, run (not just compiled) in debug: they drive the
+# Remote OpenCL Library → Device Manager → board stack end to end with the
+# debug-only `bf_devmgr::lock_order` tracker armed, so a lock inversion or
+# a failed call on that path panics here.
+for example in quickstart shared_fpga_service serverless_cluster cnn_inference autoscaling; do
+  echo "==> example $example (debug)"
+  cargo run -q --example "$example" > /dev/null
+done
+
 # The repo benchmark (BENCHMARK.json → e2e/) is its own workspace, so the
 # stages above never compile it: build it and run its unit tests, so a
 # change to any crate it pulls in cannot break the benchmark unseen.

@@ -102,11 +102,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Whether the tree is conformant.
-    pub fn is_clean(&self) -> bool {
-        self.diagnostics.is_empty()
-    }
-
     /// Machine-readable form with baseline gating applied, stable for CI
     /// consumption: `ok` reflects only **new** findings, and the document
     /// carries the gated split.

@@ -43,7 +43,7 @@ pub const LOCK_TABLE_MODULE: &str = "crates/devmgr/src/lock_order.rs";
 
 /// Status enums whose `match`es must stay wildcard-free, so that adding a
 /// state forces every consumer to take a position.
-pub const STATUS_ENUMS: &[&str] = &["MachineState", "EventStatus"];
+pub const STATUS_ENUMS: &[&str] = &["EventStatus"];
 
 /// The one file allowed to read the host's clocks.
 pub const CLOCK_MODULE: &str = "crates/model/src/clock.rs";
@@ -1012,7 +1012,7 @@ mod tests {
 
     #[test]
     fn flags_wildcard_match_on_status_enum() {
-        let src = "fn f(s: MachineState) -> u8 {\n match s {\n  MachineState::Init => 0,\n  _ => 1,\n }\n}\n";
+        let src = "fn f(s: EventStatus) -> u8 {\n match s {\n  EventStatus::Queued => 0,\n  _ => 1,\n }\n}\n";
         let out = check(src);
         assert_eq!(out.len(), 1, "{out:?}");
         assert_eq!(out[0].rule, "wildcard_match");
@@ -1027,7 +1027,7 @@ mod tests {
 
     #[test]
     fn nested_match_does_not_taint_outer() {
-        let src = "fn f(x: u8, s: MachineState) -> u8 {\n match x {\n  0 => { match s { MachineState::Init => 0, MachineState::First => 1, MachineState::Buffer => 2, MachineState::Complete => 3, MachineState::Failed => 4 } }\n  _ => 1,\n }\n}\n";
+        let src = "fn f(x: u8, s: EventStatus) -> u8 {\n match x {\n  0 => { match s { EventStatus::Queued => 0, EventStatus::Submitted => 1, EventStatus::Running => 2, EventStatus::Complete => 3, EventStatus::Failed => 4 } }\n  _ => 1,\n }\n}\n";
         assert!(check(src).is_empty(), "{:?}", check(src));
     }
 
@@ -1269,7 +1269,7 @@ mod tests {
 
     #[test]
     fn binding_patterns_starting_with_underscore_are_not_wildcards() {
-        let src = "fn f(s: MachineState) -> u8 {\n match s {\n  MachineState::Init => 0,\n  _other @ MachineState::First => 1,\n  MachineState::Buffer => 2,\n  MachineState::Complete => 3,\n  MachineState::Failed => 4,\n }\n}\n";
+        let src = "fn f(s: EventStatus) -> u8 {\n match s {\n  EventStatus::Queued => 0,\n  _other @ EventStatus::Submitted => 1,\n  EventStatus::Running => 2,\n  EventStatus::Complete => 3,\n  EventStatus::Failed => 4,\n }\n}\n";
         assert!(check(src).is_empty(), "{:?}", check(src));
     }
 }

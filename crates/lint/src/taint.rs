@@ -145,8 +145,9 @@ fn mentions(text: &str, ident: &str) -> bool {
     find_all(text, ident).into_iter().any(|pos| {
         let after = pos + ident.len();
         // `foo.ident` is a field projection of `foo`, not a use of the
-        // local `ident`; `path::ident` likewise names something else.
-        let projected = pos > 0 && bytes[pos - 1] == b'.';
+        // local `ident` (but `0..ident` is a range bound); `path::ident`
+        // likewise names something else.
+        let projected = pos > 0 && bytes[pos - 1] == b'.' && !(pos > 1 && bytes[pos - 2] == b'.');
         let pathed = pos >= 2 && bytes[pos - 1] == b':' && bytes[pos - 2] == b':';
         (pos == 0 || !word(bytes[pos - 1]))
             && (after >= bytes.len() || !word(bytes[after]))
@@ -580,7 +581,7 @@ fn seed(units: &[Unit], model: &Model, state: &mut TaintState, out: &mut Vec<Dia
                         &unit.file.path,
                         anchor.line,
                         format!(
-                            "dangling `bf-taint: source(wire))` annotation: no fn follows \
+                            "dangling `bf-taint: source(wire)` annotation: no fn follows \
                              within {BIND_WINDOW} lines"
                         ),
                     )
@@ -852,6 +853,8 @@ mod tests {
         assert!(!mentions("length", "len"));
         assert!(!mentions("slot.len", "len"), "field projection of slot");
         assert!(!mentions("path::len", "len"), "path segment");
+        assert!(mentions("0..len", "len"), "exclusive range bound");
+        assert!(mentions("off..len", "len"), "exclusive range bound");
         assert!(mentions("buf.split_to(len)", "len"));
     }
 
@@ -1023,6 +1026,10 @@ pub fn entry(buf: &mut Bytes) {
     for _ in 0..=n {
         work();
     }
+    let m = read_len(buf);
+    for _ in 0..m {
+        work();
+    }
     let mut i = 0;
     while i < n {
         i += 1;
@@ -1041,6 +1048,10 @@ pub fn entry(buf: &mut Bytes) {
             "{diags:?}"
         );
         assert!(
+            keys.iter().any(|k| k.ends_with("|entry|for:m")),
+            "exclusive range `0..m`: {diags:?}"
+        );
+        assert!(
             keys.iter().any(|k| k.ends_with("|entry|while:n")),
             "{diags:?}"
         );
@@ -1055,6 +1066,13 @@ pub fn entry(buf: &mut Bytes) {
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].rule, "directive");
         assert_eq!(diags[0].line, 2);
+        assert_eq!(
+            diags[0].message,
+            format!(
+                "dangling `bf-taint: source(wire)` annotation: no fn follows \
+                 within {BIND_WINDOW} lines"
+            )
+        );
     }
 
     #[test]

@@ -126,12 +126,6 @@ impl Histogram {
         ])
     }
 
-    /// Batch-size buckets (powers of two up to 64) for the gateway's
-    /// per-function dispatched-batch-size series.
-    pub fn batch_size() -> Self {
-        Histogram::new(&[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-    }
-
     /// Records one observation.
     pub fn observe(&self, v: f64) {
         let mut inner = self.histogram.lock();
@@ -380,16 +374,6 @@ impl MetricsRegistry {
             .map(|s| s.lock().len())
             .max()
             .unwrap_or(0)
-    }
-
-    /// Reads a gauge value if the series exists and is a gauge.
-    pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        let key = Self::key(name, labels);
-        let series = self.shard(&key).lock();
-        match series.get(&key) {
-            Some(Metric::Gauge(g)) => Some(g.value()),
-            _ => None,
-        }
     }
 
     /// Reads a counter value if the series exists and is a counter.

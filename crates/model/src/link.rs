@@ -67,20 +67,6 @@ impl PcieLink {
         }
     }
 
-    /// Overrides the achievable-bandwidth efficiency factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `efficiency` is not within `(0, 1]`.
-    pub fn with_efficiency(mut self, efficiency: f64) -> Self {
-        assert!(
-            efficiency > 0.0 && efficiency <= 1.0,
-            "efficiency must be in (0, 1], got {efficiency}"
-        );
-        self.efficiency = efficiency;
-        self
-    }
-
     /// Overrides the fixed per-transfer setup cost.
     pub fn with_setup(mut self, setup: VirtualDuration) -> Self {
         self.setup = setup;

@@ -140,14 +140,6 @@ impl DataPathModel {
         }
     }
 
-    /// Builds the model for `kind` with paper calibration.
-    pub fn for_kind(kind: DataPathKind) -> Self {
-        match kind {
-            DataPathKind::Grpc => Self::grpc(),
-            DataPathKind::SharedMemory => Self::shared_memory(),
-        }
-    }
-
     /// The data path variant.
     pub fn kind(&self) -> DataPathKind {
         self.kind

@@ -2,9 +2,10 @@
 //!
 //! Every enqueued command yields an [`Event`] whose status moves through
 //! `Queued → Submitted → Running → Complete` (or to `Failed`). Statuses are
-//! monotonic — an event never moves backwards — matching the OpenCL
-//! execution-status model that the Remote Library's state machines update
-//! (paper Fig. 2, step 6).
+//! monotonic — an event never moves backwards and a terminal status
+//! absorbs — matching the OpenCL execution-status model. For remoted
+//! commands the event *is* the paper's Fig. 2 per-call state machine: the
+//! Remote Library moves it forward as tagged responses arrive (step 6).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -230,8 +231,8 @@ impl Event {
     }
 
     // ---- runtime-side transitions -------------------------------------
-    // These are called by backends (native executor, Remote Library state
-    // machines), not by applications; statuses only move forward.
+    // These are called by backends (native executor, the Remote Library's
+    // response dispatch), not by applications; statuses only move forward.
 
     /// Marks the command submitted to the device manager.
     pub fn mark_submitted(&self, at: VirtualTime) {

@@ -89,7 +89,8 @@ mod proptests {
 
     proptest! {
         /// Whatever order runtime transitions arrive in, an event's status
-        /// sequence observed through the API is monotone.
+        /// sequence observed through the API is monotone and reaches at
+        /// most one terminal status.
         #[test]
         fn event_status_is_monotone(transitions in proptest::collection::vec(0u8..4, 0..12)) {
             let ev = Event::new(CommandType::Marker, VirtualTime::ZERO);
@@ -106,6 +107,11 @@ mod proptests {
             for pair in observed.windows(2) {
                 prop_assert!(pair[0] <= pair[1], "status went backwards: {observed:?}");
             }
+            // `<=` alone would admit `Complete → Failed`: terminals absorb.
+            let mut terminals: Vec<EventStatus> =
+                observed.iter().copied().filter(|s| s.is_terminal()).collect();
+            terminals.dedup();
+            prop_assert!(terminals.len() <= 1, "two terminal statuses: {observed:?}");
         }
 
         /// Profiling timestamps, when present, are ordered

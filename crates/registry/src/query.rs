@@ -50,16 +50,6 @@ impl DeviceQuery {
             .is_none_or(|p| platform.contains(p));
         v_ok && p_ok
     }
-
-    /// Accelerator compatibility: the device's configured bitstream serves
-    /// this query without reconfiguration.
-    pub fn accelerator_matches(&self, bitstream: Option<&str>) -> bool {
-        match (&self.accelerator, bitstream) {
-            (None, _) => true,
-            (Some(want), Some(have)) => want == have,
-            (Some(_), None) => false,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -70,8 +60,6 @@ mod tests {
     fn any_matches_everything() {
         let q = DeviceQuery::any();
         assert!(q.hardware_matches("Intel", "FPGA SDK"));
-        assert!(q.accelerator_matches(None));
-        assert!(q.accelerator_matches(Some("whatever")));
     }
 
     #[test]
@@ -82,16 +70,5 @@ mod tests {
         assert!(q.hardware_matches("Intel Corp.", "Intel(R) FPGA SDK"));
         assert!(!q.hardware_matches("Xilinx", "Vitis"));
         assert!(!q.hardware_matches("Intel Corp.", "Vitis"));
-    }
-
-    #[test]
-    fn accelerator_match_requires_exact_bitstream() {
-        let q = DeviceQuery::for_accelerator("spector-sobel");
-        assert!(q.accelerator_matches(Some("spector-sobel")));
-        assert!(!q.accelerator_matches(Some("spector-mm")));
-        assert!(
-            !q.accelerator_matches(None),
-            "a blank board needs programming"
-        );
     }
 }

@@ -12,6 +12,7 @@ use bf_ocl::{
 use bf_rpc::{DataRef, ErrorCode, Request, Response, WireArg};
 
 use crate::connection::{map_error, Connection};
+use crate::sync::channel::bounded;
 
 /// OpenCL backend that remotes every call to a Device Manager over the
 /// connection's gRPC-like channel, using the shared-memory data path when
@@ -185,6 +186,35 @@ impl RemoteBackend {
         self.clock.now().max(*self.staging_cursor.lock())
     }
 
+    /// Fig. 2 INIT: a `Queued` event for `command` that advances this
+    /// backend's clock when waited on.
+    fn new_event(&self, command: CommandType) -> Event {
+        let event = Event::new(command, self.clock.now());
+        event.attach_clock(self.clock.clone());
+        event
+    }
+
+    /// The one submit path of every asynchronous call: registers `event`
+    /// for `body`, sent at `sent`, with the shm `region` to free once the
+    /// manager has consumed it. A blocking call (`flush` names its queue)
+    /// then flushes the open task at the same instant and waits.
+    fn submit(
+        &self,
+        event: Event,
+        body: Request,
+        sent: VirtualTime,
+        region: Option<u64>,
+        flush: Option<QueueId>,
+    ) -> ClResult<Event> {
+        self.conn
+            .submit_op(body, sent, event.clone(), region, None)?;
+        if let Some(queue) = flush {
+            self.conn.cast(Request::Flush { queue: queue.0 }, sent)?;
+            event.wait()?;
+        }
+        Ok(event)
+    }
+
     /// Attempts an `EnqueueWrite` carrying only the payload's digest and
     /// blocks for the manager's verdict: `Enqueued` confirms the cache
     /// hit, `CacheMiss` asks for an inline resend. Waiting here (one
@@ -204,18 +234,20 @@ impl RemoteBackend {
         len: u64,
         event: &Event,
     ) -> ClResult<DigestOutcome> {
-        let sent = self.pipeline_now();
-        let rx = self.conn.submit_op_acked(
+        let (ack, verdict) = bounded(1);
+        self.conn.submit_op(
             Request::EnqueueWrite {
                 queue: queue.0,
                 buffer: buffer.0,
                 offset,
                 data: DataRef::Digest { digest, len },
             },
-            sent,
+            self.pipeline_now(),
             event.clone(),
+            None,
+            Some(ack),
         )?;
-        match rx.recv() {
+        match verdict.recv() {
             Ok(Ok(observed)) => Ok(DigestOutcome::Hit(observed)),
             Ok(Err((ErrorCode::CacheMiss, _))) => Ok(DigestOutcome::Miss),
             Ok(Err((code, message))) => {
@@ -327,8 +359,7 @@ impl Backend for RemoteBackend {
         payload: Payload,
         blocking: bool,
     ) -> ClResult<Event> {
-        let event = Event::new(CommandType::WriteBuffer, self.clock.now());
-        event.attach_clock(self.clock.clone());
+        let event = self.new_event(CommandType::WriteBuffer);
         // Content addressing rides the inline (gRPC) data path: when the
         // manager advertises a payload cache that can admit this payload
         // and is believed to hold these exact bytes, a 16-byte (truncated
@@ -374,7 +405,8 @@ impl Backend for RemoteBackend {
             // analysis binds destructured names coarsely.
             tracker.note_sent(digest);
         }
-        self.conn.submit_op(
+        self.submit(
+            event,
             Request::EnqueueWrite {
                 queue: queue.0,
                 buffer: buffer.0,
@@ -382,14 +414,9 @@ impl Backend for RemoteBackend {
                 data,
             },
             ready,
-            event.clone(),
             region,
-        )?;
-        if blocking {
-            self.conn.cast(Request::Flush { queue: queue.0 }, ready)?;
-            event.wait()?;
-        }
-        Ok(event)
+            blocking.then_some(queue),
+        )
     }
 
     fn enqueue_read(
@@ -400,42 +427,32 @@ impl Backend for RemoteBackend {
         len: u64,
         blocking: bool,
     ) -> ClResult<Event> {
-        let event = Event::new(CommandType::ReadBuffer, self.clock.now());
-        event.attach_clock(self.clock.clone());
-        let sent = self.pipeline_now();
-        self.conn.submit_op(
+        self.submit(
+            self.new_event(CommandType::ReadBuffer),
             Request::EnqueueRead {
                 queue: queue.0,
                 buffer: buffer.0,
                 offset,
                 len,
             },
-            sent,
-            event.clone(),
+            self.pipeline_now(),
             None,
-        )?;
-        if blocking {
-            self.conn.cast(Request::Flush { queue: queue.0 }, sent)?;
-            event.wait()?;
-        }
-        Ok(event)
+            blocking.then_some(queue),
+        )
     }
 
     fn enqueue_kernel(&self, queue: QueueId, kernel: KernelId, work: NdRange) -> ClResult<Event> {
-        let event = Event::new(CommandType::NdRangeKernel, self.clock.now());
-        event.attach_clock(self.clock.clone());
-        let sent = self.pipeline_now();
-        self.conn.submit_op(
+        self.submit(
+            self.new_event(CommandType::NdRangeKernel),
             Request::EnqueueKernel {
                 queue: queue.0,
                 kernel: kernel.0,
                 work: work.0,
             },
-            sent,
-            event.clone(),
+            self.pipeline_now(),
             None,
-        )?;
-        Ok(event)
+            None,
+        )
     }
 
     fn enqueue_copy(
@@ -447,10 +464,8 @@ impl Backend for RemoteBackend {
         dst_offset: u64,
         len: u64,
     ) -> ClResult<Event> {
-        let event = Event::new(CommandType::CopyBuffer, self.clock.now());
-        event.attach_clock(self.clock.clone());
-        let sent = self.pipeline_now();
-        self.conn.submit_op(
+        self.submit(
+            self.new_event(CommandType::CopyBuffer),
             Request::EnqueueCopy {
                 queue: queue.0,
                 src: src.0,
@@ -459,27 +474,23 @@ impl Backend for RemoteBackend {
                 dst_offset,
                 len,
             },
-            sent,
-            event.clone(),
+            self.pipeline_now(),
             None,
-        )?;
-        Ok(event)
+            None,
+        )
     }
 
     fn enqueue_marker(&self, queue: QueueId) -> ClResult<Event> {
         // A non-blocking fence: the manager answers the tag once the
         // sealed task (and everything before it in the central queue) has
         // drained.
-        let event = Event::new(CommandType::Marker, self.clock.now());
-        event.attach_clock(self.clock.clone());
-        let sent = self.pipeline_now();
-        self.conn.submit_op(
+        self.submit(
+            self.new_event(CommandType::Marker),
             Request::Finish { queue: queue.0 },
-            sent,
-            event.clone(),
+            self.pipeline_now(),
             None,
-        )?;
-        Ok(event)
+            None,
+        )
     }
 
     fn enqueue_barrier(&self, queue: QueueId) -> ClResult<Event> {

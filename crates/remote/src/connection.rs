@@ -17,9 +17,8 @@ use bf_rpc::{
 };
 
 use crate::reactor::Reactor;
-use crate::state_machine::OpStateMachine;
 use crate::sync::atomic::{AtomicU64, Ordering};
-use crate::sync::channel::{bounded, Receiver, Sender};
+use crate::sync::channel::{bounded, Sender};
 use crate::sync::Mutex;
 
 /// Digests remembered per connection. Deliberately generous next to a
@@ -34,7 +33,8 @@ enum Pending {
     /// Forward the first `Completed`/`Error`, swallowing the `Enqueued`
     /// submission ack (`Finish` fences).
     Fence(Sender<ResponseEnvelope>),
-    /// Drive an asynchronous operation's state machine and OpenCL event.
+    /// Move an asynchronous operation's OpenCL event through its Fig. 2
+    /// statuses.
     Op(Box<OpPending>),
     /// Drop the response (fire-and-forget `Flush` acks).
     Discard,
@@ -42,14 +42,11 @@ enum Pending {
 
 struct OpPending {
     event: Event,
-    machine: OpStateMachine,
     /// Shm region to release once the manager consumed a write payload.
     write_region: Option<u64>,
-    /// One-shot verdict channel for acked submissions ([`Connection::
-    /// submit_op_acked`]): `Ok(observed)` on `Enqueued`, the error pair on
-    /// a NACK. While armed, a manager error is *not* applied to the event
-    /// — the blocked submitter decides (e.g. resend inline after a
-    /// `CacheMiss`).
+    /// One-shot verdict channel of an acked submission
+    /// ([`Connection::submit_op`]); while armed, a manager error is *not*
+    /// applied to the event — the blocked submitter decides.
     ack: Option<Sender<AckVerdict>>,
 }
 
@@ -74,8 +71,8 @@ pub(crate) struct ConnectionInner {
 ///
 /// Cloning shares the connection. The shared [`Reactor`] pulls tagged
 /// responses from the completion stream and either wakes a blocked
-/// synchronous caller or advances the matching operation's state machine
-/// and OpenCL event.
+/// synchronous caller or moves the matching operation's OpenCL event
+/// forward.
 #[derive(Clone)]
 pub struct Connection {
     inner: Arc<ConnectionInner>,
@@ -137,10 +134,6 @@ impl Connection {
             .filter(|_| len <= self.inner.cache_capacity)
     }
 
-    fn fresh_tag(&self) -> u64 {
-        self.inner.next_tag.fetch_add(1, Ordering::SeqCst)
-    }
-
     /// Sends a synchronous (context/information) request and blocks for its
     /// response. Returns the response body and the virtual instant the
     /// client observes it (manager completion + return hop).
@@ -149,10 +142,69 @@ impl Connection {
     ///
     /// Transport failures and manager-side errors map to [`ClError`].
     pub fn call(&self, body: Request, sent_at: VirtualTime) -> ClResult<(Response, VirtualTime)> {
-        let tag = self.fresh_tag();
+        self.round_trip(Pending::Sync, body, sent_at)
+    }
+
+    /// Sends a `Finish` fence and blocks until the task drains. Returns the
+    /// observed completion instant.
+    ///
+    /// # Errors
+    ///
+    /// Transport failures and manager-side errors map to [`ClError`].
+    pub fn fence(&self, queue: u64, sent_at: VirtualTime) -> ClResult<VirtualTime> {
+        self.round_trip(Pending::Fence, Request::Finish { queue }, sent_at)
+            .map(|(_, observed)| observed)
+    }
+
+    /// Sends a fire-and-forget request (e.g. `Flush`) whose ack is dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport failure if the manager is gone.
+    pub fn cast(&self, body: Request, sent_at: VirtualTime) -> ClResult<()> {
+        self.send_tagged(Pending::Discard, body, sent_at)
+    }
+
+    /// Sends an asynchronous command-queue operation tracked by `event`,
+    /// which the reactor moves through its Fig. 2 statuses as responses
+    /// arrive. `write_region` is the shm region to free once the manager
+    /// has consumed a write payload.
+    ///
+    /// With an `ack`, the manager's first response is also handed to it:
+    /// `Ok(observed_instant)` once the operation is `Enqueued`, or the NACK
+    /// pair. While the ack is outstanding a manager error goes to the ack
+    /// *instead of* the event, so the caller can retry (the `CacheMiss`
+    /// inline resend) without the event ever observing a failure.
+    ///
+    /// # Errors
+    ///
+    /// Returns a transport failure if the manager is gone.
+    pub(crate) fn submit_op(
+        &self,
+        body: Request,
+        sent_at: VirtualTime,
+        event: Event,
+        write_region: Option<u64>,
+        ack: Option<Sender<AckVerdict>>,
+    ) -> ClResult<()> {
+        let op = OpPending {
+            event,
+            write_region,
+            ack,
+        };
+        self.send_tagged(Pending::Op(Box::new(op)), body, sent_at)
+    }
+
+    /// Sends `body` under a fresh tag and blocks for the first response
+    /// the reactor forwards to the `entry` it registers.
+    fn round_trip(
+        &self,
+        entry: fn(Sender<ResponseEnvelope>) -> Pending,
+        body: Request,
+        sent_at: VirtualTime,
+    ) -> ClResult<(Response, VirtualTime)> {
         let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(tag, Pending::Sync(tx));
-        self.send(tag, body, sent_at)?;
+        self.send_tagged(entry(tx), body, sent_at)?;
         let resp = rx
             .recv()
             .map_err(|_| ClError::TransportFailure("connection thread gone".to_string()))?;
@@ -163,99 +215,11 @@ impl Connection {
         }
     }
 
-    /// Sends a `Finish` fence and blocks until the task drains. Returns the
-    /// observed completion instant.
-    ///
-    /// # Errors
-    ///
-    /// Transport failures and manager-side errors map to [`ClError`].
-    pub fn fence(&self, queue: u64, sent_at: VirtualTime) -> ClResult<VirtualTime> {
-        let tag = self.fresh_tag();
-        let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(tag, Pending::Fence(tx));
-        self.send(tag, Request::Finish { queue }, sent_at)?;
-        let resp = rx
-            .recv()
-            .map_err(|_| ClError::TransportFailure("connection thread gone".to_string()))?;
-        let observed = resp.sent_at + self.inner.costs.control_hop();
-        match resp.body {
-            Response::Error { code, message } => Err(map_error(code, message)),
-            _ => Ok(observed),
-        }
-    }
-
-    /// Sends a fire-and-forget request (e.g. `Flush`) whose ack is dropped.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport failure if the manager is gone.
-    pub fn cast(&self, body: Request, sent_at: VirtualTime) -> ClResult<()> {
-        let tag = self.fresh_tag();
-        self.inner.pending.lock().insert(tag, Pending::Discard);
-        self.send(tag, body, sent_at)
-    }
-
-    /// Sends an asynchronous command-queue operation tracked by `event`.
-    /// The connection thread drives the event through the Fig. 2 state
-    /// machine as responses arrive.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport failure if the manager is gone.
-    pub fn submit_op(
-        &self,
-        body: Request,
-        sent_at: VirtualTime,
-        event: Event,
-        write_region: Option<u64>,
-    ) -> ClResult<()> {
-        let tag = self.fresh_tag();
-        let machine = OpStateMachine::new(event.command());
-        self.inner.pending.lock().insert(
-            tag,
-            Pending::Op(Box::new(OpPending {
-                event,
-                machine,
-                write_region,
-                ack: None,
-            })),
-        );
-        self.send(tag, body, sent_at)
-    }
-
-    /// Like [`submit_op`](Self::submit_op), but returns a one-shot
-    /// receiver for the manager's first response: `Ok(observed_instant)`
-    /// once the operation is `Enqueued`, or the NACK pair. While the ack
-    /// is outstanding a manager error is handed to the receiver *instead
-    /// of* the event, so the caller can retry (the `CacheMiss` inline
-    /// resend) without the event ever observing a failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns a transport failure if the manager is gone.
-    pub(crate) fn submit_op_acked(
-        &self,
-        body: Request,
-        sent_at: VirtualTime,
-        event: Event,
-    ) -> ClResult<Receiver<AckVerdict>> {
-        let tag = self.fresh_tag();
-        let machine = OpStateMachine::new(event.command());
-        let (tx, rx) = bounded(1);
-        self.inner.pending.lock().insert(
-            tag,
-            Pending::Op(Box::new(OpPending {
-                event,
-                machine,
-                write_region: None,
-                ack: Some(tx),
-            })),
-        );
-        self.send(tag, body, sent_at)?;
-        Ok(rx)
-    }
-
-    fn send(&self, tag: u64, body: Request, sent_at: VirtualTime) -> ClResult<()> {
+    /// Registers `entry` under a fresh tag, then sends `body` tagged with
+    /// it; a send failure unregisters the tag again.
+    fn send_tagged(&self, entry: Pending, body: Request, sent_at: VirtualTime) -> ClResult<()> {
+        let tag = self.inner.next_tag.fetch_add(1, Ordering::SeqCst);
+        self.inner.pending.lock().insert(tag, entry);
         self.inner
             .channel
             .send(&RequestEnvelope {
@@ -281,8 +245,8 @@ impl std::fmt::Debug for Connection {
 }
 
 /// Dispatches one tagged response pulled by the reactor: retrieves the
-/// corresponding event (Fig. 2 step 5), then advances its state machine
-/// and OpenCL status (step 6).
+/// corresponding event (Fig. 2 step 5), then moves its OpenCL status
+/// forward (step 6).
 pub(crate) fn handle_response(inner: &Arc<ConnectionInner>, resp: ResponseEnvelope) {
     let mut pending = inner.pending.lock();
     match pending.remove(&resp.tag) {
@@ -325,13 +289,14 @@ pub(crate) fn fail_pending(inner: &Arc<ConnectionInner>) {
     }
 }
 
-/// Applies one response to an in-flight operation. Returns whether the
-/// entry should stay registered (i.e. more responses are expected).
+/// Applies one response to an in-flight operation, moving its event
+/// forward (Fig. 2 step 6; [`Event`] drops late and duplicate updates).
+/// Returns whether the entry should stay registered (i.e. more responses
+/// are expected).
 fn advance_op(inner: &Arc<ConnectionInner>, op: &mut OpPending, resp: ResponseEnvelope) -> bool {
     match resp.body {
         Response::Enqueued => {
-            op.machine.on_enqueued();
-            // Submission instant at the manager, observed locally.
+            // FIRST: the submission instant at the manager, observed locally.
             op.event.mark_submitted(resp.sent_at);
             if let Some(ack) = op.ack.take() {
                 let _ = ack.send(Ok(resp.sent_at + inner.costs.control_hop()));
@@ -343,60 +308,20 @@ fn advance_op(inner: &Arc<ConnectionInner>, op: &mut OpPending, resp: ResponseEn
             ended_at,
             data,
         } => {
-            let mut observed = ended_at + inner.costs.control_hop();
-            let payload = match data {
-                None => None,
-                Some(DataRef::Synthetic(len)) => {
-                    op.machine.on_buffer();
-                    observed += inner.costs.inbound_payload_cost(len);
-                    Some(Payload::Synthetic(len))
-                }
-                Some(DataRef::Inline(bytes)) => {
-                    op.machine.on_buffer();
-                    observed += inner.costs.inbound_payload_cost(bytes.len() as u64);
-                    // The payload moves through as a refcounted view of
-                    // the response frame — no copy.
-                    Some(Payload::Data(bytes.into_bytes()))
-                }
-                // Managers never answer reads with digest references.
-                Some(DataRef::Digest { .. }) => {
-                    op.machine.on_error();
-                    op.event.fail(ClError::TransportFailure(
-                        "manager sent a digest reference for a read".to_string(),
-                    ));
+            let payload = match data.map(|data| copy_out(inner, data)).transpose() {
+                Ok(payload) => payload,
+                Err(e) => {
+                    op.event.fail(e);
                     return false;
                 }
-                Some(DataRef::Shm { offset, len }) => {
-                    op.machine.on_buffer();
-                    observed += inner.costs.inbound_payload_cost(len);
-                    match inner.shm.as_ref() {
-                        Some(shm) => match shm.read(offset, len) {
-                            Ok(bytes) => {
-                                let _ = shm.free(offset);
-                                Some(Payload::Data(bytes))
-                            }
-                            Err(e) => {
-                                op.machine.on_error();
-                                op.event.fail(ClError::TransportFailure(e.to_string()));
-                                return false;
-                            }
-                        },
-                        None => {
-                            op.machine.on_error();
-                            op.event.fail(ClError::TransportFailure(
-                                "manager sent shm data on a grpc connection".to_string(),
-                            ));
-                            return false;
-                        }
-                    }
-                }
             };
-            if let Some(region) = op.write_region.take() {
-                if let Some(shm) = inner.shm.as_ref() {
-                    let _ = shm.free(region);
-                }
+            let mut observed = ended_at + inner.costs.control_hop();
+            if let Some(payload) = &payload {
+                observed += inner.costs.inbound_payload_cost(payload.len());
             }
-            op.machine.on_completed();
+            if let (Some(region), Some(shm)) = (op.write_region.take(), inner.shm.as_ref()) {
+                let _ = shm.free(region);
+            }
             op.event
                 .complete_at(started_at, ended_at, observed, payload);
             false
@@ -412,12 +337,35 @@ fn advance_op(inner: &Arc<ConnectionInner>, op: &mut OpPending, resp: ResponseEn
                 let _ = ack.send(Err((code, message)));
                 return false;
             }
-            op.machine.on_error();
             op.event.fail(map_error(code, message));
             false
         }
         // Control responses never target op tags.
         _ => true,
+    }
+}
+
+/// Fig. 2 BUFFER: takes a read's result out of its completion. Inline
+/// bytes stay a refcounted view of the response frame (no copy); an shm
+/// region is read and released.
+fn copy_out(inner: &ConnectionInner, data: DataRef) -> ClResult<Payload> {
+    match data {
+        DataRef::Synthetic(len) => Ok(Payload::Synthetic(len)),
+        DataRef::Inline(bytes) => Ok(Payload::Data(bytes.into_bytes())),
+        // Managers never answer reads with digest references.
+        DataRef::Digest { .. } => Err(ClError::TransportFailure(
+            "manager sent a digest reference for a read".to_string(),
+        )),
+        DataRef::Shm { offset, len } => {
+            let shm = inner.shm.as_ref().ok_or_else(|| {
+                ClError::TransportFailure("manager sent shm data on a grpc connection".to_string())
+            })?;
+            let bytes = shm
+                .read(offset, len)
+                .map_err(|e| ClError::TransportFailure(e.to_string()))?;
+            let _ = shm.free(offset);
+            Ok(Payload::Data(bytes))
+        }
     }
 }
 
@@ -443,4 +391,137 @@ pub fn map_error(code: ErrorCode, message: String) -> ClError {
 /// `costs` (request hop + response hop).
 pub fn sync_rtt(costs: &PathCosts) -> VirtualDuration {
     costs.control_hop() * 2
+}
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use bf_model::NodeId;
+    use bf_ocl::{CommandType, EventStatus};
+    use bf_rpc::ServerChannel;
+
+    use super::*;
+
+    pub(crate) fn t(us: u64) -> VirtualTime {
+        VirtualTime::from_nanos(us * 1_000)
+    }
+
+    /// A connection whose "manager" is the returned server half: the test
+    /// answers each request by hand, in whatever order it likes.
+    pub(crate) fn scripted() -> (Connection, ServerChannel) {
+        let (client, server) = bf_rpc::duplex();
+        let endpoint = bf_devmgr::ManagerEndpoint {
+            device_id: "scripted".to_string(),
+            node: NodeId::new("scripted-node"),
+            client: ClientId(7),
+            channel: client,
+            shm: None,
+            costs: PathCosts::local_grpc(),
+            payload_cache_capacity: 0,
+        };
+        (Connection::with_reactor(&Reactor::new(), endpoint), server)
+    }
+
+    /// Submits `body` as an asynchronous operation tracked by a fresh event
+    /// and returns the event with the request the manager received.
+    pub(crate) fn submit(
+        conn: &Connection,
+        server: &ServerChannel,
+        command: CommandType,
+        body: Request,
+    ) -> (Event, RequestEnvelope) {
+        let event = Event::new(command, t(0));
+        conn.submit_op(body, t(1), event.clone(), None, None)
+            .expect("submit");
+        (event, server.recv().expect("request reaches the manager"))
+    }
+
+    pub(crate) fn answer(
+        server: &ServerChannel,
+        req: &RequestEnvelope,
+        sent_at: VirtualTime,
+        body: Response,
+    ) {
+        let resp = ResponseEnvelope {
+            tag: req.tag,
+            sent_at,
+            body,
+        };
+        server.send(&resp).expect("answer");
+    }
+
+    #[test]
+    fn scripted_manager_drives_events_to_their_terminal_status() {
+        let (conn, server) = scripted();
+        let hop = conn.costs().control_hop();
+
+        // A completion that overtakes its `Enqueued` ack: the read ends
+        // `Complete` with its payload, and the late ack changes nothing.
+        let (read, req) = submit(
+            &conn,
+            &server,
+            CommandType::ReadBuffer,
+            Request::EnqueueRead {
+                queue: 1,
+                buffer: 2,
+                offset: 0,
+                len: 4,
+            },
+        );
+        assert!(matches!(req.body, Request::EnqueueRead { len: 4, .. }));
+        answer(
+            &server,
+            &req,
+            t(30),
+            Response::Completed {
+                started_at: t(20),
+                ended_at: t(30),
+                data: Some(DataRef::Inline(vec![1u8, 2, 3, 4].into())),
+            },
+        );
+        answer(&server, &req, t(10), Response::Enqueued);
+        read.wait().expect("read completes");
+        let data = Payload::Data(vec![1u8, 2, 3, 4].into());
+        let observed = t(30) + hop + conn.costs().inbound_payload_cost(4);
+
+        // A second operation is acked, then refused: it ends `Failed` with
+        // the mapped error.
+        let (launch, req) = submit(
+            &conn,
+            &server,
+            CommandType::NdRangeKernel,
+            Request::EnqueueKernel {
+                queue: 1,
+                kernel: 3,
+                work: [4, 1, 1],
+            },
+        );
+        answer(&server, &req, t(40), Response::Enqueued);
+        answer(
+            &server,
+            &req,
+            t(41),
+            Response::Error {
+                code: ErrorCode::InvalidLaunch,
+                message: "argument 0 unset".to_string(),
+            },
+        );
+        assert_eq!(
+            launch.wait(),
+            Err(ClError::InvalidKernelLaunch("argument 0 unset".to_string()))
+        );
+        assert_eq!(launch.status(), EventStatus::Failed);
+        assert_eq!(launch.profile().submitted, Some(t(40)));
+
+        // The stream is FIFO, so the read's late ack has been dispatched by
+        // now: the read is exactly as its completion left it.
+        assert_eq!(read.status(), EventStatus::Complete);
+        assert_eq!(read.observed_at(), Some(observed));
+        let profile = read.profile();
+        assert_eq!(profile.submitted, None, "the late ack is dropped");
+        assert_eq!((profile.started, profile.ended), (Some(t(20)), Some(t(30))));
+        assert_eq!(read.take_payload(), Ok(data));
+
+        // Nothing else was sent for either operation.
+        assert!(server.try_recv().expect("open").is_none());
+    }
 }

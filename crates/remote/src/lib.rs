@@ -10,10 +10,13 @@
 //! * a shared [`Reactor`] thread multiplexes every connection's bounded
 //!   completion stream through one poller, pulling tagged responses and
 //!   retrieving the matching event;
-//! * every asynchronous call is tracked by a Fig. 2 [`OpStateMachine`]
-//!   (`INIT → FIRST → BUFFER → COMPLETE`) that updates the OpenCL event
-//!   status as it advances, so `clWaitForEvents`-style polling works
-//!   exactly as the specification says;
+//! * every asynchronous call takes one submit path, and its OpenCL
+//!   [`Event`] *is* the Fig. 2 state machine: `Queued` (INIT) →
+//!   `Submitted` (FIRST, on the manager's `Enqueued` ack) → `Complete` or
+//!   `Failed`, with the BUFFER step the read payload's copy-out inside the
+//!   completion handler. The event drops late and duplicate updates, so
+//!   `clWaitForEvents`-style polling works exactly as the specification
+//!   says;
 //! * bulk data takes the shared-memory path (single copy) when the session
 //!   was granted a segment, and the gRPC path (serialization + extra
 //!   copies) otherwise.
@@ -23,12 +26,14 @@
 //! and a [`RemoteBackend`] and obtain identical outputs.
 //!
 //! [`Backend`]: bf_ocl::Backend
+//! [`Event`]: bf_ocl::Event
 //! [`NativeBackend`]: bf_ocl::NativeBackend
 
 mod backend;
 mod connection;
 mod reactor;
 mod router;
+#[cfg(test)]
 mod state_machine;
 
 /// The bf-sync facade (re-exported from `bf-race`): synchronization in
@@ -40,7 +45,6 @@ pub use backend::RemoteBackend;
 pub use connection::{map_error, sync_rtt, Connection};
 pub use reactor::Reactor;
 pub use router::Router;
-pub use state_machine::{MachineState, OpStateMachine};
 
 #[cfg(test)]
 mod tests {

@@ -200,11 +200,6 @@ impl ClientChannel {
     pub fn depth(&self) -> usize {
         self.req.capacity()
     }
-
-    /// Responses currently queued and not yet received.
-    pub fn pending_responses(&self) -> usize {
-        self.resp.len()
-    }
 }
 
 impl ServerChannel {

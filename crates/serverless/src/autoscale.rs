@@ -136,20 +136,6 @@ impl AutoscalePolicy {
         self
     }
 
-    /// Overrides the scale-down hysteresis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `headroom` is outside `(0, 1]`.
-    pub fn with_scale_down_headroom(mut self, headroom: f64) -> Self {
-        assert!(
-            headroom > 0.0 && headroom <= 1.0,
-            "headroom must be in (0, 1], got {headroom}"
-        );
-        self.scale_down_headroom = headroom;
-        self
-    }
-
     /// Overrides the queue-pressure threshold.
     pub fn with_queue_pressure(mut self, queue_pressure: u32) -> Self {
         self.queue_pressure = queue_pressure;

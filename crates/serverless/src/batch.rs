@@ -307,11 +307,6 @@ impl Batcher {
         self.ready.notify_all();
     }
 
-    /// Whether [`Batcher::close`] has been called.
-    pub fn is_closed(&self) -> bool {
-        self.batch_state.lock().closed
-    }
-
     fn drain_locked(state: &mut QueueState, max: usize) -> Batch {
         let take = state.pending.len().min(max);
         let mut tickets = Vec::with_capacity(take);

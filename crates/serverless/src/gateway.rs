@@ -12,7 +12,6 @@ use std::error::Error;
 use std::fmt;
 use std::sync::Arc;
 
-use bf_metrics::{Histogram, MetricsRegistry};
 use bf_model::{VirtualDuration, VirtualTime};
 use bf_race::sync::Mutex;
 use bf_simkit::Samples;
@@ -143,13 +142,12 @@ struct Deployment {
 #[derive(Clone, Default)]
 pub struct Gateway {
     forward_latency: VirtualDuration,
-    metrics: Option<MetricsRegistry>,
     functions: Arc<Mutex<BTreeMap<String, Deployment>>>,
 }
 
 impl Gateway {
-    /// Creates a gateway with zero forwarding latency and no metrics sink;
-    /// configure with the `with_*` builders.
+    /// Creates a gateway with zero forwarding latency (see
+    /// [`Gateway::with_forward_latency`]).
     pub fn new() -> Self {
         Gateway::default()
     }
@@ -158,13 +156,6 @@ impl Gateway {
     /// applied on both the request and response path.
     pub fn with_forward_latency(mut self, forward_latency: VirtualDuration) -> Self {
         self.forward_latency = forward_latency;
-        self
-    }
-
-    /// Attaches a metrics registry: batch sizes, queue waits, and sheds
-    /// are exported per function.
-    pub fn with_metrics(mut self, metrics: MetricsRegistry) -> Self {
-        self.metrics = Some(metrics);
         self
     }
 
@@ -236,11 +227,6 @@ impl Gateway {
                     if let Some(d) = functions.get_mut(name) {
                         d.stats.shed += 1;
                     }
-                }
-                if let Some(metrics) = &self.metrics {
-                    metrics
-                        .counter("bf_gateway_shed_total", &[("function", name)])
-                        .inc();
                 }
                 Err(GatewayError::Overloaded {
                     function: name.to_string(),
@@ -372,7 +358,6 @@ impl Gateway {
         // One outcome per invocation: size the push loop below up front so
         // it never reallocates while the functions lock is held.
         outcomes.reserve(batch_len);
-        let mut queue_waits = Vec::with_capacity(batch_len);
         {
             let mut functions = self.functions.lock();
             let deployment = functions
@@ -392,7 +377,6 @@ impl Gateway {
                             .record((done - invocation.issued_at).as_millis_f64());
                         let wait = start - (invocation.issued_at + self.forward_latency);
                         deployment.stats.queue_wait_ms.record(wait.as_millis_f64());
-                        queue_waits.push(wait.as_millis_f64());
                         last_done = last_done.max(completion.done_at);
                         outcomes.push(Outcome {
                             ticket,
@@ -412,23 +396,6 @@ impl Gateway {
             }
             deployment.stats.batch_size.record(batch_len as f64);
             deployment.busy_until = last_done;
-        }
-        if let Some(metrics) = &self.metrics {
-            metrics
-                .histogram_with(
-                    "bf_gateway_batch_size",
-                    &[("function", name)],
-                    Histogram::batch_size,
-                )
-                .observe(batch_len as f64);
-            let queue_wait = metrics.histogram_with(
-                "bf_gateway_queue_wait_ms",
-                &[("function", name)],
-                Histogram::latency_ms,
-            );
-            for wait in queue_waits {
-                queue_wait.observe(wait);
-            }
         }
         Ok(())
     }

@@ -125,12 +125,6 @@ impl ScenarioConfig {
         self
     }
 
-    /// Overrides the seed.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
     /// Overrides the jitter spread.
     ///
     /// # Panics

@@ -233,12 +233,6 @@ impl ScaleConfig {
         self
     }
 
-    /// Builder: watch coalescing window.
-    pub fn with_watch_coalesce(mut self, n: usize) -> Self {
-        self.watch_coalesce = n;
-        self
-    }
-
     /// Builder: record the full event trace.
     pub fn with_trace(mut self) -> Self {
         self.record_trace = true;
