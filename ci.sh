@@ -97,16 +97,17 @@ cargo test -q -p bf-race --features model -- --nocapture
 #   federation  1- and 16-shard ladders down to the digests; quality floor; 16-shard max lock span at least 4x below one shard.
 for harness in datapath gateway scale cache federation; do
   echo "==> $harness bench (smoke + archive check)"
-  cargo run -q --release -p bf-bench --bin "$harness" -- --smoke --check "experiments/BENCH_$harness.json"
+  cargo run -q --release -p bf-bench -- "$harness" --smoke --check "experiments/BENCH_$harness.json"
 done
 
-# Virtual-time conformance: no refactor may move the paper's Fig. 4 or
-# Table I–IV numbers — regenerate each artifact and require byte-identical
-# JSON.
-for fig in fig4a fig4b fig4c table1 table2 table3 table4; do
-  echo "==> $fig virtual-time check"
-  cargo run -q --release -p bf-bench --bin "$fig" > /dev/null
-  cmp "target/experiments/$fig.json" "experiments/$fig.json"
+# Virtual-time conformance: no refactor may move the paper's Fig. 4,
+# Table I–IV or ablation numbers — regenerate each artifact and require
+# byte-identical JSON.
+for artifact in fig4a fig4b fig4c table1 table2 table3 table4 \
+  ablation_alloc ablation_transport ablation_taskgrain ablation_spacesharing; do
+  echo "==> $artifact virtual-time check"
+  cargo run -q --release -p bf-bench -- "$artifact" > /dev/null
+  cmp "target/experiments/$artifact.json" "experiments/$artifact.json"
 done
 
 echo "ci.sh: all gates passed"

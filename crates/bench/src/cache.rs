@@ -18,21 +18,20 @@
 //! deliberately overflows the host tier so the eviction and NACK-resend
 //! machinery is exercised (and archived), not just the pure-hit path.
 
-use std::sync::Arc;
+use std::process::ExitCode;
 
-use parking_lot::Mutex;
 use serde::Serialize;
 
 use bf_cache::CacheStats;
-use bf_devmgr::{DeviceManager, DeviceManagerConfig};
-use bf_fpga::{Board, BoardSpec, Payload};
-use bf_model::{node_b, VirtualClock};
-use bf_ocl::{BitstreamCatalog, ClResult};
-use bf_remote::Router;
+use bf_devmgr::DeviceManagerConfig;
+use bf_fpga::Payload;
+use bf_ocl::ClResult;
 use bf_rpc::PathCosts;
 use bf_simkit::{SimRng, ZipfSampler};
 
 use crate::gate::ArchiveGate;
+use crate::gate::Rung::{self, Full, Smoke};
+use crate::managed_device;
 
 /// Root seed of the request stream (one fresh stream per measured row).
 pub const CACHE_SEED: u64 = 101;
@@ -40,12 +39,38 @@ pub const CACHE_SEED: u64 = 101;
 /// Zipf exponent of the payload popularity distribution.
 pub const CACHE_ZIPF_EXPONENT: f64 = 1.2;
 
-/// Ladder labels in sweep order.
-pub const CACHE_LADDER: [&str; 3] = ["hot", "churn", "big"];
-
-/// The CI smoke subset (kept small so the gate stays cheap; `churn`
-/// stays in so eviction/NACK-resend accounting is CI-pinned too).
-pub const CACHE_SMOKE: [&str; 2] = ["hot", "churn"];
+/// The ladder in sweep order. CI's smoke subset is `hot` and `churn`
+/// (small, so the gate stays cheap; `churn` stays in so the
+/// eviction/NACK-resend accounting is CI-pinned too).
+pub const CACHE_LADDER: [Rung<CachePoint>; 3] = [
+    // Hot set fits entirely: after first occurrences, every request is a
+    // digest hit.
+    Smoke(CachePoint {
+        label: "hot",
+        payload_bytes: 64 << 10,
+        catalog: 48,
+        requests: 1_200,
+        capacity: 64 * (64 << 10),
+    }),
+    // Catalog is ~2.7x the cache budget: the Zipf head stays resident,
+    // the tail churns through eviction and NACK resends.
+    Smoke(CachePoint {
+        label: "churn",
+        payload_bytes: 64 << 10,
+        catalog: 256,
+        requests: 1_600,
+        capacity: 96 * (64 << 10),
+    }),
+    // Megabyte payloads: the regime where elided transfers dominate
+    // end-to-end cost.
+    Full(CachePoint {
+        label: "big",
+        payload_bytes: 1 << 20,
+        catalog: 24,
+        requests: 300,
+        capacity: 32 << 20,
+    }),
+];
 
 /// One ladder point's workload shape.
 #[derive(Debug, Clone, Copy)]
@@ -60,46 +85,6 @@ pub struct CachePoint {
     pub requests: u32,
     /// Host-tier cache budget for the cache-enabled run.
     pub capacity: u64,
-}
-
-/// Resolves a ladder label to its workload shape.
-///
-/// # Panics
-///
-/// Panics on an unknown label (the ladder is a closed set).
-pub fn cache_point(label: &str) -> CachePoint {
-    match label {
-        // Hot set fits entirely: after first occurrences, every request
-        // is a digest hit.
-        "hot" => CachePoint {
-            label: "hot",
-            payload_bytes: 64 << 10,
-            catalog: 48,
-            requests: 1_200,
-            capacity: 64 * (64 << 10),
-        },
-        // Catalog is ~2.7x the cache budget: the Zipf head stays
-        // resident, the tail churns through eviction and NACK resends.
-        "churn" => CachePoint {
-            label: "churn",
-            payload_bytes: 64 << 10,
-            catalog: 256,
-            requests: 1_600,
-            capacity: 96 * (64 << 10),
-        },
-        // Megabyte payloads: the regime where elided transfers dominate
-        // end-to-end cost.
-        "big" => CachePoint {
-            label: "big",
-            payload_bytes: 1 << 20,
-            catalog: 24,
-            requests: 300,
-            capacity: 32 << 20,
-        },
-        // bf-lint: allow(panic): the ladder is a closed set; an unknown
-        // label is a harness bug, never a runtime condition.
-        other => panic!("unknown cache ladder point {other:?}"),
-    }
 }
 
 /// One measured (point, system) row. Every field is deterministic: the
@@ -146,19 +131,11 @@ fn catalog_payload(i: usize, bytes: u64) -> Payload {
 }
 
 fn drive(point: &CachePoint, with_cache: bool) -> ClResult<(u64, Option<CacheStats>)> {
-    let board = Arc::new(Mutex::new(Board::new(
-        BoardSpec::de5a_net(),
-        *node_b().pcie(),
-    )));
     let mut config = DeviceManagerConfig::standalone("fpga-b");
     if with_cache {
         config = config.with_payload_cache(point.capacity);
     }
-    let manager = DeviceManager::new(config, node_b(), board, BitstreamCatalog::new());
-    let mut router = Router::new();
-    router.add_manager(manager);
-    let clock = VirtualClock::new();
-    let device = router.connect(0, "cache-fn", PathCosts::local_grpc(), clock)?;
+    let (device, _clock, manager) = managed_device(config, PathCosts::local_grpc());
     let ctx = device.create_context()?;
     let buf = ctx.create_buffer(point.payload_bytes)?;
     let queue = ctx.create_queue()?;
@@ -175,7 +152,7 @@ fn drive(point: &CachePoint, with_cache: bool) -> ClResult<(u64, Option<CacheSta
         queue.write(&buf, payloads[i].clone())?;
         offered += point.payload_bytes;
     }
-    Ok((offered, router.managers()[0].cache_stats()))
+    Ok((offered, manager.cache_stats()))
 }
 
 fn measure_one(point: &CachePoint, with_cache: bool) -> CacheBenchRow {
@@ -203,15 +180,14 @@ fn measure_one(point: &CachePoint, with_cache: bool) -> CacheBenchRow {
     }
 }
 
-/// Runs the sweep over the given ladder labels: a `nocache` baseline row
+/// Runs the sweep over the given ladder points: a `nocache` baseline row
 /// then a `cache` row per point, with the cache row's `reduction` filled
 /// in from its baseline.
-pub fn cache_rows(labels: &[&str]) -> Vec<CacheBenchRow> {
+pub fn cache_rows(points: &[CachePoint]) -> Vec<CacheBenchRow> {
     let mut rows = Vec::new();
-    for label in labels {
-        let point = cache_point(label);
-        let baseline = measure_one(&point, false);
-        let mut cached = measure_one(&point, true);
+    for point in points {
+        let baseline = measure_one(point, false);
+        let mut cached = measure_one(point, true);
         if cached.wire_bytes_per_request > 0 {
             cached.reduction =
                 Some(baseline.wire_bytes_per_request as f64 / cached.wire_bytes_per_request as f64);
@@ -316,12 +292,24 @@ pub fn render_cache(title: &str, rows: &[CacheBenchRow]) -> String {
     out
 }
 
-/// The `cache` binary: this harness behind the shared archive gate.
-pub const CACHE_GATE: ArchiveGate<&str, CacheBenchRow> = ArchiveGate {
+/// `bf-bench cache`: the shared archive gate, after naming the digest
+/// kernel.
+pub fn run(args: &[String]) -> ExitCode {
+    // On stderr, not in the archive: the archived fields are counters and
+    // virtual times, identical on either kernel; the wall time of a run
+    // is not, and this line says which kernel it was spent on.
+    eprintln!(
+        "cache: content digest kernel = {}",
+        bf_cache::digest_kernel()
+    );
+    CACHE_GATE.run(args)
+}
+
+/// This harness behind the shared archive gate.
+pub const CACHE_GATE: ArchiveGate<CachePoint, CacheBenchRow> = ArchiveGate {
     name: "cache",
     title: "Cache — content-addressed payload cache (Zipf(1.2) reuse, gRPC path)",
     ladder: &CACHE_LADDER,
-    smoke: &CACHE_SMOKE,
     rows: cache_rows,
     render: render_cache,
     invariants: Some(check_cache_invariants),
@@ -337,15 +325,12 @@ mod tests {
 
     #[test]
     fn smoke_labels_are_a_subset_of_the_ladder() {
-        for label in CACHE_SMOKE {
-            assert!(CACHE_LADDER.contains(&label));
-        }
+        CACHE_GATE.assert_smoke_is_a_proper_subset();
     }
 
     #[test]
     fn every_ladder_label_resolves() {
-        for label in CACHE_LADDER {
-            let p = cache_point(label);
+        for p in CACHE_GATE.points(false) {
             assert!(p.payload_bytes > 0 && p.catalog > 0 && p.requests > 0);
         }
     }
@@ -359,7 +344,7 @@ mod tests {
 
     #[test]
     fn hot_point_satisfies_the_invariants() {
-        let rows = cache_rows(&["hot"]);
+        let rows = cache_rows(&CACHE_GATE.points(true)[..1]);
         assert!(check_cache_invariants(&rows).is_ok(), "{rows:?}");
         CACHE_GATE.assert_names_are_fields_of(&rows[0]);
     }
@@ -367,8 +352,8 @@ mod tests {
     #[test]
     fn identical_runs_agree_on_every_field() {
         assert_eq!(
-            serde_json::to_value(&cache_rows(&["hot"])),
-            serde_json::to_value(&cache_rows(&["hot"]))
+            serde_json::to_value(&cache_rows(&CACHE_GATE.points(true)[..1])),
+            serde_json::to_value(&cache_rows(&CACHE_GATE.points(true)[..1]))
         );
     }
 }

@@ -20,25 +20,24 @@
 use serde::Serialize;
 
 use crate::gate::ArchiveGate;
+use crate::gate::Rung::{self, Full, Smoke};
 use crate::{fig4_device, human_bytes, System};
 use bf_fpga::Payload;
 use bf_ocl::ClResult;
 
-/// The full 1 KB → 2 GB ladder (the Fig. 4(a) transfer sizes).
-pub const LADDER: [u64; 9] = [
-    1 << 10,
-    16 << 10,
-    256 << 10,
-    1 << 20,
-    16 << 20,
-    128 << 20,
-    512 << 20,
-    1 << 30,
-    2 << 30,
+/// The full 1 KB → 2 GB ladder (the Fig. 4(a) transfer sizes). CI's
+/// smoke subset is the sizes ≤ 1 MB, so the step stays cheap.
+pub const LADDER: [Rung<u64>; 9] = [
+    Smoke(1 << 10),
+    Smoke(16 << 10),
+    Smoke(256 << 10),
+    Smoke(1 << 20),
+    Full(16 << 20),
+    Full(128 << 20),
+    Full(512 << 20),
+    Full(1 << 30),
+    Full(2 << 30),
 ];
-
-/// The CI smoke subset (kept ≤ 1 MB so the step stays cheap).
-pub const SMOKE: [u64; 4] = [1 << 10, 16 << 10, 256 << 10, 1 << 20];
 
 /// One measured (size, transport) point.
 #[derive(Debug, Clone, Serialize)]
@@ -180,12 +179,11 @@ pub fn render_datapath(title: &str, rows: &[DatapathRow]) -> String {
     out
 }
 
-/// The `datapath` binary: this harness behind the shared archive gate.
+/// `bf-bench datapath`: this harness behind the shared archive gate.
 pub const DATAPATH_GATE: ArchiveGate<u64, DatapathRow> = ArchiveGate {
     name: "datapath",
     title: "Datapath — host bytes memcpy'd and wall-clock per write+read round trip",
     ladder: &LADDER,
-    smoke: &SMOKE,
     rows: datapath_rows,
     render: render_datapath,
     invariants: None,
@@ -202,7 +200,7 @@ mod tests {
 
     #[test]
     fn baseline_table_covers_the_ladder() {
-        for bytes in LADDER {
+        for bytes in DATAPATH_GATE.points(false) {
             assert!(baseline_copied_bytes(bytes, "grpc").is_some());
             assert!(baseline_copied_bytes(bytes, "shm").is_some());
         }

@@ -12,14 +12,18 @@
 
 use bf_sim::{run_federation, FederationConfig, FederationResult};
 
-use crate::gate::{ArchiveGate, Labelled};
+use crate::gate::Rung::{self, Full, Smoke};
+use crate::gate::{ArchiveGate, Labelled, Named};
 
-/// Ladder labels in sweep order.
-pub const FEDERATION_LADDER: [&str; 5] = ["smoke-1", "smoke-16", "1-shard", "4-shard", "16-shard"];
-
-/// The CI smoke subset: both 100-node points, so the smoke gate still
-/// compares 1 shard against 16.
-pub const FEDERATION_SMOKE: [&str; 2] = ["smoke-1", "smoke-16"];
+/// The ladder in sweep order. CI's smoke subset is both 100-node
+/// points, so the smoke gate still compares 1 shard against 16.
+pub const FEDERATION_LADDER: [Rung<Named<FederationConfig>>; 5] = [
+    Smoke(("smoke-1", || FederationConfig::smoke(1))),
+    Smoke(("smoke-16", || FederationConfig::smoke(16))),
+    Full(("1-shard", || FederationConfig::ladder(1))),
+    Full(("4-shard", || FederationConfig::ladder(4))),
+    Full(("16-shard", || FederationConfig::ladder(16))),
+];
 
 /// Floor on the fraction of placements that avoid a cold reprogram
 /// (landed configured or warm) — the allocation-quality gate.
@@ -34,24 +38,6 @@ pub const FEDERATION_SPAN_DROP: u64 = 4;
 /// 1-shard -> 16-shard comparison).
 pub const FEDERATION_SPAN_RATIO: u64 = 16;
 
-/// Resolves a ladder label to its configuration.
-///
-/// # Panics
-///
-/// Panics on an unknown label (the ladder is a closed set).
-pub fn federation_config(label: &str) -> FederationConfig {
-    match label {
-        "smoke-1" => FederationConfig::smoke(1),
-        "smoke-16" => FederationConfig::smoke(16),
-        "1-shard" => FederationConfig::ladder(1),
-        "4-shard" => FederationConfig::ladder(4),
-        "16-shard" => FederationConfig::ladder(16),
-        // bf-lint: allow(panic): the ladder is a closed set; an unknown
-        // label is a harness bug, never a runtime condition.
-        other => panic!("unknown federation ladder point {other:?}"),
-    }
-}
-
 /// One measured ladder point: the harness's whole result under its
 /// ladder label. Every field is deterministic.
 pub type FederationBenchRow = Labelled<FederationResult>;
@@ -65,16 +51,13 @@ fn quality(r: &FederationResult) -> f64 {
     }
 }
 
-fn measure_one(label: &str) -> FederationBenchRow {
-    Labelled {
+/// Runs the sweep over the given ladder points.
+pub fn federation_rows(points: &[Named<FederationConfig>]) -> Vec<FederationBenchRow> {
+    let row = |&(label, config): &Named<FederationConfig>| Labelled {
         label: label.to_string(),
-        result: run_federation(&federation_config(label)),
-    }
-}
-
-/// Runs the sweep over the given ladder labels.
-pub fn federation_rows(labels: &[&str]) -> Vec<FederationBenchRow> {
-    labels.iter().map(|l| measure_one(l)).collect()
+        result: run_federation(&config()),
+    };
+    points.iter().map(row).collect()
 }
 
 /// Checks the invariants every run must satisfy regardless of the
@@ -178,12 +161,11 @@ pub fn render_federation(title: &str, rows: &[FederationBenchRow]) -> String {
     out
 }
 
-/// The `federation` binary: this harness behind the shared archive gate.
-pub const FEDERATION_GATE: ArchiveGate<&str, FederationBenchRow> = ArchiveGate {
+/// `bf-bench federation`: this harness behind the shared archive gate.
+pub const FEDERATION_GATE: ArchiveGate<Named<FederationConfig>, FederationBenchRow> = ArchiveGate {
     name: "federation",
     title: "Federation — sharded control plane (placement storm, churn, failures, rebalance)",
     ladder: &FEDERATION_LADDER,
-    smoke: &FEDERATION_SMOKE,
     rows: federation_rows,
     render: render_federation,
     invariants: Some(check_federation_invariants),
@@ -199,22 +181,20 @@ mod tests {
 
     #[test]
     fn smoke_labels_are_a_subset_of_the_ladder() {
-        for label in FEDERATION_SMOKE {
-            assert!(FEDERATION_LADDER.contains(&label));
-        }
+        FEDERATION_GATE.assert_smoke_is_a_proper_subset();
     }
 
     #[test]
     fn every_ladder_label_resolves() {
-        for label in FEDERATION_LADDER {
-            let cfg = federation_config(label);
-            assert!(cfg.shards > 0 && cfg.nodes > 0);
+        for (label, config) in FEDERATION_GATE.points(false) {
+            let cfg = config();
+            assert!(cfg.shards > 0 && cfg.nodes > 0, "{label}");
         }
     }
 
     #[test]
     fn smoke_rows_satisfy_the_invariants() {
-        let rows = federation_rows(&FEDERATION_SMOKE);
+        let rows = federation_rows(&FEDERATION_GATE.points(true));
         assert!(check_federation_invariants(&rows).is_ok(), "{rows:?}");
         FEDERATION_GATE.assert_names_are_fields_of(&rows[0]);
     }

@@ -1,9 +1,9 @@
-//! The one `main` behind the archive-gated harness binaries
-//! (`datapath`, `gateway`, `scale`, `cache`, `federation`): `--smoke` /
-//! `--check` parsing, render, JSON artifact, invariants, and the one
-//! archive check. The serialized row is the only schema: a harness names
-//! the fields that identify a row and the fields that are informational,
-//! and every other field of every row is compared.
+//! What `bf-bench` runs for each archive-gated ladder (`datapath`,
+//! `gateway`, `scale`, `cache`, `federation`): `--smoke` / `--check`
+//! parsing, render, JSON artifact, invariants, and the one archive
+//! check. The serialized row is the only schema: a harness names the
+//! fields that identify a row and the fields that are informational, and
+//! every other field of every row is compared.
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -13,6 +13,19 @@ use serde_json::{Number, Value};
 
 use crate::save_json;
 
+/// One ladder point as data — a size, a rate, or a label and its
+/// configuration — marked with the runs that measure it.
+#[derive(Debug, Clone, Copy)]
+pub enum Rung<P> {
+    /// Measured by the full ladder and by the `--smoke` subset CI runs.
+    Smoke(P),
+    /// Measured by the full ladder only.
+    Full(P),
+}
+
+/// A ladder point that is a label and the configuration it names.
+pub type Named<C> = (&'static str, fn() -> C);
+
 /// One harness, described by its own functions: `P` is a ladder point,
 /// `R` a measured row.
 pub struct ArchiveGate<P: 'static, R> {
@@ -20,10 +33,8 @@ pub struct ArchiveGate<P: 'static, R> {
     pub name: &'static str,
     /// Heading of the rendered table.
     pub title: &'static str,
-    /// The full ladder.
-    pub ladder: &'static [P],
-    /// The `--smoke` subset CI runs.
-    pub smoke: &'static [P],
+    /// The full ladder, which also says which points `--smoke` runs.
+    pub ladder: &'static [Rung<P>],
     /// Runs the given ladder points.
     pub rows: fn(&[P]) -> Vec<R>,
     /// Renders the rows under a heading.
@@ -43,14 +54,24 @@ pub struct ArchiveGate<P: 'static, R> {
     pub what: &'static str,
 }
 
-impl<P, R: Serialize> ArchiveGate<P, R> {
-    /// Runs the harness as the process's `main`:
+impl<P: Copy, R: Serialize> ArchiveGate<P, R> {
+    /// The points a full (`smoke` false) or `--smoke` run measures.
+    pub fn points(&self, smoke: bool) -> Vec<P> {
+        let point = |rung: &Rung<P>| match *rung {
+            Rung::Smoke(point) => Some(point),
+            Rung::Full(point) => (!smoke).then_some(point),
+        };
+        self.ladder.iter().filter_map(point).collect()
+    }
+
+    /// Runs the harness on the arguments that follow its name:
     ///
     /// * no flags — full ladder, writes the JSON artifact;
     /// * `--smoke` — the CI subset, no artifact;
     /// * `[--smoke] --check <archived.json>` — additionally compares
     ///   every field that is not informational against the archived row
-    ///   of the same key and fails on drift.
+    ///   of the same key and fails on drift; a full run also fails on an
+    ///   archived row it did not produce.
     ///
     /// Anything else on the command line is a usage error (exit 2)
     /// reported before any ladder point runs.
@@ -59,17 +80,19 @@ impl<P, R: Serialize> ArchiveGate<P, R> {
     ///
     /// Panics when the archive named by `--check` is missing or
     /// malformed: that must fail the CI step loudly.
-    pub fn run(&self) -> ExitCode {
+    pub fn run(&self, args: &[String]) -> ExitCode {
         let name = self.name;
-        let args = match parse_args(std::env::args().skip(1)) {
+        let args = match parse_args(args.iter().cloned()) {
             Ok(args) => args,
             Err(msg) => {
-                eprintln!("{name}: {msg}\nusage: {name} [--smoke] [--check <archived.json>]");
+                eprintln!(
+                    "{name}: {msg}\nusage: bf-bench {name} [--smoke] [--check <archived.json>]"
+                );
                 return ExitCode::from(2);
             }
         };
 
-        let rows = (self.rows)(if args.smoke { self.smoke } else { self.ladder });
+        let rows = (self.rows)(&self.points(args.smoke));
         print!("{}", (self.render)(self.title, &rows));
 
         if !args.smoke {
@@ -90,8 +113,9 @@ impl<P, R: Serialize> ArchiveGate<P, R> {
             let doc: Value = serde_json::from_str(&raw)
                 .unwrap_or_else(|e| panic!("parse archived {name} JSON: {e:?}"));
             let fresh: Vec<Value> = rows.iter().map(serde_json::to_value).collect();
-            let mismatches = archive_mismatches(&fresh, &doc, self.key, self.informational)
-                .unwrap_or_else(|| panic!("archived {name} JSON shape"));
+            let mismatches =
+                archive_mismatches(&fresh, &doc, self.key, self.informational, args.smoke)
+                    .unwrap_or_else(|| panic!("archived {name} JSON shape"));
             if !mismatches.is_empty() {
                 eprintln!("{} drifted from {path}:", self.what);
                 for m in &mismatches {
@@ -105,17 +129,16 @@ impl<P, R: Serialize> ArchiveGate<P, R> {
     }
 }
 
-/// What one invocation of a harness binary asks for.
+/// What one invocation of a gated ladder asks for.
 #[derive(Debug, Default, PartialEq, Eq)]
 struct GateArgs {
     smoke: bool,
     check: Option<String>,
 }
 
-/// Parses the command line of a harness binary (program name already
-/// dropped). A `--check` with no path after it and any argument that is
-/// not a flag of the gate are errors: either would let a CI step pass
-/// having compared nothing.
+/// Parses the arguments that follow a gated ladder's name. A `--check`
+/// with no path after it and any argument that is not a flag of the gate
+/// are errors: either would let a CI step pass having compared nothing.
 fn parse_args(mut args: impl Iterator<Item = String>) -> Result<GateArgs, String> {
     let mut parsed = GateArgs::default();
     while let Some(arg) = args.next() {
@@ -163,35 +186,38 @@ fn show(value: Option<&Value>) -> String {
 /// same `key` fields and lists every field outside `informational` whose
 /// value differs in either direction — a field only one side has counts —
 /// as `"<key values>: <field> <got> != archived <want>"`. A fresh row
-/// with no archived counterpart is a mismatch; archived rows the run did
-/// not produce are ignored, so a `--smoke` subset checks against a
-/// full-ladder archive. Returns `None` when `archive` is not an array of
-/// objects that each carry every key field.
+/// with no archived counterpart is a mismatch. An archived row the run
+/// did not produce is one too, unless the run was a `smoke` subset
+/// checked against a full-ladder archive. Returns `None` when `archive`
+/// is not an array of objects that each carry every key field.
 fn archive_mismatches(
     fresh: &[Value],
     archive: &Value,
     key: &[&str],
     informational: &[&str],
+    smoke: bool,
 ) -> Option<Vec<String>> {
-    let archived = archive
-        .as_array()?
-        .iter()
-        .map(|row| {
-            row.as_object()
-                .filter(|a| key.iter().all(|k| a.contains_key(*k)))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let mut mismatches = Vec::new();
-    for row in fresh {
-        let id = key
-            .iter()
+    let archived = archive.as_array()?;
+    let keyed = |row: &Value| {
+        row.as_object()
+            .is_some_and(|r| key.iter().all(|k| r.contains_key(*k)))
+    };
+    if !archived.iter().all(keyed) {
+        return None;
+    }
+    let id = |row: &Value| {
+        key.iter()
             .map(|k| show(row.get(k)))
             .collect::<Vec<_>>()
-            .join(" ");
-        let counterpart = archived
-            .iter()
-            .find(|a| key.iter().all(|k| agree(row.get(k), a.get(*k))));
-        let (Some(got), Some(want)) = (row.as_object(), counterpart) else {
+            .join(" ")
+    };
+    let same_key = |a: &Value, b: &Value| key.iter().all(|k| agree(a.get(k), b.get(k)));
+    let mut mismatches = Vec::new();
+    for row in fresh {
+        let id = id(row);
+        let counterpart = archived.iter().find(|a| same_key(row, a));
+        let (Some(got), Some(want)) = (row.as_object(), counterpart.and_then(Value::as_object))
+        else {
             mismatches.push(format!("{id}: no archived row"));
             continue;
         };
@@ -207,6 +233,13 @@ fn archive_mismatches(
                     show(got),
                     show(want)
                 ));
+            }
+        }
+    }
+    if !smoke {
+        for row in archived {
+            if !fresh.iter().any(|f| same_key(f, row)) {
+                mismatches.push(format!("{}: archived row not produced", id(row)));
             }
         }
     }
@@ -239,7 +272,7 @@ mod tests {
     use super::*;
     use serde_json::json;
 
-    impl<P, R: Serialize> ArchiveGate<P, R> {
+    impl<P: Copy, R: Serialize> ArchiveGate<P, R> {
         /// For each harness's own test: a misspelt `key` or
         /// `informational` name must fail a test, not change what the
         /// gate compares.
@@ -248,6 +281,18 @@ mod tests {
             for name in self.key.iter().chain(self.informational) {
                 assert!(row.get(name).is_some(), "{name} is not a field of {row:?}");
             }
+        }
+
+        /// For each harness's own test: `--smoke` measures some of the
+        /// ladder, never none of it (that would check nothing) and never
+        /// all of it.
+        pub(crate) fn assert_smoke_is_a_proper_subset(&self) {
+            let (smoke, full) = (self.points(true).len(), self.points(false).len());
+            assert!(
+                0 < smoke && smoke < full,
+                "{}: {smoke} of {full} points in --smoke",
+                self.name
+            );
         }
     }
 
@@ -279,8 +324,8 @@ mod tests {
         assert!(args(&["a.json"]).is_err());
     }
 
-    /// One table row: `fresh` checked against `archived` must yield
-    /// exactly the `expected` mismatch lines.
+    /// One table row: `fresh`, as a `--smoke` subset, checked against
+    /// `archived` must yield exactly the `expected` mismatch lines.
     #[track_caller]
     fn case(
         name: &str,
@@ -290,7 +335,7 @@ mod tests {
         informational: &[&str],
         expected: &[&str],
     ) {
-        let got = archive_mismatches(&[fresh], &Value::Array(archived), key, informational);
+        let got = archive_mismatches(&[fresh], &Value::Array(archived), key, informational, true);
         let expected: Vec<String> = expected.iter().map(ToString::to_string).collect();
         assert_eq!(got, Some(expected), "{name}");
     }
@@ -443,6 +488,22 @@ mod tests {
     }
 
     #[test]
+    fn a_full_ladder_check_fails_on_an_archived_row_it_did_not_produce() {
+        let hot = json!({ "label": "hot", "hits": 7 });
+        let big = json!({ "label": "big", "hits": 1 });
+        let archive = Value::Array(vec![big, hot.clone()]);
+        let check = |smoke| {
+            archive_mismatches(std::slice::from_ref(&hot), &archive, &["label"], &[], smoke)
+        };
+        assert_eq!(check(true), Some(vec![]), "a smoke subset");
+        assert_eq!(
+            check(false),
+            Some(vec!["big: archived row not produced".to_string()]),
+            "a full ladder"
+        );
+    }
+
+    #[test]
     fn an_archive_of_the_wrong_shape_is_not_a_clean_check() {
         let fresh = [json!({ "label": "hot", "hits": 7 })];
         for (case, archive) in [
@@ -451,7 +512,7 @@ mod tests {
             ("a row without the key field", json!([{ "hits": 7 }])),
         ] {
             assert_eq!(
-                archive_mismatches(&fresh, &archive, &["label"], &[]),
+                archive_mismatches(&fresh, &archive, &["label"], &[], false),
                 None,
                 "{case}"
             );

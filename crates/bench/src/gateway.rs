@@ -25,15 +25,23 @@ use bf_serverless::{
 use bf_sim::request_profile;
 
 use crate::gate::ArchiveGate;
+use crate::gate::Rung::{self, Full, Smoke};
 
 /// The full arrival-rate ladder (rq/s). Unbatched Sobel saturates near
 /// 52 rq/s and batched near 66 rq/s on node B, so the ladder brackets
-/// both knees with headroom above.
-pub const GATEWAY_LADDER: [f64; 8] = [10.0, 20.0, 35.0, 50.0, 65.0, 80.0, 100.0, 120.0];
-
-/// The CI smoke subset. Runs the same virtual duration as the full
-/// ladder, so its rows are directly comparable to the archive.
-pub const GATEWAY_SMOKE: [f64; 4] = [20.0, 50.0, 80.0, 120.0];
+/// both knees with headroom above. The CI smoke subset runs the same
+/// virtual duration as the full ladder, so its rows are directly
+/// comparable to the archive.
+pub const GATEWAY_LADDER: [Rung<f64>; 8] = [
+    Full(10.0),
+    Smoke(20.0),
+    Full(35.0),
+    Smoke(50.0),
+    Full(65.0),
+    Smoke(80.0),
+    Full(100.0),
+    Smoke(120.0),
+];
 
 /// Virtual measurement window per (mode, rate) point.
 pub fn gateway_duration() -> VirtualDuration {
@@ -235,12 +243,11 @@ pub fn render_gateway(title: &str, rows: &[GatewayRow]) -> String {
     out
 }
 
-/// The `gateway` binary: this harness behind the shared archive gate.
+/// `bf-bench gateway`: this harness behind the shared archive gate.
 pub const GATEWAY_GATE: ArchiveGate<f64, GatewayRow> = ArchiveGate {
     name: "gateway",
     title: "Gateway — open-loop Sobel sweep, batched vs unbatched invocation queues",
     ladder: &GATEWAY_LADDER,
-    smoke: &GATEWAY_SMOKE,
     rows: gateway_rows,
     render: render_gateway,
     invariants: Some(check_batching_wins),
@@ -256,9 +263,7 @@ mod tests {
 
     #[test]
     fn smoke_rates_are_a_subset_of_the_ladder() {
-        for rate in GATEWAY_SMOKE {
-            assert!(GATEWAY_LADDER.contains(&rate));
-        }
+        GATEWAY_GATE.assert_smoke_is_a_proper_subset();
     }
 
     #[test]

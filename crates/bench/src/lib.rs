@@ -2,22 +2,15 @@
 
 //! # bf-bench — the experiment harness
 //!
-//! One function per paper figure/table, each returning structured rows
-//! that the `src/bin/*` binaries print in the paper's layout and dump as
-//! JSON artifacts under `target/experiments/`.
-//!
-//! | Paper artifact | Harness | Binary |
-//! |---|---|---|
-//! | Fig. 4(a) R/W RTT sweep | [`fig4a_rows`] | `fig4a` |
-//! | Fig. 4(b) Sobel latency sweep | [`fig4b_rows`] | `fig4b` |
-//! | Fig. 4(c) MM latency sweep | [`fig4c_rows`] | `fig4c` |
-//! | Table I load matrix | [`table1_rows`] | `table1` |
-//! | Table II Sobel per-function | [`table2_results`] | `table2` |
-//! | Table III MM aggregates | [`table3_results`] | `table3` |
-//! | Table IV AlexNet aggregates | [`table4_results`] | `table4` |
-//! | Allocation-policy ablation | [`ablation_alloc`] | `ablation_alloc` |
-//! | Data-path ablation | [`ablation_transport`] | `ablation_transport` |
-//! | Task-granularity ablation | [`ablation_taskgrain`] | `ablation_taskgrain` |
+//! One binary, `bf-bench <artifact> [--smoke] [--check <archived.json>]`,
+//! runs one entry of [`ARTIFACTS`], the one list of what it produces;
+//! `bf-bench` alone prints the names. A paper artifact — Fig. 4(a–c),
+//! Tables I–IV, the four ablations, and `trace`'s Perfetto timeline of
+//! one Table II scenario — takes no flags, prints its table in the
+//! paper's layout and writes its rows as JSON under
+//! `target/experiments/`; `bf-bench all` runs every one. The five
+//! archive-gated ladders (`datapath`, `gateway`, `scale`, `cache`,
+//! `federation`) also take `--smoke` and `--check`.
 
 mod cache;
 mod datapath;
@@ -26,30 +19,8 @@ mod gate;
 mod gateway;
 mod scale;
 
-pub use crate::cache::{
-    cache_point, cache_rows, check_cache_invariants, render_cache, CacheBenchRow, CachePoint,
-    CACHE_GATE, CACHE_LADDER, CACHE_SEED, CACHE_SMOKE, CACHE_ZIPF_EXPONENT,
-};
-pub use crate::datapath::{
-    baseline_copied_bytes, datapath_rows, render_datapath, DatapathRow, DATAPATH_GATE, LADDER,
-    SMOKE,
-};
-pub use crate::federation::{
-    check_federation_invariants, federation_config, federation_rows, render_federation,
-    FederationBenchRow, FEDERATION_GATE, FEDERATION_LADDER, FEDERATION_QUALITY_FLOOR,
-    FEDERATION_SMOKE, FEDERATION_SPAN_DROP, FEDERATION_SPAN_RATIO,
-};
-pub use crate::gate::{ArchiveGate, Labelled};
-pub use crate::gateway::{
-    check_batching_wins, gateway_duration, gateway_rows, peak_throughput, render_gateway,
-    GatewayMode, GatewayRow, GATEWAY_GATE, GATEWAY_LADDER, GATEWAY_SMOKE,
-};
-pub use crate::scale::{
-    check_scale_invariants, render_scale, scale_config, scale_rows, ScaleBenchRow, SCALE_GATE,
-    SCALE_LADDER, SCALE_SEED, SCALE_SMOKE,
-};
-
 use std::path::PathBuf;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 use bf_devmgr::{DeviceManager, DeviceManagerConfig};
@@ -64,6 +35,95 @@ use bf_workloads::{mm, sobel, CnnNetwork};
 use parking_lot::Mutex;
 use serde::Serialize;
 
+use crate::datapath::DATAPATH_GATE;
+use crate::federation::FEDERATION_GATE;
+use crate::gateway::GATEWAY_GATE;
+use crate::scale::SCALE_GATE;
+use Runner::{Gated, Paper};
+
+/// How `bf-bench` runs one artifact.
+#[derive(Clone, Copy)]
+pub enum Runner {
+    /// A paper figure, table, ablation or trace: takes no arguments,
+    /// writes its JSON artifact and returns what it prints.
+    Paper(fn() -> String),
+    /// An archive-gated ladder: `ArchiveGate::run` on the arguments that
+    /// follow its name.
+    Gated(fn(&[String]) -> ExitCode),
+}
+
+/// Every artifact `bf-bench` produces, by name; `bf-bench all` runs the
+/// paper ones in this order.
+pub const ARTIFACTS: [(&str, Runner); 17] = [
+    ("fig4a", Paper(fig4a)),
+    ("fig4b", Paper(fig4b)),
+    ("fig4c", Paper(fig4c)),
+    ("table1", Paper(table1)),
+    ("table2", Paper(table2)),
+    ("table3", Paper(table3)),
+    ("table4", Paper(table4)),
+    ("ablation_alloc", Paper(ablation_alloc)),
+    ("ablation_transport", Paper(ablation_transport)),
+    ("ablation_taskgrain", Paper(ablation_taskgrain)),
+    ("ablation_spacesharing", Paper(ablation_spacesharing)),
+    ("trace", Paper(trace)),
+    ("datapath", Gated(|args| DATAPATH_GATE.run(args))),
+    ("gateway", Gated(|args| GATEWAY_GATE.run(args))),
+    ("scale", Gated(|args| SCALE_GATE.run(args))),
+    ("cache", Gated(cache::run)),
+    ("federation", Gated(|args| FEDERATION_GATE.run(args))),
+];
+
+/// `bf-bench`'s `main`: the artifact name, then the arguments for it
+/// (program name already dropped). Exits 2 on a usage error.
+pub fn run(mut args: impl Iterator<Item = String>) -> ExitCode {
+    let name = args.next().unwrap_or_default();
+    let rest: Vec<String> = args.collect();
+    let selected = match select(&name, &rest) {
+        Ok(selected) => selected,
+        Err(msg) => {
+            let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+            eprintln!(
+                "bf-bench: {msg}\nusage: bf-bench <artifact> [--smoke] [--check <archived.json>]\n\
+                 artifacts: all {}",
+                names.join(" ")
+            );
+            return ExitCode::from(2);
+        }
+    };
+    for (artifact, runner) in selected {
+        match runner {
+            Gated(gate) => return gate(&rest),
+            Paper(paper) => {
+                if name == "all" {
+                    println!("=== {artifact} ===");
+                }
+                print!("{}", paper());
+            }
+        }
+    }
+    ExitCode::SUCCESS
+}
+
+/// The artifacts a command line names: `all` is every paper artifact.
+/// An unknown name, and any argument to a paper artifact or to `all`, is
+/// a usage error — an ignored flag would let a CI step pass having
+/// checked nothing.
+fn select(name: &str, args: &[String]) -> Result<Vec<(&'static str, Runner)>, String> {
+    let selected: Vec<(&str, Runner)> = ARTIFACTS
+        .into_iter()
+        .filter(|(artifact, runner)| {
+            *artifact == name || (name == "all" && matches!(runner, Paper(_)))
+        })
+        .collect();
+    match (selected.as_slice(), args) {
+        ([], _) if name.is_empty() => Err("no artifact named".to_string()),
+        ([], _) => Err(format!("unknown artifact {name:?}")),
+        ([(_, Gated(_))], _) | (_, []) => Ok(selected),
+        (_, [arg, ..]) => Err(format!("{name} takes no arguments, got {arg:?}")),
+    }
+}
+
 /// The three systems of Fig. 4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum System {
@@ -75,26 +135,6 @@ pub enum System {
     BlastFunctionShm,
 }
 
-impl System {
-    /// The legend label used in the figure.
-    pub fn label(self) -> &'static str {
-        match self {
-            System::Native => "Native",
-            System::BlastFunction => "BlastFunction",
-            System::BlastFunctionShm => "BlastFunction shm",
-        }
-    }
-
-    /// All three systems in the paper's legend order.
-    pub fn all() -> [System; 3] {
-        [
-            System::Native,
-            System::BlastFunction,
-            System::BlastFunctionShm,
-        ]
-    }
-}
-
 fn catalog() -> BitstreamCatalog {
     let mut catalog = BitstreamCatalog::new();
     catalog.register(sobel::bitstream());
@@ -102,94 +142,81 @@ fn catalog() -> BitstreamCatalog {
     catalog
 }
 
+fn fig4_board() -> Arc<Mutex<Board>> {
+    Arc::new(Mutex::new(Board::new(
+        BoardSpec::de5a_net(),
+        *node_b().pcie(),
+    )))
+}
+
+/// Starts a Device Manager configured by `config` on the Fig. 4 board
+/// (a DE5a-Net on node B) and connects one co-located function to it over
+/// `costs`: the function's device, its clock, and the manager.
+fn managed_device(
+    config: DeviceManagerConfig,
+    costs: PathCosts,
+) -> (Device, VirtualClock, DeviceManager) {
+    let manager = DeviceManager::new(config, node_b(), fig4_board(), catalog());
+    let mut router = Router::new();
+    router.add_manager(manager.clone());
+    let clock = VirtualClock::new();
+    let device = router
+        .connect(0, "fig4-fn", costs, clock.clone())
+        // bf-lint: allow(panic): the router was just built with exactly
+        // one manager at index 0 — connect cannot fail on this topology.
+        .expect("connect");
+    (device, clock, manager)
+}
+
 /// Builds a single-node deployment of `system` (the Fig. 4 testbed: one
 /// worker node, one board, the function co-located).
 pub fn fig4_device(system: System) -> (Device, VirtualClock) {
-    let board = Arc::new(Mutex::new(Board::new(
-        BoardSpec::de5a_net(),
-        *node_b().pcie(),
-    )));
-    let clock = VirtualClock::new();
-    match system {
-        System::Native => (
-            Device::new(Arc::new(NativeBackend::new(
-                node_b(),
-                board,
-                catalog(),
-                clock.clone(),
-                "fig4",
-            ))),
-            clock,
-        ),
-        System::BlastFunction | System::BlastFunctionShm => {
-            let manager = DeviceManager::new(
-                DeviceManagerConfig::standalone("fpga-b"),
-                node_b(),
-                board,
-                catalog(),
-            );
-            let mut router = Router::new();
-            router.add_manager(manager);
-            let costs = if system == System::BlastFunctionShm {
-                PathCosts::local_shm()
-            } else {
-                PathCosts::local_grpc()
-            };
-            let device = router
-                .connect(0, "fig4-fn", costs, clock.clone())
-                // bf-lint: allow(panic): the router was just built with exactly
-                // one manager at index 0 — connect cannot fail on this topology.
-                .expect("connect");
-            (device, clock)
+    let costs = match system {
+        System::Native => {
+            let clock = VirtualClock::new();
+            let backend =
+                NativeBackend::new(node_b(), fig4_board(), catalog(), clock.clone(), "fig4");
+            return (Device::new(Arc::new(backend)), clock);
         }
-    }
+        System::BlastFunction => PathCosts::local_grpc(),
+        System::BlastFunctionShm => PathCosts::local_shm(),
+    };
+    let (device, clock, _) = managed_device(DeviceManagerConfig::standalone("fpga-b"), costs);
+    (device, clock)
 }
 
-/// A reusable single-node deployment of one system. Reuse across repeated
-/// measurements (e.g. Criterion iterations) so threads and sessions are
-/// not respawned per sample.
-pub struct Fig4Rig {
-    device: Device,
-    clock: VirtualClock,
+/// Runs `op` on a fresh deployment of `system`; `op` sets up its objects
+/// and returns the virtual time its measured part took.
+fn measure(
+    system: System,
+    op: impl FnOnce(&Device, &VirtualClock) -> ClResult<VirtualDuration>,
+) -> VirtualDuration {
+    let (device, clock) = fig4_device(system);
+    // bf-lint: allow(panic): the rig drives a fixed known-good deployment;
+    // an OpenCL error here is a harness bug, never a runtime condition.
+    op(&device, &clock).expect("Fig. 4 op on a known-good deployment")
 }
 
-impl Fig4Rig {
-    /// Deploys the rig for `system`.
-    pub fn new(system: System) -> Self {
-        let (device, clock) = fig4_device(system);
-        Fig4Rig { device, clock }
-    }
-
-    /// Fig. 4(a)'s measured operation: synchronous write of `total/2`
-    /// bytes followed by a synchronous read of `total/2` bytes.
-    pub fn write_read_rtt(&self, total_bytes: u64) -> VirtualDuration {
-        // bf-lint: allow(panic): the rig drives a fixed known-good deployment;
-        // an OpenCL error here is a harness bug, never a runtime condition.
-        self.try_write_read_rtt(total_bytes)
-            .expect("fig4a op on known-good rig")
-    }
-
-    fn try_write_read_rtt(&self, total_bytes: u64) -> ClResult<VirtualDuration> {
+/// Fig. 4(a)'s measured operation: synchronous write of `total/2` bytes
+/// followed by a synchronous read of `total/2` bytes.
+pub fn write_read_rtt(system: System, total_bytes: u64) -> VirtualDuration {
+    measure(system, |device, clock| {
         let half = (total_bytes / 2).max(1);
-        let ctx = self.device.create_context()?;
+        let ctx = device.create_context()?;
         let buf = ctx.create_buffer(half)?;
         let queue = ctx.create_queue()?;
-        let t0 = self.clock.now();
+        let t0 = clock.now();
         queue.write(&buf, Payload::Synthetic(half))?;
         let _ = queue.read_payload(&buf)?;
-        Ok(self.clock.now() - t0)
-    }
+        Ok(clock.now() - t0)
+    })
+}
 
-    /// Fig. 4(b)'s measured operation (setup excluded from the RTT).
-    pub fn sobel_rtt(&self, w: u32, h: u32) -> VirtualDuration {
-        // bf-lint: allow(panic): the rig drives a fixed known-good deployment;
-        // an OpenCL error here is a harness bug, never a runtime condition.
-        self.try_sobel_rtt(w, h)
-            .expect("fig4b op on known-good rig")
-    }
-
-    fn try_sobel_rtt(&self, w: u32, h: u32) -> ClResult<VirtualDuration> {
-        let ctx = self.device.create_context()?;
+/// Fig. 4(b)'s measured operation: one Sobel request (pipelined
+/// write/kernel, synchronous read) on a `w × h` frame, setup excluded.
+pub fn sobel_rtt(system: System, w: u32, h: u32) -> VirtualDuration {
+    measure(system, |device, clock| {
+        let ctx = device.create_context()?;
         let program = ctx.build_program(sobel::SOBEL_BITSTREAM)?;
         let kernel = program.create_kernel(sobel::SOBEL_KERNEL)?;
         let bytes = sobel::frame_bytes(w, h);
@@ -200,22 +227,19 @@ impl Fig4Rig {
         kernel.set_arg_buffer(1, &output)?;
         kernel.set_arg(2, ArgValue::U32(w))?;
         kernel.set_arg(3, ArgValue::U32(h))?;
-        let t0 = self.clock.now();
+        let t0 = clock.now();
         queue.write_async(&input, 0, Payload::Synthetic(bytes))?;
         queue.launch(&kernel, NdRange::d2(w.into(), h.into()))?;
         let _ = queue.read_payload(&output)?;
-        Ok(self.clock.now() - t0)
-    }
+        Ok(clock.now() - t0)
+    })
+}
 
-    /// Fig. 4(c)'s measured operation (setup excluded from the RTT).
-    pub fn mm_rtt(&self, n: u32) -> VirtualDuration {
-        // bf-lint: allow(panic): the rig drives a fixed known-good deployment;
-        // an OpenCL error here is a harness bug, never a runtime condition.
-        self.try_mm_rtt(n).expect("fig4c op on known-good rig")
-    }
-
-    fn try_mm_rtt(&self, n: u32) -> ClResult<VirtualDuration> {
-        let ctx = self.device.create_context()?;
+/// Fig. 4(c)'s measured operation: one `n × n` MM request, setup
+/// excluded.
+pub fn mm_rtt(system: System, n: u32) -> VirtualDuration {
+    measure(system, |device, clock| {
+        let ctx = device.create_context()?;
         let program = ctx.build_program(mm::MM_BITSTREAM)?;
         let kernel = program.create_kernel(mm::MM_KERNEL)?;
         let bytes = mm::matrix_bytes(n);
@@ -227,31 +251,13 @@ impl Fig4Rig {
         kernel.set_arg_buffer(1, &b)?;
         kernel.set_arg_buffer(2, &c)?;
         kernel.set_arg(3, ArgValue::U32(n))?;
-        let t0 = self.clock.now();
+        let t0 = clock.now();
         queue.write_async(&a, 0, Payload::Synthetic(bytes))?;
         queue.write_async(&b, 0, Payload::Synthetic(bytes))?;
         queue.launch(&kernel, NdRange::d2(n.into(), n.into()))?;
         let _ = queue.read_payload(&c)?;
-        Ok(self.clock.now() - t0)
-    }
-}
-
-/// Fig. 4(a)'s measured operation on a fresh deployment (one-shot; for
-/// repeated sampling build a [`Fig4Rig`] instead).
-pub fn write_read_rtt(system: System, total_bytes: u64) -> VirtualDuration {
-    Fig4Rig::new(system).write_read_rtt(total_bytes)
-}
-
-/// Fig. 4(b)'s measured operation on a fresh deployment: one Sobel
-/// request (pipelined write/kernel, synchronous read) on a `w × h` frame.
-pub fn sobel_rtt(system: System, w: u32, h: u32) -> VirtualDuration {
-    Fig4Rig::new(system).sobel_rtt(w, h)
-}
-
-/// Fig. 4(c)'s measured operation on a fresh deployment: one `n × n` MM
-/// request.
-pub fn mm_rtt(system: System, n: u32) -> VirtualDuration {
-    Fig4Rig::new(system).mm_rtt(n)
+        Ok(clock.now() - t0)
+    })
 }
 
 /// One sweep point of a Fig. 4 series.
@@ -270,6 +276,18 @@ pub struct SweepRow {
 }
 
 impl SweepRow {
+    /// Measures one sweep point on all three systems.
+    fn measure(x: u64, label: String, rtt: impl Fn(System) -> VirtualDuration) -> Self {
+        let ms = |system| rtt(system).as_millis_f64();
+        SweepRow {
+            x,
+            label,
+            native_ms: ms(System::Native),
+            grpc_ms: ms(System::BlastFunction),
+            shm_ms: ms(System::BlastFunctionShm),
+        }
+    }
+
     /// gRPC slowdown over native.
     pub fn grpc_ratio(&self) -> f64 {
         self.grpc_ms / self.native_ms
@@ -279,69 +297,6 @@ impl SweepRow {
     pub fn shm_overhead_ms(&self) -> f64 {
         self.shm_ms - self.native_ms
     }
-}
-
-/// Fig. 4(a): total transfer sizes from 1 KB to 2 GB.
-pub fn fig4a_rows() -> Vec<SweepRow> {
-    let sizes: Vec<u64> = vec![
-        1 << 10,
-        16 << 10,
-        256 << 10,
-        1 << 20,
-        16 << 20,
-        128 << 20,
-        512 << 20,
-        1 << 30,
-        2 << 30,
-    ];
-    sizes
-        .into_iter()
-        .map(|total| SweepRow {
-            x: total,
-            label: human_bytes(total),
-            native_ms: write_read_rtt(System::Native, total).as_millis_f64(),
-            grpc_ms: write_read_rtt(System::BlastFunction, total).as_millis_f64(),
-            shm_ms: write_read_rtt(System::BlastFunctionShm, total).as_millis_f64(),
-        })
-        .collect()
-}
-
-/// Fig. 4(b): image sizes from 10×10 to 1920×1080.
-pub fn fig4b_rows() -> Vec<SweepRow> {
-    let sizes: Vec<(u32, u32)> = vec![
-        (10, 10),
-        (100, 100),
-        (320, 240),
-        (640, 480),
-        (800, 600),
-        (1280, 720),
-        (1600, 900),
-        (1920, 1080),
-    ];
-    sizes
-        .into_iter()
-        .map(|(w, h)| SweepRow {
-            x: u64::from(w) * u64::from(h),
-            label: format!("{w}x{h}"),
-            native_ms: sobel_rtt(System::Native, w, h).as_millis_f64(),
-            grpc_ms: sobel_rtt(System::BlastFunction, w, h).as_millis_f64(),
-            shm_ms: sobel_rtt(System::BlastFunctionShm, w, h).as_millis_f64(),
-        })
-        .collect()
-}
-
-/// Fig. 4(c): matrix dimensions from 16 to 4096.
-pub fn fig4c_rows() -> Vec<SweepRow> {
-    [16u32, 32, 64, 128, 256, 512, 1024, 2048, 4096]
-        .into_iter()
-        .map(|n| SweepRow {
-            x: u64::from(n),
-            label: format!("{n}x{n}"),
-            native_ms: mm_rtt(System::Native, n).as_millis_f64(),
-            grpc_ms: mm_rtt(System::BlastFunction, n).as_millis_f64(),
-            shm_ms: mm_rtt(System::BlastFunctionShm, n).as_millis_f64(),
-        })
-        .collect()
 }
 
 /// Renders a Fig. 4 series as an aligned text table.
@@ -365,6 +320,82 @@ pub fn render_sweep(title: &str, rows: &[SweepRow]) -> String {
     out
 }
 
+/// A Fig. 4 sweep, with a note on its largest point measured against
+/// the paper's number.
+fn sweep(name: &str, title: &str, rows: Vec<SweepRow>, note: fn(&SweepRow) -> String) -> String {
+    let mut text = render_sweep(title, &rows);
+    if let Some(last) = rows.last() {
+        text += &format!("\n{}\n", note(last));
+    }
+    publish(name, text, &rows)
+}
+
+/// Fig. 4(a): write+read RTT over total transfer sizes from 1 KB to 2 GB.
+fn fig4a() -> String {
+    let sizes = [
+        1 << 10,
+        16 << 10,
+        256 << 10,
+        1 << 20,
+        16 << 20,
+        128 << 20,
+        512 << 20,
+        1 << 30,
+        2 << 30,
+    ];
+    let rows = sizes
+        .map(|total| SweepRow::measure(total, human_bytes(total), |s| write_read_rtt(s, total)));
+    let title = "Fig. 4(a) — synchronous write+read RTT vs total size";
+    sweep("fig4a", title, rows.into(), |last| {
+        format!(
+            "At 2 GB: gRPC is {:.1}x native (paper: ~4x); shm overhead {:.0} ms (paper: 155 ms).",
+            last.grpc_ratio(),
+            last.shm_overhead_ms()
+        )
+    })
+}
+
+/// Fig. 4(b): Sobel latency over image sizes from 10×10 to 1920×1080.
+fn fig4b() -> String {
+    let sizes = [
+        (10, 10),
+        (100, 100),
+        (320, 240),
+        (640, 480),
+        (800, 600),
+        (1280, 720),
+        (1600, 900),
+        (1920, 1080),
+    ];
+    let rows = sizes.map(|(w, h): (u32, u32)| {
+        SweepRow::measure(u64::from(w) * u64::from(h), format!("{w}x{h}"), |s| {
+            sobel_rtt(s, w, h)
+        })
+    });
+    let title = "Fig. 4(b) — Sobel latency vs image size";
+    sweep("fig4b", title, rows.into(), |last| {
+        format!(
+            "At 1920x1080: native {:.2} ms (paper: 14.53 ms); shm overhead {:.2} ms (paper: ~2 ms).",
+            last.native_ms,
+            last.shm_overhead_ms()
+        )
+    })
+}
+
+/// Fig. 4(c): MM latency over matrix dimensions from 16 to 4096.
+fn fig4c() -> String {
+    let dims: [u32; 9] = [16, 32, 64, 128, 256, 512, 1024, 2048, 4096];
+    let rows = dims.map(|n| SweepRow::measure(n.into(), format!("{n}x{n}"), |s| mm_rtt(s, n)));
+    let title = "Fig. 4(c) — MM latency vs matrix size";
+    sweep("fig4c", title, rows.into(), |last| {
+        format!(
+            "At 4096: native {:.3} s (paper: 3.571 s); shm overhead {:.1} ms (paper: 17 ms, 0.27%).",
+            last.native_ms / 1e3,
+            last.shm_overhead_ms()
+        )
+    })
+}
+
 /// One Table I row.
 #[derive(Debug, Clone, Serialize)]
 pub struct Table1Row {
@@ -380,7 +411,7 @@ pub struct Table1Row {
 pub fn table1_rows() -> Vec<Table1Row> {
     let mut rows = Vec::new();
     for use_case in [UseCase::Sobel, UseCase::Mm, UseCase::AlexNet] {
-        for level in [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High] {
+        for level in LEVELS {
             if let Some(rates) = table1_rates(use_case, level) {
                 rows.push(Table1Row {
                     use_case: use_case.to_string(),
@@ -393,6 +424,33 @@ pub fn table1_rows() -> Vec<Table1Row> {
     rows
 }
 
+fn table1() -> String {
+    let mut text = format!(
+        "Table I — requests per second sent to each function\n\n\
+         {:<10} {:<14} {:>8} {:>8} {:>8} {:>8} {:>8}\n",
+        "Use-Case", "Configuration", "1st", "2nd", "3rd", "4th", "5th"
+    );
+    let rows = table1_rows();
+    for row in &rows {
+        let [r1, r2, r3, r4, r5] = row.rates;
+        text += &format!(
+            "{:<10} {:<14} {r1:>5} rq/s {r2:>4} rq/s {r3:>4} rq/s {r4:>4} rq/s {r5:>4} rq/s\n",
+            row.use_case, row.configuration,
+        );
+    }
+    text += "\n(The Native scenario uses only the first 3 columns.)\n";
+    publish("table1", text, &rows)
+}
+
+/// The three load levels of Table I.
+const LEVELS: [LoadLevel; 3] = [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High];
+
+/// BlastFunction over the shared-memory data path, as Tables II–IV and
+/// the ablations deploy it.
+const BF_SHM: Deployment = Deployment::BlastFunction {
+    data_path: DataPathKind::SharedMemory,
+};
+
 /// The default measurement duration for the table experiments.
 pub fn table_duration() -> VirtualDuration {
     VirtualDuration::from_secs(60)
@@ -402,53 +460,65 @@ fn scenario(use_case: UseCase, level: LoadLevel, deployment: Deployment) -> Scen
     run_scenario(&ScenarioConfig::new(use_case, level, deployment).with_duration(table_duration()))
 }
 
-/// Table II: Sobel per-function rows, BlastFunction (shm) then Native,
-/// low/medium/high.
-pub fn table2_results() -> Vec<ScenarioResult> {
-    let mut out = Vec::new();
-    for deployment in [
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-        Deployment::Native,
-    ] {
-        for level in [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High] {
-            out.push(scenario(UseCase::Sobel, level, deployment));
-        }
+/// The rows of Tables II–IV: BlastFunction (shm) then Native, at each
+/// of `levels`.
+fn scenarios(use_case: UseCase, levels: &[LoadLevel]) -> Vec<ScenarioResult> {
+    let at_levels = |deployment| {
+        levels
+            .iter()
+            .map(move |&level| scenario(use_case, level, deployment))
+    };
+    [BF_SHM, Deployment::Native]
+        .into_iter()
+        .flat_map(at_levels)
+        .collect()
+}
+
+/// Table II: Sobel per-function rows.
+fn table2() -> String {
+    let mut text =
+        "Table II — Sobel multi-function results (utilization max 300% overall)\n\n".to_string();
+    let results = scenarios(UseCase::Sobel, &LEVELS);
+    for result in &results {
+        let a = &result.aggregate;
+        text += &result.render_per_function();
+        text += &format!(
+            "  -> aggregate: {:.2}% util, {:.2} ms, {:.2}/{:.0} rq/s (miss {:.2}%)\n\n",
+            a.utilization_pct,
+            a.mean_latency_ms,
+            a.processed_rps,
+            a.target_rps,
+            a.target_miss_pct()
+        );
     }
-    out
+    publish("table2", text, &results)
+}
+
+/// Table III or IV: one aggregate row per scenario, then `note`.
+fn aggregates(name: &str, title: &str, results: Vec<ScenarioResult>, note: &str) -> String {
+    let mut text = format!(
+        "{title}\n\n{:<16} {:<12} {:>12} {:>11} {:>12} {:>12}\n",
+        "Type", "Config", "Utilization", "Latency", "Processed", "Target"
+    );
+    for result in &results {
+        text += &result.render_aggregate();
+    }
+    publish(name, format!("{text}\n{note}"), &results)
 }
 
 /// Table III: MM aggregates.
-pub fn table3_results() -> Vec<ScenarioResult> {
-    let mut out = Vec::new();
-    for deployment in [
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-        Deployment::Native,
-    ] {
-        for level in [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High] {
-            out.push(scenario(UseCase::Mm, level, deployment));
-        }
-    }
-    out
+fn table3() -> String {
+    let title = "Table III — MM aggregates (utilization max 300%)";
+    aggregates("table3", title, scenarios(UseCase::Mm, &LEVELS), "")
 }
 
 /// Table IV: AlexNet aggregates (medium and high only, as in the paper).
-pub fn table4_results() -> Vec<ScenarioResult> {
-    let mut out = Vec::new();
-    for deployment in [
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-        Deployment::Native,
-    ] {
-        for level in [LoadLevel::Medium, LoadLevel::High] {
-            out.push(scenario(UseCase::AlexNet, level, deployment));
-        }
-    }
-    out
+fn table4() -> String {
+    let title = "Table IV — PipeCNN/AlexNet aggregates (utilization max 300%)";
+    let results = scenarios(UseCase::AlexNet, &LEVELS[1..]);
+    let note = "The BlastFunction latency gap is the per-layer control RTTs of\n\
+                PipeCNN's host loop (~30 synchronized kernel invocations/inference).\n";
+    aggregates("table4", title, results, note)
 }
 
 /// One ablation variant's aggregate outcome.
@@ -478,112 +548,6 @@ impl From<(&str, &ScenarioResult)> for AblationRow {
     }
 }
 
-/// Allocation-policy ablation (Sobel, high load): the registry's
-/// balanced placement vs a worst-case pile-up on the slow master node vs
-/// round-robin that ignores node speed.
-pub fn ablation_alloc() -> Vec<AblationRow> {
-    let base = ScenarioConfig::new(
-        UseCase::Sobel,
-        LoadLevel::High,
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-    )
-    .with_duration(table_duration());
-    let variants: Vec<(&str, Vec<usize>)> = vec![
-        // 0 = node A, 1 = B, 2 = C.
-        ("registry (Algorithm 1)", vec![]),
-        ("round-robin A,B,C", vec![0, 1, 2, 0, 1]),
-        ("pile-up on node A", vec![0, 0, 0, 0, 0]),
-        ("workers only (B,C)", vec![1, 2, 1, 2, 1]),
-    ];
-    variants
-        .into_iter()
-        .map(|(label, placement)| {
-            let cfg = if placement.is_empty() {
-                base.clone()
-            } else {
-                base.clone().with_placement(placement)
-            };
-            let result = run_scenario(&cfg);
-            AblationRow::from((label, &result))
-        })
-        .collect()
-}
-
-/// Data-path ablation: shm vs gRPC for every use case at medium load.
-pub fn ablation_transport() -> Vec<AblationRow> {
-    let mut rows = Vec::new();
-    for use_case in [UseCase::Sobel, UseCase::Mm, UseCase::AlexNet] {
-        for (label, data_path) in [
-            ("shm", DataPathKind::SharedMemory),
-            ("grpc", DataPathKind::Grpc),
-        ] {
-            let result = scenario(
-                use_case,
-                LoadLevel::Medium,
-                Deployment::BlastFunction { data_path },
-            );
-            rows.push(AblationRow::from((
-                format!("{use_case} / {label}").as_str(),
-                &result,
-            )));
-        }
-    }
-    rows
-}
-
-/// Task-granularity ablation: AlexNet with PipeCNN's per-layer syncs vs a
-/// hypothetical single batched task per inference.
-pub fn ablation_taskgrain() -> Vec<AblationRow> {
-    let net = CnnNetwork::alexnet();
-    let base = ScenarioConfig::new(
-        UseCase::AlexNet,
-        LoadLevel::Medium,
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-    )
-    .with_duration(table_duration());
-    let layered = run_scenario(&base);
-    let batched = run_scenario(&base.clone().with_profile(net.request_profile_batched()));
-    let native = run_scenario(
-        &ScenarioConfig::new(UseCase::AlexNet, LoadLevel::Medium, Deployment::Native)
-            .with_duration(table_duration()),
-    );
-    vec![
-        AblationRow::from(("per-layer syncs (PipeCNN)", &layered)),
-        AblationRow::from(("single batched task", &batched)),
-        AblationRow::from(("native", &native)),
-    ]
-}
-
-/// Space-sharing ablation (the paper's future work): AlexNet at high
-/// load with 1 region (pure time-sharing), 2 regions (kernels 1.6× slower
-/// each) and 4 regions (2.6× slower): does splitting the board into
-/// smaller parallel accelerators beat pure time-multiplexing?
-pub fn ablation_spacesharing() -> Vec<AblationRow> {
-    let base = ScenarioConfig::new(
-        UseCase::AlexNet,
-        LoadLevel::High,
-        Deployment::BlastFunction {
-            data_path: DataPathKind::SharedMemory,
-        },
-    )
-    .with_duration(table_duration());
-    [
-        ("time-sharing (1 region)", 1u32, 1.0f64),
-        ("space-sharing 2 regions", 2, 1.6),
-        ("space-sharing 4 regions", 4, 2.6),
-    ]
-    .into_iter()
-    .map(|(label, slots, slowdown)| {
-        let result = run_scenario(&base.clone().with_space_sharing(slots, slowdown));
-        AblationRow::from((label, &result))
-    })
-    .collect()
-}
-
 /// Renders ablation rows.
 pub fn render_ablation(title: &str, rows: &[AblationRow]) -> String {
     let mut out = format!("{title}\n");
@@ -600,6 +564,135 @@ pub fn render_ablation(title: &str, rows: &[AblationRow]) -> String {
     out
 }
 
+/// An ablation's table, then `note`.
+fn ablation(name: &str, title: &str, rows: Vec<AblationRow>, note: &str) -> String {
+    publish(
+        name,
+        format!("{}\n{note}", render_ablation(title, &rows)),
+        &rows,
+    )
+}
+
+/// The ablations' base scenario: BlastFunction over shm at `level`.
+fn shm_scenario(use_case: UseCase, level: LoadLevel) -> ScenarioConfig {
+    ScenarioConfig::new(use_case, level, BF_SHM).with_duration(table_duration())
+}
+
+/// Allocation-policy ablation (Sobel, high load): the registry's
+/// balanced placement vs a worst-case pile-up on the slow master node vs
+/// round-robin that ignores node speed.
+fn ablation_alloc() -> String {
+    let base = shm_scenario(UseCase::Sobel, LoadLevel::High);
+    let variants: Vec<(&str, Vec<usize>)> = vec![
+        // 0 = node A, 1 = B, 2 = C.
+        ("registry (Algorithm 1)", vec![]),
+        ("round-robin A,B,C", vec![0, 1, 2, 0, 1]),
+        ("pile-up on node A", vec![0, 0, 0, 0, 0]),
+        ("workers only (B,C)", vec![1, 2, 1, 2, 1]),
+    ];
+    let row = |(label, placement): (&str, Vec<usize>)| {
+        let cfg = if placement.is_empty() {
+            base.clone()
+        } else {
+            base.clone().with_placement(placement)
+        };
+        AblationRow::from((label, &run_scenario(&cfg)))
+    };
+    let title = "Allocation-policy ablation — Sobel, high load, BlastFunction shm";
+    ablation(
+        "ablation_alloc",
+        title,
+        variants.into_iter().map(row).collect(),
+        "",
+    )
+}
+
+/// Data-path ablation: shm vs gRPC for every use case at medium load.
+fn ablation_transport() -> String {
+    let mut rows = Vec::new();
+    for use_case in [UseCase::Sobel, UseCase::Mm, UseCase::AlexNet] {
+        for (label, data_path) in [
+            ("shm", DataPathKind::SharedMemory),
+            ("grpc", DataPathKind::Grpc),
+        ] {
+            let deployment = Deployment::BlastFunction { data_path };
+            let result = scenario(use_case, LoadLevel::Medium, deployment);
+            rows.push(AblationRow::from((
+                format!("{use_case} / {label}").as_str(),
+                &result,
+            )));
+        }
+    }
+    let title = "Data-path ablation — medium load, per use case";
+    ablation("ablation_transport", title, rows, "")
+}
+
+/// Task-granularity ablation: AlexNet with PipeCNN's per-layer syncs vs a
+/// hypothetical single batched task per inference.
+fn ablation_taskgrain() -> String {
+    let base = shm_scenario(UseCase::AlexNet, LoadLevel::Medium);
+    let batched = base
+        .clone()
+        .with_profile(CnnNetwork::alexnet().request_profile_batched());
+    let rows = vec![
+        AblationRow::from(("per-layer syncs (PipeCNN)", &run_scenario(&base))),
+        AblationRow::from(("single batched task", &run_scenario(&batched))),
+        AblationRow::from((
+            "native",
+            &scenario(UseCase::AlexNet, LoadLevel::Medium, Deployment::Native),
+        )),
+    ];
+    let title = "Task-granularity ablation — AlexNet, medium load";
+    let note = "Batching the layer launches into one task removes the per-layer\n\
+                control RTTs — the future-work direction Table IV motivates.\n";
+    ablation("ablation_taskgrain", title, rows, note)
+}
+
+/// Space-sharing ablation (the paper's future work): AlexNet at high
+/// load with 1 region (pure time-sharing), 2 regions (kernels 1.6× slower
+/// each) and 4 regions (2.6× slower): does splitting the board into
+/// smaller parallel accelerators beat pure time-multiplexing?
+fn ablation_spacesharing() -> String {
+    let base = shm_scenario(UseCase::AlexNet, LoadLevel::High);
+    let variants = [
+        ("time-sharing (1 region)", 1u32, 1.0f64),
+        ("space-sharing 2 regions", 2, 1.6),
+        ("space-sharing 4 regions", 4, 2.6),
+    ];
+    let rows = variants.map(|(label, slots, slowdown)| {
+        let result = run_scenario(&base.clone().with_space_sharing(slots, slowdown));
+        AblationRow::from((label, &result))
+    });
+    let title = "Space-sharing ablation — AlexNet, high load, BlastFunction shm";
+    let note = "Smaller parallel regions trade per-request latency (slower kernels)\n\
+                for parallel capacity; whether that wins depends on how much the\n\
+                workload queues — exactly the trade-off the paper defers to future work.\n";
+    ablation("ablation_spacesharing", title, rows.into(), note)
+}
+
+/// A Chrome-trace (Perfetto) timeline of one multi-tenant scenario: every
+/// task every tenant ran on every board, on the virtual timeline. Open it
+/// in `chrome://tracing` or <https://ui.perfetto.dev>.
+fn trace() -> String {
+    let cfg =
+        shm_scenario(UseCase::Sobel, LoadLevel::High).with_duration(VirtualDuration::from_secs(10));
+    let result = run_scenario(&cfg);
+    let path = write_experiment("trace_sobel_high_bf", &result.to_chrome_trace());
+    format!(
+        "Wrote {} spans across {} devices to {}\nOpen it in chrome://tracing or https://ui.perfetto.dev\n",
+        result.timeline.len(),
+        result.device_utilization.len(),
+        path.display()
+    )
+}
+
+/// The one way a paper artifact is archived: saves `rows` as
+/// `target/experiments/<name>.json` and returns `text` followed by the
+/// line naming that file.
+fn publish<T: Serialize>(name: &str, text: String, rows: &T) -> String {
+    format!("{text}JSON artifact: {}\n", save_json(name, rows).display())
+}
+
 /// Writes a JSON artifact under `target/experiments/<name>.json` so runs
 /// are diffable; returns the path.
 ///
@@ -608,14 +701,18 @@ pub fn render_ablation(title: &str, rows: &[AblationRow]) -> String {
 /// Panics if the artifact cannot be written (CI environments should fail
 /// loudly).
 pub fn save_json<T: Serialize>(name: &str, value: &T) -> PathBuf {
+    // bf-lint: allow(panic): serializing an in-memory row set is infallible.
+    let json = serde_json::to_string_pretty(value).expect("serialize experiment");
+    write_experiment(name, &json)
+}
+
+fn write_experiment(name: &str, json: &str) -> PathBuf {
     let dir = PathBuf::from("target").join("experiments");
     // bf-lint: allow(panic): artifact writing is best-effort CI plumbing; a
     // full disk or unwritable target/ must abort the run loudly, not silently
     // drop the experiment record.
     std::fs::create_dir_all(&dir).expect("create target/experiments");
     let path = dir.join(format!("{name}.json"));
-    // bf-lint: allow(panic): serializing an in-memory row set is infallible.
-    let json = serde_json::to_string_pretty(value).expect("serialize experiment");
     // bf-lint: allow(panic): same rationale as the directory creation above.
     std::fs::write(&path, json).expect("write experiment artifact");
     path
@@ -661,5 +758,39 @@ mod tests {
     #[test]
     fn table1_has_eight_configurations() {
         assert_eq!(table1_rows().len(), 8);
+    }
+
+    #[test]
+    fn the_artifact_table_is_what_bf_bench_dispatches_over() {
+        let names = |selected: &[(&'static str, Runner)]| -> Vec<&'static str> {
+            selected.iter().map(|(name, _)| *name).collect()
+        };
+        let mut unique = names(&ARTIFACTS);
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), ARTIFACTS.len(), "artifact names are unique");
+        assert!(!unique.contains(&"all"));
+
+        // `all` is every paper artifact, in table order, and no gated ladder.
+        let gated = ["datapath", "gateway", "scale", "cache", "federation"];
+        let papers: Vec<&str> = names(&ARTIFACTS)
+            .into_iter()
+            .filter(|name| !gated.contains(name))
+            .collect();
+        assert_eq!(papers.len(), 12);
+        assert_eq!(select("all", &[]).map(|s| names(&s)), Ok(papers));
+        for name in gated {
+            let selected = select(name, &[]).expect(name);
+            assert!(matches!(selected[..], [(_, Gated(_))]), "{name}");
+        }
+
+        // Usage errors: a missing or unknown name, and any argument to a
+        // paper artifact or to `all`; a gated ladder gets its arguments.
+        let smoke = ["--smoke".to_string()];
+        assert!(select("", &[]).is_err());
+        assert!(select("run_all", &[]).is_err());
+        assert!(select("fig4a", &smoke).is_err());
+        assert!(select("all", &smoke).is_err());
+        assert!(select("scale", &smoke).is_ok());
     }
 }

@@ -11,55 +11,41 @@
 
 use bf_sim::{run_scale, ScaleConfig, ScaleResult};
 
-use crate::gate::{ArchiveGate, Labelled};
+use crate::gate::Rung::{self, Full, Smoke};
+use crate::gate::{ArchiveGate, Labelled, Named};
 
 /// Root seed of every ladder point.
 pub const SCALE_SEED: u64 = 42;
 
-/// Ladder labels in sweep order.
-pub const SCALE_LADDER: [&str; 3] = ["small", "medium", "large"];
-
-/// The CI smoke subset: the small point only, which still runs 100
-/// nodes / 1k functions with the full fault battery.
-pub const SCALE_SMOKE: [&str; 1] = ["small"];
-
-/// Resolves a ladder label to its configuration. The `small` point is
+/// The ladder in sweep order. The `small` point is
 /// [`ScaleConfig::smoke`] and the `large` point is
-/// [`ScaleConfig::production_day`]; `medium` sits between them.
-///
-/// # Panics
-///
-/// Panics on an unknown label (the ladder is a closed set).
-pub fn scale_config(label: &str) -> ScaleConfig {
-    match label {
-        "small" => ScaleConfig::smoke(SCALE_SEED),
-        "medium" => ScaleConfig::production_day(SCALE_SEED)
+/// [`ScaleConfig::production_day`]; `medium` sits between them. CI's
+/// smoke subset is the small point, which still runs 100 nodes / 1k
+/// functions with the full fault battery.
+pub const SCALE_LADDER: [Rung<Named<ScaleConfig>>; 3] = [
+    Smoke(("small", || ScaleConfig::smoke(SCALE_SEED))),
+    Full(("medium", || {
+        ScaleConfig::production_day(SCALE_SEED)
             .with_nodes(300)
             .with_functions(3_000)
             .with_sessions(3_000)
             .with_day(bf_model::VirtualDuration::from_secs(30))
-            .with_base_rps(400.0),
-        "large" => ScaleConfig::production_day(SCALE_SEED),
-        // bf-lint: allow(panic): the ladder is a closed set; an unknown
-        // label is a harness bug, never a runtime condition.
-        other => panic!("unknown scale ladder point {other:?}"),
-    }
-}
+            .with_base_rps(400.0)
+    })),
+    Full(("large", || ScaleConfig::production_day(SCALE_SEED))),
+];
 
 /// One measured ladder point: the harness's whole result under its
 /// ladder label. Every field is deterministic.
 pub type ScaleBenchRow = Labelled<ScaleResult>;
 
-fn measure_one(label: &str) -> ScaleBenchRow {
-    Labelled {
+/// Runs the sweep over the given ladder points.
+pub fn scale_rows(points: &[Named<ScaleConfig>]) -> Vec<ScaleBenchRow> {
+    let row = |&(label, config): &Named<ScaleConfig>| Labelled {
         label: label.to_string(),
-        result: run_scale(&scale_config(label)),
-    }
-}
-
-/// Runs the sweep over the given ladder labels.
-pub fn scale_rows(labels: &[&str]) -> Vec<ScaleBenchRow> {
-    labels.iter().map(|l| measure_one(l)).collect()
+        result: run_scale(&config()),
+    };
+    points.iter().map(row).collect()
 }
 
 /// Checks the harness invariants every row must satisfy regardless of
@@ -136,12 +122,11 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
     out
 }
 
-/// The `scale` binary: this harness behind the shared archive gate.
-pub const SCALE_GATE: ArchiveGate<&str, ScaleBenchRow> = ArchiveGate {
+/// `bf-bench scale`: this harness behind the shared archive gate.
+pub const SCALE_GATE: ArchiveGate<Named<ScaleConfig>, ScaleBenchRow> = ArchiveGate {
     name: "scale",
     title: "Scale — production-day sweep (diurnal Zipf traffic, full fault battery)",
     ladder: &SCALE_LADDER,
-    smoke: &SCALE_SMOKE,
     rows: scale_rows,
     render: render_scale,
     invariants: Some(check_scale_invariants),
@@ -157,22 +142,19 @@ mod tests {
 
     #[test]
     fn smoke_labels_are_a_subset_of_the_ladder() {
-        for label in SCALE_SMOKE {
-            assert!(SCALE_LADDER.contains(&label));
-        }
+        SCALE_GATE.assert_smoke_is_a_proper_subset();
     }
 
     #[test]
     fn every_ladder_label_resolves() {
-        for label in SCALE_LADDER {
-            let cfg = scale_config(label);
-            assert!(cfg.nodes > 0);
+        for (label, config) in SCALE_GATE.points(false) {
+            assert!(config().nodes > 0, "{label}");
         }
     }
 
     #[test]
     fn smoke_row_satisfies_the_invariants() {
-        let rows = scale_rows(&SCALE_SMOKE);
+        let rows = scale_rows(&SCALE_GATE.points(true));
         assert!(check_scale_invariants(&rows).is_ok(), "{rows:?}");
         SCALE_GATE.assert_names_are_fields_of(&rows[0]);
     }

@@ -157,19 +157,6 @@ impl EthernetModel {
         }
     }
 
-    /// Creates a custom fabric model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_sec` is not strictly positive.
-    pub fn new(bytes_per_sec: f64, one_way_latency: VirtualDuration) -> Self {
-        assert!(bytes_per_sec > 0.0, "network bandwidth must be positive");
-        EthernetModel {
-            bytes_per_sec,
-            one_way_latency,
-        }
-    }
-
     /// One-way message latency excluding payload serialization time.
     pub fn one_way_latency(&self) -> VirtualDuration {
         self.one_way_latency

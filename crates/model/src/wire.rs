@@ -30,15 +30,6 @@ impl SerializationModel {
         }
     }
 
-    /// Creates a custom serialization model.
-    pub fn new(per_message: VirtualDuration, per_byte_ns: f64) -> Self {
-        assert!(per_byte_ns >= 0.0, "per-byte cost cannot be negative");
-        SerializationModel {
-            per_message,
-            per_byte_ns,
-        }
-    }
-
     /// Time to encode a message with a payload of `bytes` bytes.
     pub fn encode_time(&self, bytes: u64) -> VirtualDuration {
         self.per_message + VirtualDuration::from_nanos((bytes as f64 * self.per_byte_ns) as u64)
@@ -74,19 +65,9 @@ impl ControlPlaneModel {
         }
     }
 
-    /// Creates a custom control-plane model with the given one-way latency.
-    pub fn new(one_way: VirtualDuration) -> Self {
-        ControlPlaneModel { one_way }
-    }
-
     /// One-way control message latency.
     pub fn one_way(&self) -> VirtualDuration {
         self.one_way
-    }
-
-    /// Round-trip control latency.
-    pub fn round_trip(&self) -> VirtualDuration {
-        self.one_way * 2
     }
 }
 
@@ -166,15 +147,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn control_round_trip_is_twice_one_way() {
-        let c = ControlPlaneModel::paper();
-        assert_eq!(c.round_trip(), c.one_way() * 2);
-    }
-
-    #[test]
     fn paper_control_rtt_is_about_one_ms() {
         let c = ControlPlaneModel::paper();
-        assert!((c.round_trip().as_millis_f64() - 1.0).abs() < 1e-9);
+        assert!(((c.one_way() * 2).as_millis_f64() - 1.0).abs() < 1e-9);
     }
 
     #[test]

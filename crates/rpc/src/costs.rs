@@ -55,28 +55,6 @@ impl PathCosts {
         }
     }
 
-    /// Builds a custom profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the impossible combination of a cross-node client with the
-    /// shared-memory data path.
-    pub fn new(
-        control: ControlPlaneModel,
-        data: DataPathModel,
-        remote_network: Option<EthernetModel>,
-    ) -> Self {
-        assert!(
-            !(remote_network.is_some() && data.kind() == DataPathKind::SharedMemory),
-            "shared memory cannot span nodes"
-        );
-        PathCosts {
-            control,
-            data,
-            remote_network,
-        }
-    }
-
     /// Which bulk data path this connection uses.
     pub fn data_path(&self) -> DataPathKind {
         self.data.kind()
@@ -142,16 +120,6 @@ mod tests {
         let remote = PathCosts::remote_grpc();
         assert!(remote.control_hop() > local.control_hop());
         assert!(remote.outbound_payload_cost(1 << 24) > local.outbound_payload_cost(1 << 24));
-    }
-
-    #[test]
-    #[should_panic(expected = "shared memory cannot span nodes")]
-    fn cross_node_shm_is_rejected() {
-        let _ = PathCosts::new(
-            ControlPlaneModel::paper(),
-            DataPathModel::shared_memory(),
-            Some(EthernetModel::paper()),
-        );
     }
 
     #[test]

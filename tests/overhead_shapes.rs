@@ -11,76 +11,8 @@
 //! * Fig. 4(c): MM is compute-bound → shm overhead is negligible
 //!   (paper: 0.27% relative at 4096).
 
-use std::sync::Arc;
-
-use blastfunction::prelude::*;
-use blastfunction::workloads::{mm, sobel};
-use parking_lot::Mutex;
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum System {
-    Native,
-    BlastFunction,
-    BlastFunctionShm,
-}
-
-fn device_for(system: System) -> (Device, VirtualClock) {
-    let mut catalog = BitstreamCatalog::new();
-    catalog.register(sobel::bitstream());
-    catalog.register(mm::bitstream());
-    let board = Arc::new(Mutex::new(Board::new(
-        BoardSpec::de5a_net(),
-        *node_b().pcie(),
-    )));
-    let clock = VirtualClock::new();
-    match system {
-        System::Native => (
-            Device::new(Arc::new(NativeBackend::new(
-                node_b(),
-                board,
-                catalog,
-                clock.clone(),
-                "fig4",
-            ))),
-            clock,
-        ),
-        System::BlastFunction | System::BlastFunctionShm => {
-            let manager = DeviceManager::new(
-                DeviceManagerConfig::standalone("fpga-b"),
-                node_b(),
-                board,
-                catalog,
-            );
-            let mut router = Router::new();
-            router.add_manager(manager);
-            let costs = if system == System::BlastFunctionShm {
-                PathCosts::local_shm()
-            } else {
-                PathCosts::local_grpc()
-            };
-            (
-                router
-                    .connect(0, "fig4-fn", costs, clock.clone())
-                    .expect("connect"),
-                clock,
-            )
-        }
-    }
-}
-
-/// Fig. 4(a)'s operation: synchronous write then synchronous read of
-/// `total/2` bytes each, timing-only payloads so multi-GB sizes are cheap.
-fn write_read_rtt(system: System, total_bytes: u64) -> VirtualDuration {
-    let (device, clock) = device_for(system);
-    let half = total_bytes / 2;
-    let ctx = device.create_context().expect("ctx");
-    let buf = ctx.create_buffer(half.max(1)).expect("buf");
-    let queue = ctx.create_queue().expect("queue");
-    let t0 = clock.now();
-    queue.write(&buf, Payload::Synthetic(half)).expect("write");
-    let _ = queue.read_payload(&buf).expect("read");
-    clock.now() - t0
-}
+use bf_bench::{mm_rtt, sobel_rtt, write_read_rtt, System};
+use blastfunction::prelude::VirtualDuration;
 
 #[test]
 fn fig4a_grpc_is_about_4x_native_at_large_sizes() {
@@ -135,31 +67,6 @@ fn fig4a_rtt_is_monotone_in_size() {
     }
 }
 
-/// Sobel request RTT (write + kernel + read, one sync) at a given size.
-fn sobel_rtt(system: System, w: u32, h: u32) -> VirtualDuration {
-    let (device, clock) = device_for(system);
-    let ctx = device.create_context().expect("ctx");
-    let program = ctx.build_program(sobel::SOBEL_BITSTREAM).expect("program");
-    let kernel = program.create_kernel(sobel::SOBEL_KERNEL).expect("kernel");
-    let bytes = sobel::frame_bytes(w, h);
-    let input = ctx.create_buffer(bytes).expect("in");
-    let output = ctx.create_buffer(bytes).expect("out");
-    let queue = ctx.create_queue().expect("queue");
-    kernel.set_arg_buffer(0, &input).expect("a0");
-    kernel.set_arg_buffer(1, &output).expect("a1");
-    kernel.set_arg(2, ArgValue::U32(w)).expect("a2");
-    kernel.set_arg(3, ArgValue::U32(h)).expect("a3");
-    let t0 = clock.now();
-    queue
-        .write_async(&input, 0, Payload::Synthetic(bytes))
-        .expect("write");
-    queue
-        .launch(&kernel, NdRange::d2(w.into(), h.into()))
-        .expect("launch");
-    let _ = queue.read_payload(&output).expect("read");
-    clock.now() - t0
-}
-
 #[test]
 fn fig4b_native_endpoints_match_the_paper() {
     let small = sobel_rtt(System::Native, 10, 10).as_millis_f64();
@@ -192,35 +99,6 @@ fn fig4b_shm_overhead_is_a_constant_few_ms() {
         spread < 2.5,
         "overhead should be near-constant, spread {spread:.2} ms"
     );
-}
-
-/// MM request RTT at dimension n (timing-only).
-fn mm_rtt(system: System, n: u32) -> VirtualDuration {
-    let (device, clock) = device_for(system);
-    let ctx = device.create_context().expect("ctx");
-    let program = ctx.build_program(mm::MM_BITSTREAM).expect("program");
-    let kernel = program.create_kernel(mm::MM_KERNEL).expect("kernel");
-    let bytes = mm::matrix_bytes(n);
-    let a = ctx.create_buffer(bytes).expect("a");
-    let b = ctx.create_buffer(bytes).expect("b");
-    let c = ctx.create_buffer(bytes).expect("c");
-    let queue = ctx.create_queue().expect("queue");
-    kernel.set_arg_buffer(0, &a).expect("a0");
-    kernel.set_arg_buffer(1, &b).expect("a1");
-    kernel.set_arg_buffer(2, &c).expect("a2");
-    kernel.set_arg(3, ArgValue::U32(n)).expect("a3");
-    let t0 = clock.now();
-    queue
-        .write_async(&a, 0, Payload::Synthetic(bytes))
-        .expect("wa");
-    queue
-        .write_async(&b, 0, Payload::Synthetic(bytes))
-        .expect("wb");
-    queue
-        .launch(&kernel, NdRange::d2(n.into(), n.into()))
-        .expect("launch");
-    let _ = queue.read_payload(&c).expect("read");
-    clock.now() - t0
 }
 
 #[test]
