@@ -92,10 +92,9 @@ cargo test -q -p bf-race --features model -- --nocapture
 # archive is gated and refreshed"); a smoke row the archive lacks fails.
 #   datapath    copy accounting per round trip (wall_ms_per_rtt is its one informational field).
 #   gateway     open-loop sweep rows; batched peak throughput strictly above unbatched.
-#   scale       100-node production day down to the FNV-1a trace digest, the replay certificate for the control-plane hot paths.
+#   scale       100-node production day at 1 and 16 registry shards down to the FNV-1a trace digests; placement quality floor; 16-shard max lock span at least 4x below one shard.
 #   cache       hot + churn accounting; hot-set wire-bytes-per-request reduction at or above the 5x floor.
-#   federation  1- and 16-shard ladders down to the digests; quality floor; 16-shard max lock span at least 4x below one shard.
-for harness in datapath gateway scale cache federation; do
+for harness in datapath gateway scale cache; do
   echo "==> $harness bench (smoke + archive check)"
   cargo run -q --release -p bf-bench -- "$harness" --smoke --check "experiments/BENCH_$harness.json"
 done

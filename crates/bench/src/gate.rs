@@ -1,5 +1,5 @@
 //! What `bf-bench` runs for each archive-gated ladder (`datapath`,
-//! `gateway`, `scale`, `cache`, `federation`): `--smoke` / `--check`
+//! `gateway`, `scale`, `cache`): `--smoke` / `--check`
 //! parsing, render, JSON artifact, invariants, and the one archive
 //! check. The serialized row is the only schema: a harness names the
 //! fields that identify a row and the fields that are informational, and

@@ -8,13 +8,12 @@
 //! Tables I–IV, the four ablations, and `trace`'s Perfetto timeline of
 //! one Table II scenario — takes no flags, prints its table in the
 //! paper's layout and writes its rows as JSON under
-//! `target/experiments/`; `bf-bench all` runs every one. The five
-//! archive-gated ladders (`datapath`, `gateway`, `scale`, `cache`,
-//! `federation`) also take `--smoke` and `--check`.
+//! `target/experiments/`; `bf-bench all` runs every one. The four
+//! archive-gated ladders (`datapath`, `gateway`, `scale`, `cache`) also
+//! take `--smoke` and `--check`.
 
 mod cache;
 mod datapath;
-mod federation;
 mod gate;
 mod gateway;
 mod scale;
@@ -36,7 +35,6 @@ use parking_lot::Mutex;
 use serde::Serialize;
 
 use crate::datapath::DATAPATH_GATE;
-use crate::federation::FEDERATION_GATE;
 use crate::gateway::GATEWAY_GATE;
 use crate::scale::SCALE_GATE;
 use Runner::{Gated, Paper};
@@ -54,7 +52,7 @@ pub enum Runner {
 
 /// Every artifact `bf-bench` produces, by name; `bf-bench all` runs the
 /// paper ones in this order.
-pub const ARTIFACTS: [(&str, Runner); 17] = [
+pub const ARTIFACTS: [(&str, Runner); 16] = [
     ("fig4a", Paper(fig4a)),
     ("fig4b", Paper(fig4b)),
     ("fig4c", Paper(fig4c)),
@@ -71,7 +69,6 @@ pub const ARTIFACTS: [(&str, Runner); 17] = [
     ("gateway", Gated(|args| GATEWAY_GATE.run(args))),
     ("scale", Gated(|args| SCALE_GATE.run(args))),
     ("cache", Gated(cache::run)),
-    ("federation", Gated(|args| FEDERATION_GATE.run(args))),
 ];
 
 /// `bf-bench`'s `main`: the artifact name, then the arguments for it
@@ -730,6 +727,109 @@ fn human_bytes(bytes: u64) -> String {
     }
 }
 
+/// The registry-shard sweep — once its own federation ladder, now the
+/// `-N` points of [`SCALE_GATE`] — and its contention gate.
+#[cfg(test)]
+mod federation {
+    mod tests {
+        use bf_sim::ScaleConfig;
+
+        use crate::gate::Named;
+        use crate::scale::{
+            check_scale_invariants, scale_rows, SCALE_GATE, SCALE_QUALITY_FLOOR, SCALE_SPAN_DROP,
+            SCALE_SPAN_RATIO,
+        };
+
+        /// Whether two configurations run the same day, shard count aside.
+        fn same_day(a: &ScaleConfig, b: &ScaleConfig) -> bool {
+            a.seed == b.seed
+                && a.nodes == b.nodes
+                && a.functions == b.functions
+                && a.sessions == b.sessions
+                && a.day == b.day
+                && a.base_rps == b.base_rps
+                && a.peak_factor == b.peak_factor
+                && a.record_trace == b.record_trace
+                && a.faults == b.faults
+        }
+
+        /// The label of the 1-shard point that runs `cfg`'s day, if any.
+        fn single_registry_twin(
+            points: &[Named<ScaleConfig>],
+            cfg: &ScaleConfig,
+        ) -> Option<&'static str> {
+            points
+                .iter()
+                .find(|(_, base)| {
+                    let base = base();
+                    base.shards == 1 && same_day(&base, cfg)
+                })
+                .map(|&(label, _)| label)
+        }
+
+        #[test]
+        fn smoke_labels_are_a_subset_of_the_ladder() {
+            SCALE_GATE.assert_smoke_is_a_proper_subset();
+            // The smoke subset still compares 1 shard against
+            // SCALE_SPAN_RATIO x the shards, so CI runs the contention gate.
+            let smoke = SCALE_GATE.points(true);
+            let wide = smoke
+                .iter()
+                .find(|(_, config)| config().shards as u64 == SCALE_SPAN_RATIO)
+                .expect("a sharded smoke point");
+            assert!(
+                single_registry_twin(&smoke, &(wide.1)()).is_some(),
+                "{}",
+                wide.0
+            );
+        }
+
+        #[test]
+        fn every_ladder_label_resolves() {
+            let points = SCALE_GATE.points(false);
+            for &(label, config) in &points {
+                let cfg = config();
+                assert!(cfg.shards > 0 && cfg.nodes > 0, "{label}");
+                if cfg.shards > 1 {
+                    assert!(
+                        single_registry_twin(&points, &cfg).is_some(),
+                        "{label}: no 1-shard point runs the same day"
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn smoke_rows_satisfy_the_invariants() {
+            let rows = scale_rows(&SCALE_GATE.points(true));
+            assert!(check_scale_invariants(&rows).is_ok(), "{rows:?}");
+            for row in &rows {
+                let r = &row.result;
+                assert_eq!(r.configured + r.warm + r.cold, r.placed, "{}", row.label);
+                let quality = (r.configured + r.warm) as f64 / r.placed as f64;
+                assert!(quality >= SCALE_QUALITY_FLOOR, "{}: {quality}", row.label);
+            }
+            let base = rows
+                .iter()
+                .find(|row| row.result.shards == 1)
+                .expect("1-shard row");
+            let wide = rows
+                .iter()
+                .find(|row| row.result.shards == SCALE_SPAN_RATIO)
+                .expect("sharded row");
+            assert!(
+                wide.result.max_lock_span * SCALE_SPAN_DROP <= base.result.max_lock_span,
+                "{} -> {}: max lock span {} -> {}",
+                base.label,
+                wide.label,
+                base.result.max_lock_span,
+                wide.result.max_lock_span
+            );
+            SCALE_GATE.assert_names_are_fields_of(wide);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,7 +872,7 @@ mod tests {
         assert!(!unique.contains(&"all"));
 
         // `all` is every paper artifact, in table order, and no gated ladder.
-        let gated = ["datapath", "gateway", "scale", "cache", "federation"];
+        let gated = ["datapath", "gateway", "scale", "cache"];
         let papers: Vec<&str> = names(&ARTIFACTS)
             .into_iter()
             .filter(|name| !gated.contains(name))
@@ -789,6 +889,7 @@ mod tests {
         let smoke = ["--smoke".to_string()];
         assert!(select("", &[]).is_err());
         assert!(select("run_all", &[]).is_err());
+        assert!(select("federation", &[]).is_err());
         assert!(select("fig4a", &smoke).is_err());
         assert!(select("all", &smoke).is_err());
         assert!(select("scale", &smoke).is_ok());

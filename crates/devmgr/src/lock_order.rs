@@ -59,11 +59,6 @@ pub const HIERARCHY: &[&str] = &[
     // Cluster node/allocation tables (bf-cluster). Never held across the
     // admission callback (which re-enters the registry).
     "cluster_state",
-    // Scale-harness placement table (bf-sim). Taken by the cluster
-    // admission hook (which runs without `cluster_state` held) and for
-    // point reads/writes in the harness; never held across another
-    // acquisition.
-    "placement",
     // The FPGA board behind a Device Manager (bf-devmgr / bf-fpga).
     "board",
     // Content-addressed payload cache: host tier + device-residency tier

@@ -48,8 +48,8 @@ pub use registry::{
     ContentionStats, FunctionRecord, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
 };
 pub use service::{
-    attach_placement, reconfig_validator, ContentionReport, PlacementOutcomes, PlacementService,
-    ShardLoadSummary,
+    admission_hook, attach_placement, reconfig_validator, ContentionReport, PlacementOutcomes,
+    PlacementService, ShardLoadSummary,
 };
 pub use shard::{hrw_owner, FederatedAllocator, ShardedRegistry};
 
@@ -404,6 +404,46 @@ mod tests {
                 registry.handle_device_failure("fpga-ghost"),
                 Err(RegistryError::UnknownDevice(_))
             ));
+        }
+    }
+
+    #[test]
+    fn failover_skips_a_tenant_whose_pod_is_already_gone() {
+        for shards in SHARD_COUNTS {
+            // Admission without the deletion watcher: a deleted pod keeps
+            // its binding until someone releases it, as while a watcher
+            // is stalled.
+            let cluster = Cluster::new(paper_cluster());
+            let registry =
+                registry_with_devices(shards, &[("fpga-b", node_b()), ("fpga-c", node_c())]);
+            registry.bind_cluster(&cluster);
+            cluster.set_admission_hook(admission_hook(Arc::new(registry.clone())));
+            registry.register_function("sobel", DeviceQuery::for_accelerator("sobel"));
+            let pods: Vec<_> = (0..3)
+                .map(|_| {
+                    cluster
+                        .create_instance(InstanceTemplate::new("sobel"))
+                        .expect("create")
+                })
+                .collect();
+            let device = |pod: &bf_cluster::InstanceSpec| registry.binding(&pod.id.to_string());
+            let shared = device(&pods[0]).expect("bound");
+            let live: Vec<_> = pods[1..]
+                .iter()
+                .filter(|p| device(p).as_ref() == Some(&shared))
+                .collect();
+            assert!(!live.is_empty(), "pods share {shared}");
+            cluster.delete_instance(pods[0].id).expect("delete");
+
+            let tenants = registry.handle_device_failure(&shared).expect("failover");
+            assert_eq!(tenants.len(), 1 + live.len(), "{tenants:?}");
+            for pod in live {
+                assert!(cluster.instance(pod.id).is_none(), "live tenant replaced");
+            }
+            for pod in cluster.instances() {
+                let bound = registry.binding(&pod.id.to_string());
+                assert!(bound.is_some_and(|d| d != shared), "{pod:?}");
+            }
         }
     }
 

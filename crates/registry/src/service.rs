@@ -15,7 +15,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use bf_cluster::{Cluster, WatchEvent};
+use bf_cluster::{AdmissionHook, Cluster, WatchEvent};
 use bf_devmgr::{DeviceManager, ReconfigRequest};
 
 use crate::allocation::{Allocation, DeviceView, Warmth};
@@ -168,7 +168,7 @@ pub trait PlacementService: Send + Sync {
 
     /// Stores the cluster handle used for displaced-tenant migration.
     /// Callers normally go through [`attach_placement`], which also
-    /// installs the admission hook and deletion watcher.
+    /// installs [`admission_hook`] and the deletion watcher.
     fn bind_cluster(&self, cluster: &Cluster);
 }
 
@@ -183,16 +183,14 @@ pub fn reconfig_validator(
     })
 }
 
-/// Wires a placement service into a cluster: installs the admission hook
-/// that intercepts instance creation (allocating a device, injecting
-/// `DEVICE_MANAGER_ADDRESS` and the shm volume, forcing the host) and
-/// spawns a watcher that releases bindings on pod deletion.
-pub fn attach_placement(cluster: &Cluster, service: Arc<dyn PlacementService>) {
-    service.bind_cluster(cluster);
-    let admission = service.clone();
-    cluster.set_admission_hook(Arc::new(move |spec| {
+/// The admission hook that places every instance a cluster creates:
+/// runs Algorithm 1 through `service`, injects `DEVICE_MANAGER_ADDRESS`
+/// and the shm volume, and forces the host. A refused placement denies
+/// the instance.
+pub fn admission_hook(service: Arc<dyn PlacementService>) -> AdmissionHook {
+    Arc::new(move |spec| {
         let instance = spec.id.to_string();
-        let placement = admission
+        let placement = service
             .place_instance(&instance, &spec.function)
             .map_err(|e| e.to_string())?;
         spec.env
@@ -201,7 +199,15 @@ pub fn attach_placement(cluster: &Cluster, service: Arc<dyn PlacementService>) {
             .push(format!("{SHM_VOLUME_PREFIX}{}", placement.device_id));
         spec.node = Some(placement.node.clone());
         Ok(())
-    }));
+    })
+}
+
+/// Wires a placement service into a cluster: binds it for migration,
+/// installs [`admission_hook`], and spawns a watcher that releases
+/// bindings on pod deletion.
+pub fn attach_placement(cluster: &Cluster, service: Arc<dyn PlacementService>) {
+    service.bind_cluster(cluster);
+    cluster.set_admission_hook(admission_hook(service.clone()));
     let mut watch = cluster.watch();
     std::thread::Builder::new()
         .name("bf-registry-watch".to_string())

@@ -21,7 +21,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use bf_cluster::Cluster;
+use bf_cluster::{Cluster, ClusterError};
 use bf_devmgr::DeviceManager;
 use bf_model::Fnv1a;
 use bf_race::sync::Mutex;
@@ -329,14 +329,19 @@ impl ShardedRegistry {
     /// re-enters [`place_instance`](PlacementService::place_instance) —
     /// before the old pod is deleted. Callers hold no registry lock.
     fn migrate(&self, tenants: &[String]) -> Result<(), RegistryError> {
-        let cluster = self.cluster.lock().clone();
-        if let Some(cluster) = cluster {
-            for tenant in tenants {
-                if let Some(id) = parse_pod_id(tenant) {
-                    cluster
-                        .replace_instance(bf_cluster::InstanceId(id))
-                        .map_err(|e| RegistryError::Cluster(e.to_string()))?;
-                }
+        let Some(cluster) = self.cluster.lock().clone() else {
+            return Ok(());
+        };
+        // Oldest pod first, whatever order the tenants came in, so a
+        // replay migrates them in the same order.
+        let mut ids: Vec<u64> = tenants.iter().filter_map(|t| parse_pod_id(t)).collect();
+        ids.sort_unstable();
+        for id in ids {
+            match cluster.replace_instance(bf_cluster::InstanceId(id)) {
+                // A tenant whose pod is already deleted (its release still
+                // on the watch stream) has nothing to migrate.
+                Ok(_) | Err(ClusterError::UnknownInstance(_)) => {}
+                Err(e) => return Err(RegistryError::Cluster(e.to_string())),
             }
         }
         Ok(())

@@ -1,5 +1,5 @@
-//! FNV-1a 64 trace digest — the byte-identical replay certificate shared
-//! by the scale and federation harnesses. The algorithm (offset basis,
+//! FNV-1a 64 trace digest — the production day's byte-identical replay
+//! certificate. The algorithm (offset basis,
 //! prime, little-endian u64 feeding) is frozen: archived digests in
 //! `experiments/` compare against it byte for byte.
 
@@ -15,13 +15,6 @@ impl Digest {
 
     pub(crate) fn u64(&mut self, v: u64) {
         self.0.write(&v.to_le_bytes());
-    }
-
-    /// Feeds a string by length + bytes (length first so `("ab","c")`
-    /// and `("a","bc")` digest differently).
-    pub(crate) fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        self.0.write(s.as_bytes());
     }
 
     pub(crate) fn hex(&self) -> String {

@@ -25,7 +25,6 @@
 
 mod config;
 mod digest;
-mod federation;
 mod result;
 mod scale;
 mod scenario;
@@ -33,9 +32,8 @@ mod trace;
 mod world;
 
 pub use config::{Deployment, ScenarioConfig};
-pub use federation::{run_federation, FederationConfig, FederationResult, SimFpgaDevice};
 pub use result::{Aggregate, FunctionResult, ScenarioResult};
-pub use scale::{run_scale, FaultPlan, ScaleConfig, ScaleResult, ShedStorm, WatchDelay};
+pub use scale::{run_scale, FaultPlan, ScaleConfig, ScaleResult, ShedStorm, SimFpgaDevice, Window};
 pub use scenario::{request_profile, run_scenario};
 pub use trace::{to_chrome_trace, TraceSpan};
 

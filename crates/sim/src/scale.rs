@@ -4,22 +4,29 @@
 //!
 //! Unlike the Table I–IV scenarios (three nodes, closed-loop `hey`
 //! clients), this harness exercises the *control plane* at the scale the
-//! ROADMAP north-star requires: a real [`bf_cluster::Cluster`] with an
-//! admission hook placing one instance per function, real
-//! [`bf_metrics::MetricsRegistry`] series per function and node, and a
-//! real [`bf_rpc::Poller`] with one waker per client session. The data
-//! plane is abstracted to per-node serial servers with bounded queues so
-//! runs with hundreds of thousands of requests finish in seconds.
+//! ROADMAP north-star requires: a real [`bf_cluster::Cluster`] whose
+//! admission hook is the registry's own [`admission_hook`], so every
+//! instance is placed by the paper's Algorithm 1 in a real
+//! [`ShardedRegistry`] over one [`SimFpgaDevice`] per node; real
+//! [`bf_metrics::MetricsRegistry`] series per function and node; and a
+//! real [`bf_rpc::Poller`] with one waker per client session. The
+//! Metrics Gatherer scrapes each device's measured utilization every
+//! gather period, so Algorithm 1 ranks on the load it is placing.
+//! The data plane is abstracted to per-node serial servers with bounded
+//! queues so runs with hundreds of thousands of requests finish in
+//! seconds.
 //!
-//! A seeded fault-injection layer rides on top: node loss (instances
-//! migrate via `replace_instance`, in-flight work fails), slow consumers
-//! (session backlog growth up to forced disconnect), shed storms (an
-//! offered-rate multiplier window) and delayed watch-event consumption.
-//! Every random stream is split from the scenario seed with
-//! [`SimRng::split`], so the fault injector draws from its own streams
-//! and cannot perturb the traffic trace — and every run replays
-//! byte-identically from its seed, which [`ScaleResult::trace_digest`]
-//! certifies.
+//! A seeded fault-injection layer rides on top: node loss (the registry
+//! re-places the board's tenants through `replace_instance`, in-flight
+//! work fails), slow consumers (session backlog growth up to forced
+//! disconnect), restarts (release-and-replace churn), a shed storm (an
+//! offered-rate multiplier window), delayed watch-event consumption
+//! (which delays binding releases too) and a rebalance (a registry shard
+//! joins and later leaves). Every random stream is split from the
+//! scenario seed with [`SimRng::split`], so the fault injector draws from
+//! its own streams and cannot perturb the traffic trace — and every run
+//! replays byte-identically from its seed, which
+//! [`ScaleResult::trace_digest`] certifies.
 
 use std::collections::{HashMap, VecDeque};
 use std::f64::consts::PI;
@@ -31,9 +38,14 @@ use bf_metrics::MetricsRegistry;
 use bf_model::{
     MemcpyModel, NodeId, NodeSpec, PcieGeneration, PcieLink, VirtualDuration, VirtualTime,
 };
+use bf_race::sync::Mutex;
+use bf_registry::{
+    admission_hook, AllocationPolicy, BoardState, DeviceQuery, PlacementService, RegistryDevice,
+    ShardedRegistry,
+};
 use bf_rpc::{PollEvent, Poller, Token, Waker};
 use bf_simkit::{Engine, Samples, SimRng, ZipfSampler};
-use parking_lot::Mutex;
+use bf_workloads::{mm::MM_BITSTREAM, pipecnn::PIPECNN_BITSTREAM, sobel::SOBEL_BITSTREAM};
 use serde::Serialize;
 
 use crate::digest::Digest;
@@ -43,6 +55,7 @@ use crate::digest::Digest;
 const STREAM_TRAFFIC: u64 = 1;
 const STREAM_SERVICE: u64 = 2;
 const STREAM_FAULTS: u64 = 3;
+const STREAM_ACCEL: u64 = 4;
 
 /// A session whose backlog exceeds this is forcibly disconnected (the
 /// Device Manager's slow-consumer policy, abstracted).
@@ -53,44 +66,82 @@ const SLOW_BACKLOG_LIMIT: u32 = 32;
 /// Zipf head stays resident, the tail churns through the slots.
 const NODE_CACHE_SLOTS: usize = 256;
 
+/// Zipf exponent of function popularity, and of accelerator popularity
+/// over [`ACCELERATORS`].
+const ZIPF_EXPONENT: f64 = 1.2;
+
+/// The bitstream catalog: the paper's three accelerators, most popular
+/// first. Each function needs one.
+const ACCELERATORS: [&str; 3] = [SOBEL_BITSTREAM, MM_BITSTREAM, PIPECNN_BITSTREAM];
+
+/// Per-node in-system cap; arrivals beyond it are shed.
+const QUEUE_CAPACITY: u32 = 64;
+
+/// Reactor cadence: watch streams and the poller are drained at this
+/// virtual period.
+const REACTOR_TICK: VirtualDuration = VirtualDuration::from_millis(10);
+
+/// Watch-delivery coalescing window. It amortizes per-watcher sends
+/// across the deploy-storm and migration bursts; the harness flushes
+/// every reactor tick, so consumers still see events within one tick.
+const WATCH_COALESCE: usize = 64;
+
+/// Warm bitstream-cache slots per simulated board.
+const WARM_SLOTS: usize = 4;
+
+/// Metrics Gatherer cadence: every device's utilization over the last
+/// period is scraped into the registry at this virtual period.
+const GATHER_PERIOD: VirtualDuration = VirtualDuration::from_millis(100);
+
+/// A stretch of the day, as fractions of its length.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Window {
+    /// Start, as a fraction of the day.
+    pub start_frac: f64,
+    /// Length, as a fraction of the day.
+    pub len_frac: f64,
+}
+
+impl Window {
+    fn contains(&self, x: f64) -> bool {
+        x >= self.start_frac && x < self.start_frac + self.len_frac
+    }
+}
+
 /// An offered-rate multiplier window (a flash crowd) that drives node
 /// queues past capacity and exercises shedding under overload.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedStorm {
-    /// Window start, as a fraction of the day.
-    pub start_frac: f64,
-    /// Window length, as a fraction of the day.
-    pub len_frac: f64,
+    /// When the crowd arrives.
+    pub window: Window,
     /// Offered-rate multiplier inside the window.
     pub factor: f64,
-}
-
-/// A window during which the harness stops consuming watch events (a
-/// stalled watcher), so delivery backs up and drains in one burst.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WatchDelay {
-    /// Window start, as a fraction of the day.
-    pub start_frac: f64,
-    /// Window length, as a fraction of the day.
-    pub len_frac: f64,
 }
 
 /// The seeded fault-injection plan. All schedule and victim draws come
 /// from the fault stream, independent of the traffic stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Node-death events spread across the day. Each victim's instances
-    /// migrate via `replace_instance` (create-before-delete) and its
+    /// Node-death events spread across the day. The registry re-places
+    /// each victim's tenants (create-before-delete) and the victim's
     /// in-flight requests fail as typed losses.
     pub node_losses: u32,
     /// Slow-consumer episodes: the afflicted session drains one
     /// completion per reactor tick instead of all, until its backlog
     /// forces a disconnect or the episode ends.
     pub slow_consumers: u32,
-    /// Optional flash-crowd window.
+    /// Release-and-replace churn: a random function's instance is
+    /// replaced through the registry, its old binding released when the
+    /// watchers see the deletion.
+    pub restarts: u32,
+    /// Optional flash crowd.
     pub shed_storm: Option<ShedStorm>,
-    /// Optional stalled-watcher window.
-    pub watch_delay: Option<WatchDelay>,
+    /// Optional stalled-watcher window: watch events (and so binding
+    /// releases) back up and drain in one burst.
+    pub watch_delay: Option<Window>,
+    /// Optional rebalance: a registry shard joins at the window's start
+    /// and leaves at its end, its devices' bindings riding along.
+    pub rebalance: Option<Window>,
 }
 
 impl FaultPlan {
@@ -99,8 +150,10 @@ impl FaultPlan {
         FaultPlan {
             node_losses: 0,
             slow_consumers: 0,
+            restarts: 0,
             shed_storm: None,
             watch_delay: None,
+            rebalance: None,
         }
     }
 
@@ -109,14 +162,21 @@ impl FaultPlan {
         FaultPlan {
             node_losses: 20,
             slow_consumers: 50,
+            restarts: 200,
             shed_storm: Some(ShedStorm {
-                start_frac: 0.45,
-                len_frac: 0.10,
+                window: Window {
+                    start_frac: 0.45,
+                    len_frac: 0.10,
+                },
                 factor: 3.0,
             }),
-            watch_delay: Some(WatchDelay {
+            watch_delay: Some(Window {
                 start_frac: 0.70,
                 len_frac: 0.05,
+            }),
+            rebalance: Some(Window {
+                start_frac: 0.30,
+                len_frac: 0.30,
             }),
         }
     }
@@ -128,7 +188,9 @@ impl FaultPlan {
 pub struct ScaleConfig {
     /// Root seed; all streams are split from it.
     pub seed: u64,
-    /// Cluster size (one serial accelerator server per node).
+    /// Registry shards; 1 is the paper's single Accelerators Registry.
+    pub shards: usize,
+    /// Cluster size (one FPGA device, one serial server per node).
     pub nodes: usize,
     /// Function catalog size (one instance each, Zipf-popular).
     pub functions: usize,
@@ -141,16 +203,6 @@ pub struct ScaleConfig {
     pub base_rps: f64,
     /// Peak-to-trough ratio of the diurnal curve.
     pub peak_factor: f64,
-    /// Zipf popularity exponent over the function catalog.
-    pub zipf_exponent: f64,
-    /// Per-node in-system cap; arrivals beyond it are shed.
-    pub queue_capacity: usize,
-    /// Reactor cadence: watch streams and the poller are drained at
-    /// this virtual period.
-    pub reactor_tick: VirtualDuration,
-    /// Watch-delivery coalescing window applied to the cluster; 1 keeps
-    /// per-event delivery semantics.
-    pub watch_coalesce: usize,
     /// Record the full event trace (for the replay regression test);
     /// the digest is always computed.
     pub record_trace: bool,
@@ -160,23 +212,18 @@ pub struct ScaleConfig {
 
 impl ScaleConfig {
     /// The CI smoke point around `seed`: 100 nodes / 1k functions / 1k
-    /// sessions over a 12 s compressed day, full fault battery.
+    /// sessions over a 12 s compressed day, one registry shard, full
+    /// fault battery.
     pub fn smoke(seed: u64) -> ScaleConfig {
         ScaleConfig {
             seed,
+            shards: 1,
             nodes: 100,
             functions: 1_000,
             sessions: 1_000,
             day: VirtualDuration::from_secs(12),
             base_rps: 150.0,
             peak_factor: 5.0,
-            zipf_exponent: 1.2,
-            queue_capacity: 64,
-            reactor_tick: VirtualDuration::from_millis(10),
-            // Delivery coalescing amortizes per-watcher sends across the
-            // deploy-storm and migration bursts; the harness flushes every
-            // reactor tick, so consumers still see events within one tick.
-            watch_coalesce: 64,
             record_trace: false,
             faults: FaultPlan::production(),
         }
@@ -197,56 +244,24 @@ impl ScaleConfig {
         }
     }
 
-    /// Builder: cluster size.
-    pub fn with_nodes(mut self, nodes: usize) -> Self {
-        self.nodes = nodes;
-        self
+    /// Position of `t` in the day, as a fraction of its length.
+    fn frac(&self, t: VirtualTime) -> f64 {
+        t.as_secs_f64() / self.day.as_secs_f64()
     }
 
-    /// Builder: function catalog size.
-    pub fn with_functions(mut self, functions: usize) -> Self {
-        self.functions = functions;
-        self
-    }
-
-    /// Builder: session count.
-    pub fn with_sessions(mut self, sessions: usize) -> Self {
-        self.sessions = sessions;
-        self
-    }
-
-    /// Builder: day length.
-    pub fn with_day(mut self, day: VirtualDuration) -> Self {
-        self.day = day;
-        self
-    }
-
-    /// Builder: trough arrival rate.
-    pub fn with_base_rps(mut self, base_rps: f64) -> Self {
-        self.base_rps = base_rps;
-        self
-    }
-
-    /// Builder: fault plan.
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Builder: record the full event trace.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
+    /// The instant a fraction `x` into the day.
+    fn at(&self, x: f64) -> VirtualTime {
+        VirtualTime::from_secs_f64(x * self.day.as_secs_f64())
     }
 
     /// Aggregate offered rate at virtual time `t`: a diurnal sinusoid
     /// from `base_rps` at the trough to `base_rps * peak_factor` at
     /// midday, times any active storm multiplier.
     fn rate_at(&self, t: VirtualTime) -> f64 {
-        let x = t.as_secs_f64() / self.day.as_secs_f64();
+        let x = self.frac(t);
         let diurnal = 1.0 + (self.peak_factor - 1.0) * 0.5 * (1.0 - (2.0 * PI * x).cos());
         let storm = match &self.faults.shed_storm {
-            Some(s) if x >= s.start_frac && x < s.start_frac + s.len_frac => s.factor,
+            Some(s) if s.window.contains(x) => s.factor,
             _ => 1.0,
         };
         self.base_rps * diurnal * storm
@@ -260,8 +275,10 @@ impl ScaleConfig {
 /// Summary of one production-day run. Every field is deterministic:
 /// same seed + config → identical struct, the JSON of which is archived
 /// and CI-compared.
-#[derive(Debug, Clone, Serialize, PartialEq)]
+#[derive(Debug, Clone, Default, Serialize, PartialEq)]
 pub struct ScaleResult {
+    /// Registry shards the day started with.
+    pub shards: u64,
     /// Cluster size.
     pub nodes: u64,
     /// Function catalog size.
@@ -272,16 +289,39 @@ pub struct ScaleResult {
     pub arrivals: u64,
     /// Requests completed successfully.
     pub processed: u64,
-    /// Requests shed at a full node queue.
+    /// Requests shed at a full node queue, or with no live instance to
+    /// route to.
     pub shed: u64,
     /// Requests lost in flight to a node death.
     pub failed_inflight: u64,
     /// Node-death events executed.
     pub node_losses: u64,
-    /// Instances migrated off dead nodes.
+    /// Instances the registry re-placed while failing over dead nodes.
     pub rerouted: u64,
     /// Sessions forcibly disconnected for slow consumption.
     pub force_disconnects: u64,
+    /// Instances placed (every pod the cluster admitted).
+    pub placed: u64,
+    /// Placements refused: a deploy, restart or re-deploy Algorithm 1
+    /// found no device for, or a tenant a failover left homeless.
+    pub refused: u64,
+    /// Placements that landed on an already-configured board.
+    pub configured: u64,
+    /// Placements satisfied from a warm bitstream cache.
+    pub warm: u64,
+    /// Placements that forced a cold reprogram.
+    pub cold: u64,
+    /// Board reprogram operations across all devices.
+    pub reconfigurations: u64,
+    /// Reprograms satisfied from a board's warm cache.
+    pub warm_reprograms: u64,
+    /// Devices moved by the rebalance's join and leave.
+    pub rebalance_moves: u64,
+    /// Max devices+bindings walked under a single registry-lock
+    /// acquisition, across all shards — the contention headline.
+    pub max_lock_span: u64,
+    /// Registry-lock acquisitions recorded across all shards.
+    pub lock_acquisitions: u64,
     /// Mean end-to-end latency (ms) over completed requests.
     pub latency_mean_ms: f64,
     /// Median latency (ms).
@@ -318,13 +358,13 @@ pub struct ScaleResult {
     pub max_watch_drain: u64,
     /// Metric series registered.
     pub metrics_series: u64,
-    /// Registry shards.
+    /// Metrics-registry shards.
     pub metrics_shards: u64,
     /// Series behind the most loaded registry shard's lock (the
     /// critical-section footprint sharding shrinks).
     pub metrics_max_shard: u64,
     /// Simulation events executed (arrivals + completions + ticks +
-    /// faults).
+    /// gathers + faults).
     pub events_executed: u64,
     /// FNV-1a 64 digest over the full event trace: the byte-identical
     /// replay certificate.
@@ -334,15 +374,90 @@ pub struct ScaleResult {
     pub trace: Vec<String>,
 }
 
-/// Shared placement state between the harness and the cluster's
-/// admission hook. The hook runs without the cluster lock held (see
-/// `Cluster::create_instance`), so locking this inside it is safe — and
-/// the DES is single-threaded besides.
-struct Placement {
-    alive: Vec<bool>,
-    round_robin: usize,
-    /// Function index → current node index.
-    fn_node: Vec<usize>,
+/// A simulated FPGA device behind the registry: a board with an LRU warm
+/// bitstream cache and the utilization the day last measured for it —
+/// no manager event loop, no transport.
+pub struct SimFpgaDevice {
+    id: String,
+    node: NodeSpec,
+    // Ranked as `board` in the lock hierarchy: taken below the shard's
+    // registry lock on the view path, with nothing else held otherwise.
+    board: Mutex<SimBoard>,
+}
+
+#[derive(Default)]
+struct SimBoard {
+    configured: Option<String>,
+    warm: VecDeque<String>,
+    programs: u64,
+    warm_hits: u64,
+    utilization: f64,
+}
+
+impl SimFpgaDevice {
+    /// A blank, idle board on `node`.
+    pub fn new(id: impl Into<String>, node: NodeSpec) -> Arc<SimFpgaDevice> {
+        Arc::new(SimFpgaDevice {
+            id: id.into(),
+            node,
+            board: Mutex::new(SimBoard::default()),
+        })
+    }
+
+    /// `(reprograms, warm-cache hits)` this board served.
+    pub fn program_counts(&self) -> (u64, u64) {
+        let board = self.board.lock();
+        (board.programs, board.warm_hits)
+    }
+
+    /// Sets the busy fraction the next scrape reports.
+    pub fn set_utilization(&self, utilization: f64) {
+        self.board.lock().utilization = utilization;
+    }
+}
+
+impl RegistryDevice for SimFpgaDevice {
+    fn device_id(&self) -> &str {
+        &self.id
+    }
+
+    fn node(&self) -> &NodeSpec {
+        &self.node
+    }
+
+    fn board_state(&self) -> BoardState {
+        let board = self.board.lock();
+        BoardState {
+            configured: board.configured.clone(),
+            warm: board.warm.iter().cloned().collect(),
+        }
+    }
+
+    fn program(&self, bitstream: &str) -> Result<(), String> {
+        let mut board = self.board.lock();
+        if board.configured.as_deref() == Some(bitstream) {
+            return Ok(());
+        }
+        board.programs += 1;
+        if let Some(pos) = board.warm.iter().position(|w| w == bitstream) {
+            board.warm.remove(pos);
+            board.warm_hits += 1;
+        }
+        if let Some(old) = board.configured.take() {
+            board.warm.push_front(old);
+            board.warm.truncate(WARM_SLOTS);
+        }
+        board.configured = Some(bitstream.to_string());
+        Ok(())
+    }
+
+    fn scrape(&self) -> String {
+        let utilization = self.board.lock().utilization;
+        format!(
+            "bf_fpga_utilization{{device=\"{}\"}} {utilization}\n",
+            self.id
+        )
+    }
 }
 
 struct Session {
@@ -358,19 +473,27 @@ struct Session {
 struct ScaleWorld {
     cfg: ScaleConfig,
     cluster: Cluster,
-    placement: Arc<Mutex<Placement>>,
-    registry: MetricsRegistry,
+    registry: ShardedRegistry,
+    devices: Vec<Arc<SimFpgaDevice>>,
+    metrics: MetricsRegistry,
     poller: Poller,
     sessions: Vec<Session>,
     token_session: HashMap<Token, usize>,
+    /// The two delayed watch consumers; they release bindings.
     watches: Vec<WatchStream>,
-    fn_instance: Vec<InstanceId>,
-    fn_epoch: Vec<u64>,
+    /// The gateway's endpoint view, synced after every control-plane
+    /// call: function → its live instance and node.
+    endpoints: WatchStream,
+    /// `None` while a function has no live instance (homeless).
+    fn_home: Vec<Option<(InstanceId, usize)>>,
     fn_labels: Vec<String>,
     node_labels: Vec<String>,
+    alive: Vec<bool>,
     /// Per-node serial-server state.
     busy_until: Vec<VirtualTime>,
     in_system: Vec<u32>,
+    /// Per-node service time completed since the last gather.
+    busy: Vec<VirtualDuration>,
     /// Abstracted per-node payload cache: function indices whose input
     /// payload is resident, FIFO-bounded at [`NODE_CACHE_SLOTS`].
     node_cache: Vec<VecDeque<usize>>,
@@ -379,24 +502,13 @@ struct ScaleWorld {
     service: SimRng,
     faults: SimRng,
     zipf: ZipfSampler,
-    /// Measurement.
+    /// Measurement: the counters accumulate in the result itself.
     latencies: Samples,
     digest: Digest,
-    trace: Vec<String>,
-    arrivals: u64,
-    processed: u64,
-    shed: u64,
-    failed_inflight: u64,
-    node_losses: u64,
-    rerouted: u64,
-    force_disconnects: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    cache_bytes_saved: u64,
-    poller_ready_events: u64,
-    watch_seen: u64,
-    max_watch_drain: u64,
-    events_executed: u64,
+    res: ScaleResult,
+    /// [`ScaleWorld::registry_counters`] of shards that left the
+    /// registry, taking their own with them.
+    banked: [u64; 5],
 }
 
 impl ScaleWorld {
@@ -406,7 +518,9 @@ impl ScaleWorld {
         self.digest.u64(a);
         self.digest.u64(b);
         if self.cfg.record_trace {
-            self.trace.push(format!("{} {kind} {a} {b}", t.as_nanos()));
+            self.res
+                .trace
+                .push(format!("{} {kind} {a} {b}", t.as_nanos()));
         }
     }
 
@@ -432,27 +546,57 @@ impl ScaleWorld {
     fn note_cache_lookup(&mut self, n: usize, f: usize) {
         let cache = &mut self.node_cache[n];
         if cache.contains(&f) {
-            self.cache_hits += 1;
-            self.cache_bytes_saved += Self::payload_bytes(f);
+            self.res.cache_hits += 1;
+            self.res.cache_bytes_saved += Self::payload_bytes(f);
             return;
         }
-        self.cache_misses += 1;
+        self.res.cache_misses += 1;
         if cache.len() >= NODE_CACHE_SLOTS {
             cache.pop_front();
         }
         cache.push_back(f);
     }
 
+    /// Deploys function `f`'s instance; the admission hook places it.
+    fn deploy(&mut self, f: usize) {
+        let template = InstanceTemplate::new(self.fn_labels[f].clone());
+        if self.cluster.create_instance(template).is_err() {
+            self.res.refused += 1;
+        }
+    }
+
+    /// Applies the endpoint watcher's events to the routing table —
+    /// each created instance becomes its function's home, including the
+    /// replacements the registry makes for displaced or failed-over
+    /// tenants — and returns how many placements it saw.
+    fn sync_endpoints(&mut self, now: VirtualTime) -> u64 {
+        self.cluster.flush_watch();
+        let mut placed = 0;
+        while let Some(event) = self.endpoints.try_next() {
+            let WatchEvent::Created(spec) = event else {
+                continue;
+            };
+            let node = spec.node.as_ref().map(NodeId::as_str);
+            let (Some(f), Some(n)) = (index(&spec.function), node.and_then(index)) else {
+                continue;
+            };
+            self.fn_home[f] = Some((spec.id, n));
+            placed += 1;
+            self.record(now, "place", 10, f as u64, n as u64);
+        }
+        self.res.placed += placed;
+        placed
+    }
+
     /// Drains both watch streams (unless inside the stalled-watcher
     /// window) after asking the cluster to flush any coalesced-pending
     /// events, so the events a tick observes are independent of the
-    /// coalescing window.
+    /// coalescing window. Each deletion releases the pod's binding
+    /// (idempotent, so both streams may release it).
     fn drain_watches(&mut self, now: VirtualTime) {
-        if let Some(d) = &self.cfg.faults.watch_delay {
-            let x = now.as_secs_f64() / self.cfg.day.as_secs_f64();
-            if x >= d.start_frac && x < d.start_frac + d.len_frac {
-                return;
-            }
+        let x = self.cfg.frac(now);
+        if self.cfg.faults.watch_delay.is_some_and(|w| w.contains(x)) {
+            return;
         }
         self.cluster.flush_watch();
         for w_idx in 0..self.watches.len() {
@@ -464,13 +608,16 @@ impl ScaleWorld {
                 let kind = match event {
                     WatchEvent::Created(_) => 1,
                     WatchEvent::Patched(_) => 2,
-                    WatchEvent::Deleted(_) => 3,
+                    WatchEvent::Deleted(id) => {
+                        self.registry.release_instance(&id.to_string());
+                        3
+                    }
                 };
                 self.digest.u64(kind);
             }
             if drained > 0 {
-                self.watch_seen += drained;
-                self.max_watch_drain = self.max_watch_drain.max(drained);
+                self.res.watch_seen += drained;
+                self.res.max_watch_drain = self.res.max_watch_drain.max(drained);
                 self.record(now, "watch_drain", 6, w_idx as u64, drained);
             }
         }
@@ -482,38 +629,33 @@ impl ScaleWorld {
     /// so one tick services each ready session exactly once.
     fn drain_poller(&mut self, now: VirtualTime) {
         let mut rearm: Vec<usize> = Vec::new();
-        loop {
-            match self.poller.poll(Some(Duration::ZERO)) {
-                PollEvent::Ready(token) => {
-                    self.poller_ready_events += 1;
-                    let Some(&s) = self.token_session.get(&token) else {
-                        // Unreachable by construction: every registered
-                        // waker has a session entry.
-                        continue;
-                    };
-                    let slow = now < self.sessions[s].slow_until;
-                    let consumed = if slow {
-                        let backlog = {
-                            let sess = &mut self.sessions[s];
-                            sess.backlog = sess.backlog.saturating_sub(1);
-                            sess.backlog
-                        };
-                        if backlog > SLOW_BACKLOG_LIMIT {
-                            self.force_disconnect(now, s);
-                        } else if backlog > 0 {
-                            rearm.push(s);
-                        }
-                        1
-                    } else {
-                        let sess = &mut self.sessions[s];
-                        let n = sess.backlog;
-                        sess.backlog = 0;
-                        n
-                    };
-                    self.record(now, "ack", 7, s as u64, u64::from(consumed));
+        while let PollEvent::Ready(token) = self.poller.poll(Some(Duration::ZERO)) {
+            self.res.poller_ready_events += 1;
+            let Some(&s) = self.token_session.get(&token) else {
+                // Unreachable by construction: every registered
+                // waker has a session entry.
+                continue;
+            };
+            let slow = now < self.sessions[s].slow_until;
+            let consumed = if slow {
+                let backlog = {
+                    let sess = &mut self.sessions[s];
+                    sess.backlog = sess.backlog.saturating_sub(1);
+                    sess.backlog
+                };
+                if backlog > SLOW_BACKLOG_LIMIT {
+                    self.force_disconnect(now, s);
+                } else if backlog > 0 {
+                    rearm.push(s);
                 }
-                PollEvent::TimedOut => break,
-            }
+                1
+            } else {
+                let sess = &mut self.sessions[s];
+                let n = sess.backlog;
+                sess.backlog = 0;
+                n
+            };
+            self.record(now, "ack", 7, s as u64, u64::from(consumed));
         }
         for s in rearm {
             self.sessions[s].waker.wake();
@@ -524,7 +666,7 @@ impl ScaleWorld {
     /// backlog, and reconnect with a fresh waker (exercising poller
     /// deregister/claim-slot reuse at scale).
     fn force_disconnect(&mut self, now: VirtualTime, s: usize) {
-        self.force_disconnects += 1;
+        self.res.force_disconnects += 1;
         let old = self.sessions[s].token;
         self.token_session.remove(&old);
         self.poller.deregister(old);
@@ -537,17 +679,75 @@ impl ScaleWorld {
         sess.slow_until = VirtualTime::ZERO;
         self.record(now, "force_disconnect", 8, s as u64, 0);
     }
+
+    /// One rebalance step (a shard joined or left) that moved `moves`
+    /// devices.
+    fn rebalance(&mut self, now: VirtualTime, moves: u64) {
+        self.res.events_executed += 1;
+        self.res.rebalance_moves += moves;
+        let shards = self.registry.shard_count() as u64;
+        self.record(now, "rebalance", 12, moves, shards);
+    }
+
+    /// The registry's placement outcomes (configured, warm, cold), lock
+    /// acquisitions, and max lock span.
+    fn registry_counters(&self) -> [u64; 5] {
+        let o = self.registry.placement_outcomes();
+        let locks = self.registry.contention();
+        let acquisitions = locks.iter().map(|c| c.stats.acquisitions).sum();
+        let max_span = locks.iter().map(|c| c.stats.max_span).max().unwrap_or(0);
+        [o.configured, o.warm, o.cold, acquisitions, max_span]
+    }
+
+    /// Folds the registry's and the boards' counters into the result.
+    fn finish(mut self) -> ScaleResult {
+        let [configured, warm, cold, acquisitions, max_span] = self.registry_counters();
+        let [b_configured, b_warm, b_cold, b_acquisitions, b_max_span] = self.banked;
+        let poll_stats = self.poller.stats();
+        let watch_stats = self.cluster.watch_stats();
+        let r = &mut self.res;
+        (r.configured, r.warm, r.cold) = (b_configured + configured, b_warm + warm, b_cold + cold);
+        r.lock_acquisitions = b_acquisitions + acquisitions;
+        r.max_lock_span = b_max_span.max(max_span);
+        for device in &self.devices {
+            let (programs, warm_hits) = device.program_counts();
+            r.reconfigurations += programs;
+            r.warm_reprograms += warm_hits;
+        }
+        r.latency_mean_ms = self.latencies.mean().unwrap_or(0.0);
+        r.latency_p50_ms = self.latencies.quantile(0.50).unwrap_or(0.0);
+        r.latency_p95_ms = self.latencies.quantile(0.95).unwrap_or(0.0);
+        r.latency_p99_ms = self.latencies.quantile(0.99).unwrap_or(0.0);
+        let admitted = r.cache_hits + r.cache_misses;
+        if admitted > 0 {
+            r.cache_hit_ratio = r.cache_hits as f64 / admitted as f64;
+        }
+        r.poller_polls = poll_stats.polls;
+        r.poller_slots_scanned = poll_stats.slots_scanned;
+        r.watch_events = watch_stats.events;
+        r.watch_deliveries = watch_stats.deliveries;
+        r.metrics_series = self.metrics.series_count() as u64;
+        r.metrics_shards = self.metrics.shard_count() as u64;
+        r.metrics_max_shard = self.metrics.max_shard_len() as u64;
+        r.trace_digest = self.digest.hex();
+        self.res
+    }
 }
 
-fn node_name(i: usize) -> String {
-    format!("n{i:04}")
+/// The index in a one-letter-prefixed name: `f12` → 12, `n0042` → 42.
+fn index(name: &str) -> Option<usize> {
+    name.get(1..)?.parse().ok()
+}
+
+fn device_name(i: usize) -> String {
+    format!("fpga-{i:04}")
 }
 
 fn synthetic_nodes(n: usize) -> Vec<NodeSpec> {
     (0..n)
         .map(|i| {
             NodeSpec::new(
-                NodeId::new(node_name(i)),
+                NodeId::new(format!("n{i:04}")),
                 PcieLink::new(PcieGeneration::Gen3, 8),
                 MemcpyModel::paper(),
                 1.0,
@@ -557,86 +757,59 @@ fn synthetic_nodes(n: usize) -> Vec<NodeSpec> {
         .collect()
 }
 
-/// Installs the admission hook: forced placement on the next alive node
-/// round-robin, with the device-manager env injected the way the real
-/// registry hook does it.
-fn install_admission(cluster: &Cluster, placement: &Arc<Mutex<Placement>>, node_ids: &[NodeId]) {
-    let placement = placement.clone();
-    let node_ids: Vec<NodeId> = node_ids.to_vec();
-    cluster.set_admission_hook(Arc::new(move |spec| {
-        let f: usize = spec
-            .function
-            .strip_prefix('f')
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("unparseable function name {:?}", spec.function))?;
-        let mut p = placement.lock();
-        let n = p.alive.len();
-        let mut placed = None;
-        for step in 0..n {
-            let cand = (p.round_robin + step) % n;
-            if p.alive[cand] {
-                placed = Some(cand);
-                p.round_robin = cand + 1;
-                break;
-            }
-        }
-        let idx = placed.ok_or_else(|| "no alive node to place on".to_string())?;
-        p.fn_node[f] = idx;
-        drop(p);
-        spec.node = Some(node_ids[idx].clone());
-        spec.env.insert(
-            "DEVICE_MANAGER_ADDRESS".to_string(),
-            node_ids[idx].to_string(),
-        );
-        Ok(())
-    }));
-}
-
 /// Runs one production day and returns its deterministic summary.
 ///
 /// # Panics
 ///
 /// Panics if the config is degenerate (zero nodes, functions or
-/// sessions) or the initial deployment fails — both are harness bugs,
-/// never runtime conditions.
+/// sessions) — a harness bug, never a runtime condition.
 pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
+    simulate(cfg).finish()
+}
+
+/// Runs the day and hands back its final world.
+fn simulate(cfg: &ScaleConfig) -> ScaleWorld {
     assert!(
         cfg.nodes > 0 && cfg.functions > 0 && cfg.sessions > 0,
         "degenerate scale config"
     );
     let root = SimRng::seed_from_u64(cfg.seed);
-    let traffic = root.split(STREAM_TRAFFIC);
-    let service = root.split(STREAM_SERVICE);
     let mut faults = root.split(STREAM_FAULTS);
+    let mut digest = Digest::new();
 
+    // The paper's Accelerators Registry over one board per node, wired
+    // into the cluster the way `attach_placement` does it — minus its
+    // wall-clock watcher thread: the day's own watch drain releases
+    // bindings, in virtual time.
     let nodes = synthetic_nodes(cfg.nodes);
-    let node_ids: Vec<NodeId> = nodes.iter().map(|n| n.id().clone()).collect();
-    let node_labels: Vec<String> = node_ids.iter().map(|n| n.to_string()).collect();
-    let cluster = Cluster::new(nodes).with_watch_coalescing(cfg.watch_coalesce);
-    let placement = Arc::new(Mutex::new(Placement {
-        alive: vec![true; cfg.nodes],
-        round_robin: 0,
-        fn_node: vec![0; cfg.functions],
-    }));
-    install_admission(&cluster, &placement, &node_ids);
+    let node_labels: Vec<String> = nodes.iter().map(|n| n.id().to_string()).collect();
+    let registry = ShardedRegistry::new(AllocationPolicy::paper(), cfg.shards);
+    let devices: Vec<Arc<SimFpgaDevice>> = nodes
+        .iter()
+        .enumerate()
+        .map(|(i, node)| SimFpgaDevice::new(device_name(i), node.clone()))
+        .collect();
+    for device in &devices {
+        registry.register_device_handle(device.clone());
+    }
+    let cluster = Cluster::new(nodes).with_watch_coalescing(WATCH_COALESCE);
+    registry.bind_cluster(&cluster);
+    cluster.set_admission_hook(admission_hook(Arc::new(registry.clone())));
+
+    // Functions: each needs one accelerator, Zipf-popular.
+    let mut accel = root.split(STREAM_ACCEL);
+    let popularity = ZipfSampler::new(ACCELERATORS.len(), ZIPF_EXPONENT);
+    let fn_labels: Vec<String> = (0..cfg.functions).map(|f| format!("f{f}")).collect();
+    for name in &fn_labels {
+        let a = popularity.sample(&mut accel);
+        registry.register_function(name, DeviceQuery::for_accelerator(ACCELERATORS[a]));
+        digest.u64(a as u64);
+    }
 
     // Watch consumers connect before the deploy storm, so delivering
     // the storm itself is part of what the harness measures.
     let watches = vec![cluster.watch(), cluster.watch()];
-
-    // Deploy storm: one instance per function, placed by the hook.
-    let mut fn_instance = Vec::with_capacity(cfg.functions);
-    let mut fn_labels = Vec::with_capacity(cfg.functions);
-    for f in 0..cfg.functions {
-        let name = format!("f{f}");
-        let spec = cluster
-            .create_instance(InstanceTemplate::new(name.clone()))
-            // bf-lint: allow(panic): deployment against an all-alive
-            // cluster cannot be denied; failure is a harness bug.
-            .unwrap_or_else(|e| panic!("deploy {name}: {e}"));
-        fn_instance.push(spec.id);
-        fn_labels.push(name);
-    }
+    let endpoints = cluster.watch();
 
     let mut poller = Poller::new();
     let mut token_session = HashMap::new();
@@ -658,125 +831,111 @@ pub fn run_scale(cfg: &ScaleConfig) -> ScaleResult {
     // stream inside the world.
     let mut engine: Engine<ScaleWorld> = Engine::new();
     for _ in 0..cfg.faults.node_losses {
-        let at = VirtualTime::from_secs_f64(faults.uniform(0.05, 0.95) * cfg.day.as_secs_f64());
-        engine.schedule_at(at, move |w: &mut ScaleWorld, e: &mut Engine<ScaleWorld>| {
-            node_loss(w, e);
-        });
+        let at = cfg.at(faults.uniform(0.05, 0.95));
+        engine.schedule_at(at, node_loss);
     }
     for _ in 0..cfg.faults.slow_consumers {
-        let at = VirtualTime::from_secs_f64(faults.uniform(0.05, 0.90) * cfg.day.as_secs_f64());
+        let at = cfg.at(faults.uniform(0.05, 0.90));
         let dur =
             VirtualDuration::from_secs_f64(faults.uniform(0.02, 0.08) * cfg.day.as_secs_f64());
         engine.schedule_at(at, move |w: &mut ScaleWorld, e: &mut Engine<ScaleWorld>| {
             slow_episode(w, e, dur);
         });
     }
+    for _ in 0..cfg.faults.restarts {
+        let at = cfg.at(faults.uniform(0.05, 0.95));
+        engine.schedule_at(at, restart);
+    }
+    if let Some(window) = cfg.faults.rebalance {
+        let leave = cfg.at(window.start_frac + window.len_frac);
+        engine.schedule_at(cfg.at(window.start_frac), move |w, e| {
+            let (joined, moves) = w.registry.add_shard();
+            w.rebalance(e.now(), moves);
+            e.schedule_at(leave, move |w, e| {
+                // The leaving shard takes its counters with it: bank them.
+                let before = w.registry_counters();
+                let moves = w.registry.remove_shard(&joined).unwrap_or(0);
+                let after = w.registry_counters();
+                for (banked, (b, a)) in w.banked[..4].iter_mut().zip(before.iter().zip(&after)) {
+                    *banked += b - a;
+                }
+                w.banked[4] = w.banked[4].max(before[4]);
+                w.rebalance(e.now(), moves);
+            });
+        });
+    }
 
     // Reactor ticks across the day plus a drain tail for late
-    // completions and their acks.
+    // completions and their acks; gathers across the day.
     let tail = VirtualDuration::from_secs(2);
     let end = cfg.day_end() + tail;
     let mut t = VirtualTime::ZERO;
     while t <= end {
         engine.schedule_at(t, |w: &mut ScaleWorld, e: &mut Engine<ScaleWorld>| {
-            w.events_executed += 1;
+            w.res.events_executed += 1;
             let now = e.now();
             w.drain_watches(now);
             w.drain_poller(now);
         });
-        t += cfg.reactor_tick;
+        t += REACTOR_TICK;
+    }
+    let mut t = VirtualTime::ZERO + GATHER_PERIOD;
+    while t < cfg.day_end() {
+        engine.schedule_at(t, gather);
+        t += GATHER_PERIOD;
     }
 
     // First arrival opens the open-loop chain.
-    engine.schedule_at(VirtualTime::ZERO, |w, e| next_arrival(w, e));
+    engine.schedule_at(VirtualTime::ZERO, next_arrival);
 
     let mut world = ScaleWorld {
         cluster,
-        placement,
-        registry: MetricsRegistry::new(),
+        registry,
+        devices,
+        metrics: MetricsRegistry::new(),
         poller,
         sessions,
         token_session,
         watches,
-        fn_instance,
-        fn_epoch: vec![0; cfg.functions],
+        endpoints,
+        fn_home: vec![None; cfg.functions],
         fn_labels,
         node_labels,
+        alive: vec![true; cfg.nodes],
         busy_until: vec![VirtualTime::ZERO; cfg.nodes],
         in_system: vec![0; cfg.nodes],
+        busy: vec![VirtualDuration::ZERO; cfg.nodes],
         node_cache: vec![VecDeque::new(); cfg.nodes],
-        traffic,
-        service,
+        traffic: root.split(STREAM_TRAFFIC),
+        service: root.split(STREAM_SERVICE),
         faults,
-        zipf: ZipfSampler::new(cfg.functions, cfg.zipf_exponent),
+        zipf: ZipfSampler::new(cfg.functions, ZIPF_EXPONENT),
         latencies: Samples::new(),
-        digest: Digest::new(),
-        trace: Vec::new(),
-        arrivals: 0,
-        processed: 0,
-        shed: 0,
-        failed_inflight: 0,
-        node_losses: 0,
-        rerouted: 0,
-        force_disconnects: 0,
-        cache_hits: 0,
-        cache_misses: 0,
-        cache_bytes_saved: 0,
-        poller_ready_events: 0,
-        watch_seen: 0,
-        max_watch_drain: 0,
-        events_executed: 0,
+        digest,
+        res: ScaleResult {
+            shards: cfg.shards as u64,
+            nodes: cfg.nodes as u64,
+            functions: cfg.functions as u64,
+            sessions: cfg.sessions as u64,
+            ..ScaleResult::default()
+        },
+        banked: [0; 5],
         cfg: cfg.clone(),
     };
+
+    // Deploy storm: one instance per function, each placed by
+    // Algorithm 1 through the admission hook.
+    for f in 0..cfg.functions {
+        world.deploy(f);
+    }
+    world.sync_endpoints(VirtualTime::ZERO);
 
     engine.run(&mut world);
 
     // Final flush: anything completed after the last tick.
     world.drain_watches(end);
     world.drain_poller(end);
-
-    let poll_stats = world.poller.stats();
-    let watch_stats = world.cluster.watch_stats();
-    ScaleResult {
-        nodes: cfg.nodes as u64,
-        functions: cfg.functions as u64,
-        sessions: cfg.sessions as u64,
-        arrivals: world.arrivals,
-        processed: world.processed,
-        shed: world.shed,
-        failed_inflight: world.failed_inflight,
-        node_losses: world.node_losses,
-        rerouted: world.rerouted,
-        force_disconnects: world.force_disconnects,
-        latency_mean_ms: world.latencies.mean().unwrap_or(0.0),
-        latency_p50_ms: world.latencies.quantile(0.50).unwrap_or(0.0),
-        latency_p95_ms: world.latencies.quantile(0.95).unwrap_or(0.0),
-        latency_p99_ms: world.latencies.quantile(0.99).unwrap_or(0.0),
-        cache_hits: world.cache_hits,
-        cache_misses: world.cache_misses,
-        cache_hit_ratio: {
-            let total = world.cache_hits + world.cache_misses;
-            if total == 0 {
-                0.0
-            } else {
-                world.cache_hits as f64 / total as f64
-            }
-        },
-        cache_bytes_saved: world.cache_bytes_saved,
-        poller_polls: poll_stats.polls,
-        poller_slots_scanned: poll_stats.slots_scanned,
-        poller_ready_events: world.poller_ready_events,
-        watch_events: watch_stats.events,
-        watch_deliveries: watch_stats.deliveries,
-        watch_seen: world.watch_seen,
-        max_watch_drain: world.max_watch_drain,
-        metrics_series: world.registry.series_count() as u64,
-        metrics_shards: world.registry.shard_count() as u64,
-        metrics_max_shard: world.registry.max_shard_len() as u64,
-        events_executed: world.events_executed,
-        trace_digest: world.digest.hex(),
-        trace: world.trace,
-    }
+    world
 }
 
 fn next_arrival(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
@@ -784,30 +943,41 @@ fn next_arrival(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
     if now >= world.cfg.day_end() {
         return;
     }
-    world.events_executed += 1;
+    world.res.events_executed += 1;
     // Traffic stream only: function pick, then inter-arrival gap. The
     // fault and service streams never interleave here, so the arrival
     // trace is invariant under fault-plan changes.
     let f = world.zipf.sample(&mut world.traffic);
     let rate = world.cfg.rate_at(now);
     let gap = VirtualDuration::from_secs_f64(world.traffic.exponential(rate));
-    engine.schedule_at(now + gap, |w, e| next_arrival(w, e));
+    engine.schedule_at(now + gap, next_arrival);
 
-    world.arrivals += 1;
-    let n = world.placement.lock().fn_node[f];
-    world.record(now, "arrival", 1, f as u64, n as u64);
-    if world.in_system[n] as usize >= world.cfg.queue_capacity {
-        world.shed += 1;
+    world.res.arrivals += 1;
+    let home = world.fn_home[f].map(|(_, n)| n);
+    world.record(
+        now,
+        "arrival",
+        1,
+        f as u64,
+        home.map_or(u64::MAX, |n| n as u64),
+    );
+    // A full node queue sheds; so does a function with no live instance.
+    let Some(n) = home.filter(|&n| world.in_system[n] < QUEUE_CAPACITY) else {
+        world.res.shed += 1;
+        let node = home.map_or("none", |n| world.node_labels[n].as_str());
         world
-            .registry
-            .counter(
-                "bf_scale_shed_total",
-                &[("node", world.node_labels[n].as_str())],
-            )
+            .metrics
+            .counter("bf_scale_shed_total", &[("node", node)])
             .inc();
-        world.record(now, "shed", 2, f as u64, n as u64);
+        world.record(
+            now,
+            "shed",
+            2,
+            f as u64,
+            home.map_or(u64::MAX, |n| n as u64),
+        );
         return;
-    }
+    };
     world.in_system[n] += 1;
     world.note_cache_lookup(n, f);
     // Service stream: one jitter draw per admitted request.
@@ -815,9 +985,7 @@ fn next_arrival(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
     let start = now.max(world.busy_until[n]);
     let done = start + svc;
     world.busy_until[n] = done;
-    let epoch = world.fn_epoch[f];
-    let issued = now;
-    engine.schedule_at(done, move |w, e| complete(w, e, f, n, epoch, issued));
+    engine.schedule_at(done, move |w, e| complete(w, e, f, n, now, svc));
 }
 
 fn complete(
@@ -825,38 +993,39 @@ fn complete(
     engine: &mut Engine<ScaleWorld>,
     f: usize,
     n: usize,
-    epoch: u64,
     issued: VirtualTime,
+    svc: VirtualDuration,
 ) {
-    world.events_executed += 1;
+    world.res.events_executed += 1;
     let now = engine.now();
     world.in_system[n] = world.in_system[n].saturating_sub(1);
-    if world.fn_epoch[f] != epoch {
+    if !world.alive[n] {
         // The node died while this request was in flight: a typed
         // failure, never a silent loss.
-        world.failed_inflight += 1;
+        world.res.failed_inflight += 1;
         world.record(now, "failed_inflight", 4, f as u64, n as u64);
         return;
     }
-    world.processed += 1;
+    world.res.processed += 1;
+    world.busy[n] += svc;
     let latency_ms = (now - issued).as_millis_f64();
     world.latencies.record(latency_ms);
     // Real registry lookups on the completion hot path: one counter per
     // function (10k series at full scale), a histogram, and one gauge
     // per node — the workload that motivates registry sharding.
     world
-        .registry
+        .metrics
         .counter(
             "bf_scale_completions_total",
             &[("function", world.fn_labels[f].as_str())],
         )
         .inc();
     world
-        .registry
+        .metrics
         .histogram("bf_scale_latency_ms", &[])
         .observe(latency_ms);
     world
-        .registry
+        .metrics
         .gauge(
             "bf_scale_inflight",
             &[("node", world.node_labels[n].as_str())],
@@ -868,13 +1037,28 @@ fn complete(
     world.record(now, "complete", 3, f as u64, n as u64);
 }
 
+/// The Metrics Gatherer's period: each board reports its busy fraction
+/// since the last gather, the registry scrapes them all, and homeless
+/// functions are re-deployed against the fresh ranking.
+fn gather(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
+    world.res.events_executed += 1;
+    for (device, busy) in world.devices.iter().zip(&mut world.busy) {
+        let busy = std::mem::take(busy).as_secs_f64();
+        device.set_utilization((busy / GATHER_PERIOD.as_secs_f64()).min(1.0));
+    }
+    world.registry.gather_metrics();
+    for f in 0..world.fn_home.len() {
+        if world.fn_home[f].is_none() {
+            world.deploy(f);
+        }
+    }
+    world.sync_endpoints(engine.now());
+}
+
 fn node_loss(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
-    world.events_executed += 1;
+    world.res.events_executed += 1;
     let now = engine.now();
-    let alive_nodes: Vec<usize> = {
-        let p = world.placement.lock();
-        (0..p.alive.len()).filter(|&i| p.alive[i]).collect()
-    };
+    let alive_nodes: Vec<usize> = (0..world.alive.len()).filter(|&i| world.alive[i]).collect();
     // Never kill the last two nodes: placement must stay possible.
     if alive_nodes.len() <= 2 {
         return;
@@ -889,43 +1073,59 @@ fn node_loss(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
         .collect();
     let pool = if busy.is_empty() { &alive_nodes } else { &busy };
     let victim = pool[world.faults.index(pool.len())];
-    world.placement.lock().alive[victim] = false;
+    world.alive[victim] = false;
     // The node's manager dies with it: its payload cache is gone, so a
     // replacement serving the same functions starts cold.
     world.node_cache[victim].clear();
-    world.node_losses += 1;
+    world.res.node_losses += 1;
     world.record(now, "node_loss", 5, victim as u64, 0);
-    // Every instance on the victim migrates (create-before-delete);
-    // in-flight work on the victim is invalidated via the epoch.
-    let moved: Vec<usize> = {
-        let p = world.placement.lock();
-        (0..p.fn_node.len())
-            .filter(|&f| p.fn_node[f] == victim)
-            .collect()
-    };
-    for f in moved {
-        world.fn_epoch[f] += 1;
-        let replacement = world
-            .cluster
-            .replace_instance(world.fn_instance[f])
-            // bf-lint: allow(panic): replacement against a cluster with
-            // alive nodes cannot fail; failure is a harness bug.
-            .unwrap_or_else(|e| panic!("replace f{f}: {e}"));
-        world.fn_instance[f] = replacement.id;
-        world.rerouted += 1;
+    // The registry deregisters the board and re-places its tenants
+    // through the cluster, create-before-delete. An error is a refused
+    // re-placement, which stops the failover; the tenants it left on
+    // the dead node lose their pods with it and wait, homeless, for the
+    // next gather to re-deploy them.
+    let failover = world.registry.handle_device_failure(&device_name(victim));
+    world.res.rerouted += world.sync_endpoints(now);
+    if failover.is_err() {
+        for f in 0..world.fn_home.len() {
+            if let Some((id, n)) = world.fn_home[f] {
+                if n == victim && world.cluster.delete_instance(id).is_ok() {
+                    world.fn_home[f] = None;
+                    world.res.refused += 1;
+                }
+            }
+        }
     }
 }
 
 fn slow_episode(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>, dur: VirtualDuration) {
-    world.events_executed += 1;
+    world.res.events_executed += 1;
     let now = engine.now();
     let s = world.faults.index(world.sessions.len());
     world.sessions[s].slow_until = now + dur;
     world.record(now, "slow_episode", 9, s as u64, dur.as_nanos());
 }
 
+/// Release-and-replace churn: a random function's instance is replaced
+/// create-before-delete. The replacement's placement runs now; the old
+/// binding is released when the watchers see the deletion.
+fn restart(world: &mut ScaleWorld, engine: &mut Engine<ScaleWorld>) {
+    world.res.events_executed += 1;
+    let now = engine.now();
+    let f = world.faults.index(world.fn_home.len());
+    world.record(now, "restart", 11, f as u64, 0);
+    if let Some((id, _)) = world.fn_home[f] {
+        if world.cluster.replace_instance(id).is_err() {
+            world.res.refused += 1;
+        }
+        world.sync_endpoints(now);
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
     use super::*;
 
     fn tiny(seed: u64) -> ScaleConfig {
@@ -939,9 +1139,17 @@ mod tests {
             faults: FaultPlan {
                 node_losses: 4,
                 slow_consumers: 10,
+                restarts: 40,
                 ..FaultPlan::production()
             },
             ..ScaleConfig::smoke(seed)
+        }
+    }
+
+    fn sharded(shards: usize, seed: u64) -> ScaleConfig {
+        ScaleConfig {
+            shards,
+            ..tiny(seed)
         }
     }
 
@@ -965,10 +1173,85 @@ mod tests {
     }
 
     #[test]
+    fn same_seed_same_digest() {
+        let a = run_scale(&sharded(4, 7));
+        let b = run_scale(&sharded(4, 7));
+        assert_eq!(a, b);
+        assert_eq!(a.trace_digest, b.trace_digest);
+    }
+
+    #[test]
     fn different_seeds_diverge() {
         let a = run_scale(&tiny(1));
         let b = run_scale(&tiny(2));
         assert_ne!(a.trace_digest, b.trace_digest);
+    }
+
+    #[test]
+    fn storm_places_every_function() {
+        for shards in [1, 4] {
+            let r = run_scale(&sharded(shards, 7));
+            assert!(
+                r.placed >= r.functions,
+                "storm should place all functions: {r:?}"
+            );
+            assert_eq!(r.configured + r.warm + r.cold, r.placed, "{r:?}");
+        }
+    }
+
+    #[test]
+    fn sharding_cuts_the_max_lock_span() {
+        let one = run_scale(&sharded(1, 7));
+        let four = run_scale(&sharded(4, 7));
+        assert!(
+            four.max_lock_span * 2 <= one.max_lock_span,
+            "4 shards should at least halve the span: {} vs {}",
+            four.max_lock_span,
+            one.max_lock_span
+        );
+    }
+
+    #[test]
+    fn registry_and_cluster_agree_at_day_end() {
+        // Node losses, restarts and a rebalance all ran, with releases
+        // riding the (sometimes stalled) watch drain.
+        let world = simulate(&sharded(4, 7));
+        let r = &world.res;
+        assert!(
+            r.node_losses > 0 && r.rerouted > 0 && r.rebalance_moves > 0,
+            "{r:?}"
+        );
+        let live: BTreeSet<String> = world
+            .cluster
+            .instances()
+            .iter()
+            .map(|i| i.id.to_string())
+            .collect();
+        let registered: BTreeSet<String> = world.registry.device_ids().into_iter().collect();
+        let mut bindings: BTreeMap<String, usize> = BTreeMap::new();
+        for view in world.registry.device_views() {
+            for instance in view.connected.keys() {
+                *bindings.entry(instance.clone()).or_default() += 1;
+            }
+        }
+        for instance in &live {
+            assert_eq!(
+                bindings.get(instance),
+                Some(&1),
+                "{instance}: not bound once"
+            );
+            let device = world.registry.binding(instance);
+            assert!(
+                device.as_ref().is_some_and(|d| registered.contains(d)),
+                "{instance} bound to {device:?}, which is not registered"
+            );
+        }
+        for instance in bindings.keys() {
+            assert!(
+                live.contains(instance),
+                "{instance}: binding outlived its pod"
+            );
+        }
     }
 
     #[test]
@@ -988,8 +1271,10 @@ mod tests {
 
     #[test]
     fn no_faults_means_no_failures() {
-        let cfg = tiny(9).with_faults(FaultPlan::none());
-        let r = run_scale(&cfg);
+        let r = run_scale(&ScaleConfig {
+            faults: FaultPlan::none(),
+            ..tiny(9)
+        });
         assert_eq!(r.failed_inflight, 0);
         assert_eq!(r.node_losses, 0);
         assert_eq!(r.force_disconnects, 0);
@@ -1001,11 +1286,17 @@ mod tests {
         // The traffic stream is split from the fault stream, so the
         // arrival process (count included) is invariant under fault-plan
         // changes that do not alter the offered rate.
-        let with_faults = run_scale(&tiny(21).with_faults(FaultPlan {
-            shed_storm: None,
-            ..FaultPlan::production()
-        }));
-        let without = run_scale(&tiny(21).with_faults(FaultPlan::none()));
+        let with_faults = run_scale(&ScaleConfig {
+            faults: FaultPlan {
+                shed_storm: None,
+                ..FaultPlan::production()
+            },
+            ..tiny(21)
+        });
+        let without = run_scale(&ScaleConfig {
+            faults: FaultPlan::none(),
+            ..tiny(21)
+        });
         assert_eq!(with_faults.arrivals, without.arrivals);
     }
 
@@ -1051,7 +1342,10 @@ mod tests {
     fn diurnal_peak_outweighs_trough() {
         // Compare arrivals in the first sixth (trough) against the
         // midday sixth via the recorded trace.
-        let r = run_scale(&tiny(17).with_trace());
+        let r = run_scale(&ScaleConfig {
+            record_trace: true,
+            ..tiny(17)
+        });
         let day_ns = VirtualDuration::from_secs(4).as_nanos();
         let (mut trough, mut peak) = (0u64, 0u64);
         for line in &r.trace {
@@ -1074,7 +1368,10 @@ mod tests {
 
     #[test]
     fn zipf_head_dominates_completions() {
-        let r = run_scale(&tiny(19).with_trace());
+        let r = run_scale(&ScaleConfig {
+            record_trace: true,
+            ..tiny(19)
+        });
         let mut counts = vec![0u64; 200];
         for line in &r.trace {
             let parts: Vec<&str> = line.split(' ').collect();

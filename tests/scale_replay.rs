@@ -10,35 +10,46 @@
 //! trace they are injected into.
 
 use blastfunction::model::VirtualDuration;
-use blastfunction::sim::{run_scale, FaultPlan, ScaleConfig, ShedStorm, WatchDelay};
+use blastfunction::sim::{run_scale, FaultPlan, ScaleConfig, ShedStorm, Window};
 
 /// A scaled-down day that still exercises every fault class: node losses
-/// with migration, slow-consumer disconnects, a shed storm, and a stalled
-/// watcher window.
+/// with failover through the registry, slow-consumer disconnects,
+/// restarts, a shed storm, a stalled watcher window, and a rebalance of
+/// the 4-shard registry that places every instance by Algorithm 1.
 fn replay_config(seed: u64) -> ScaleConfig {
-    ScaleConfig::smoke(seed)
+    ScaleConfig {
+        shards: 4,
         // 10 nodes at ~400 rq/s of serial service each: the 3× shed storm
         // on top of the diurnal peak pushes per-node arrivals past that,
         // so admission control demonstrably sheds during the window.
-        .with_nodes(10)
-        .with_functions(200)
-        .with_sessions(200)
-        .with_day(VirtualDuration::from_secs(5))
-        .with_base_rps(400.0)
-        .with_faults(FaultPlan {
+        nodes: 10,
+        functions: 200,
+        sessions: 200,
+        day: VirtualDuration::from_secs(5),
+        base_rps: 400.0,
+        record_trace: true,
+        faults: FaultPlan {
             node_losses: 5,
             slow_consumers: 12,
+            restarts: 40,
             shed_storm: Some(ShedStorm {
-                start_frac: 0.45,
-                len_frac: 0.10,
+                window: Window {
+                    start_frac: 0.45,
+                    len_frac: 0.10,
+                },
                 factor: 3.0,
             }),
-            watch_delay: Some(WatchDelay {
+            watch_delay: Some(Window {
                 start_frac: 0.70,
                 len_frac: 0.05,
             }),
-        })
-        .with_trace()
+            rebalance: Some(Window {
+                start_frac: 0.30,
+                len_frac: 0.30,
+            }),
+        },
+        ..ScaleConfig::smoke(seed)
+    }
 }
 
 #[test]
@@ -79,11 +90,17 @@ fn arming_faults_does_not_perturb_the_arrival_trace() {
     // The fault schedule draws from its own RNG stream: a plan with every
     // fault class armed except the storm (which changes the offered rate
     // by design) must see exactly the arrivals of a fault-free run.
-    let quiet = run_scale(&replay_config(33).with_faults(FaultPlan::none()));
-    let faulty = run_scale(&replay_config(33).with_faults(FaultPlan {
-        shed_storm: None,
-        ..FaultPlan::production()
-    }));
+    let quiet = run_scale(&ScaleConfig {
+        faults: FaultPlan::none(),
+        ..replay_config(33)
+    });
+    let faulty = run_scale(&ScaleConfig {
+        faults: FaultPlan {
+            shed_storm: None,
+            ..FaultPlan::production()
+        },
+        ..replay_config(33)
+    });
     assert_eq!(
         quiet.arrivals, faulty.arrivals,
         "fault draws leaked into the traffic stream"
