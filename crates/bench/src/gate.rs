@@ -246,15 +246,19 @@ fn archive_mismatches(
     Some(mismatches)
 }
 
-/// A ladder point's simulation result under its ladder label. Serializes
-/// as the result's own fields plus `"label"`, so the result struct is
-/// the row schema and no harness copies it field by field.
+/// A ladder point's simulation result under its ladder label, with the
+/// host wall time the point took to run. Serializes as the result's own
+/// fields plus `"label"` and `"wall_ms"`, so the result struct is the row
+/// schema and no harness copies it field by field.
 #[derive(Debug, Clone)]
 pub struct Labelled<T> {
     /// Ladder label.
     pub label: String,
     /// What the simulation reported for the point.
     pub result: T,
+    /// Host wall-clock milliseconds the point took: a trajectory, to be
+    /// named `informational` by the gate.
+    pub wall_ms: f64,
 }
 
 impl<T: Serialize> Serialize for Labelled<T> {
@@ -262,6 +266,7 @@ impl<T: Serialize> Serialize for Labelled<T> {
         let mut row = serde_json::to_value(&self.result);
         if let Value::Object(fields) = &mut row {
             fields.insert("label".to_string(), Value::String(self.label.clone()));
+            fields.insert("wall_ms".to_string(), serde_json::to_value(&self.wall_ms));
         }
         row.serialize(s);
     }
@@ -532,10 +537,11 @@ mod tests {
                 placed: 3,
                 trace_digest: "ab".to_string(),
             },
+            wall_ms: 1.5,
         };
         assert_eq!(
             serde_json::to_value(&row),
-            json!({ "label": "smoke-1", "placed": 3, "trace_digest": "ab" })
+            json!({ "label": "smoke-1", "placed": 3, "trace_digest": "ab", "wall_ms": 1.5 })
         );
     }
 }

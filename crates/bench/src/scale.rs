@@ -79,9 +79,16 @@ fn quality(r: &ScaleResult) -> f64 {
 
 /// Runs the sweep over the given ladder points.
 pub fn scale_rows(points: &[Named<ScaleConfig>]) -> Vec<ScaleBenchRow> {
-    let row = |&(label, config): &Named<ScaleConfig>| Labelled {
-        label: label.to_string(),
-        result: run_scale(&config()),
+    let row = |&(label, config): &Named<ScaleConfig>| {
+        // bf-lint: allow(wall_clock): the row archives the host time the
+        // day took to simulate, as a trajectory; no gate compares it.
+        let t0 = std::time::Instant::now();
+        let result = run_scale(&config());
+        Labelled {
+            label: label.to_string(),
+            result,
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        }
     };
     points.iter().map(row).collect()
 }
@@ -95,7 +102,10 @@ pub fn scale_rows(points: &[Named<ScaleConfig>]) -> Vec<ScaleBenchRow> {
 ///
 /// Returns a description of the first violated invariant.
 pub fn check_scale_invariants(rows: &[ScaleBenchRow]) -> Result<(), String> {
-    for Labelled { label, result: r } in rows {
+    for Labelled {
+        label, result: r, ..
+    } in rows
+    {
         if r.arrivals != r.processed + r.shed + r.failed_inflight {
             return Err(format!(
                 "{}: arrivals {} != processed {} + shed {} + failed_inflight {}",
@@ -162,7 +172,7 @@ pub fn check_scale_invariants(rows: &[ScaleBenchRow]) -> Result<(), String> {
 pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
     let mut out = format!("{title}\n");
     out.push_str(&format!(
-        "{:<8} {:>6} {:>6} {:>6} {:>9} {:>9} {:>7} {:>7} {:>6} {:>6} {:>9} {:>13} {:>10} {:>7} {:>6} {:>6} {:>7} {:>8} {:>17}\n",
+        "{:<8} {:>6} {:>6} {:>6} {:>9} {:>9} {:>7} {:>7} {:>6} {:>6} {:>9} {:>13} {:>10} {:>7} {:>6} {:>6} {:>7} {:>8} {:>17} {:>9}\n",
         "point",
         "shards",
         "nodes",
@@ -181,11 +191,17 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
         "cold",
         "refused",
         "maxspan",
-        "digest"
+        "digest",
+        "wall"
     ));
-    for Labelled { label, result: r } in rows {
+    for Labelled {
+        label,
+        result: r,
+        wall_ms,
+    } in rows
+    {
         out.push_str(&format!(
-            "{:<8} {:>6} {:>6} {:>6} {:>9} {:>9} {:>7} {:>7} {:>4.1}ms {:>5.1}% {:>9} {:>13} {:>10} {:>7} {:>6} {:>6} {:>7} {:>8} {:>17}\n",
+            "{:<8} {:>6} {:>6} {:>6} {:>9} {:>9} {:>7} {:>7} {:>4.1}ms {:>5.1}% {:>9} {:>13} {:>10} {:>7} {:>6} {:>6} {:>7} {:>8} {:>17} {:>7.0}ms\n",
             label,
             r.shards,
             r.nodes,
@@ -205,6 +221,7 @@ pub fn render_scale(title: &str, rows: &[ScaleBenchRow]) -> String {
             r.refused,
             r.max_lock_span,
             r.trace_digest,
+            wall_ms,
         ));
     }
     out
@@ -220,7 +237,8 @@ pub const SCALE_GATE: ArchiveGate<Named<ScaleConfig>, ScaleBenchRow> = ArchiveGa
     invariants: Some(check_scale_invariants),
     violated: "scale invariant violated",
     key: &["label"],
-    informational: &[],
+    // Host wall-clock is noisy: archived as a trajectory, never compared.
+    informational: &["wall_ms"],
     what: "scale sweep",
 };
 

@@ -47,6 +47,7 @@ pub(crate) fn run_event_loop(
     let mut sessions: HashMap<Token, Session> = HashMap::new();
     let mut by_client: HashMap<u64, Token> = HashMap::new();
     let mut tasks: VecDeque<Task> = VecDeque::new();
+    let mut op_metrics = worker::OpMetrics::default();
     let mut control_open = true;
 
     loop {
@@ -107,7 +108,7 @@ pub(crate) fn run_event_loop(
         // Drain the central queue in FIFO order (Fig. 3 step 4), routing
         // completions back to the owning session.
         while let Some(task) = tasks.pop_front() {
-            let responses = worker::execute_task(&shared, &task);
+            let responses = worker::execute_task(&shared, &mut op_metrics, &task);
             if let Some(session) = by_client
                 .get(&task.client.0)
                 .and_then(|token| sessions.get_mut(token))

@@ -580,6 +580,52 @@ mod tests {
     }
 
     #[test]
+    fn per_op_series_appear_at_first_use_and_count_every_op() {
+        let mgr = manager(ReconfigPolicy::Allow);
+        let fresh = mgr.scrape();
+        assert!(!fresh.contains("bf_manager_op"), "{fresh}");
+        assert!(!fresh.contains("bf_manager_tasks_total"), "{fresh}");
+        let mut d = Driver::new(&mgr, PathCosts::local_grpc());
+        let ctx = d.handle(Request::CreateContext);
+        let buf = d.handle(Request::CreateBuffer {
+            context: ctx,
+            len: 4096,
+        });
+        let queue = d.handle(Request::CreateQueue { context: ctx });
+        for _ in 0..3 {
+            d.send(Request::EnqueueWrite {
+                queue,
+                buffer: buf,
+                offset: 0,
+                data: DataRef::Synthetic(4096),
+            });
+        }
+        let ft = d.send(Request::Finish { queue });
+        loop {
+            let resp = d.recv();
+            if resp.tag == ft && matches!(resp.body, Response::Completed { .. }) {
+                break;
+            }
+        }
+        let scrape = mgr.scrape();
+        let value = |series: &str| {
+            scrape
+                .lines()
+                .find_map(|l| l.strip_prefix(series))
+                .and_then(|v| v.trim().parse::<f64>().ok())
+        };
+        let device = "{device=\"fpga-test\"}";
+        let series = |name: &str| value(&format!("{name}{device}"));
+        assert_eq!(series("bf_manager_ops_total"), Some(3.0), "{scrape}");
+        assert_eq!(
+            series("bf_manager_op_latency_ms_count"),
+            Some(3.0),
+            "{scrape}"
+        );
+        assert_eq!(series("bf_manager_tasks_total"), Some(1.0), "{scrape}");
+    }
+
+    #[test]
     fn cross_node_connections_never_get_shm() {
         let mgr = manager(ReconfigPolicy::Allow);
         let endpoint = mgr.connect("far-away", PathCosts::remote_grpc());

@@ -9,11 +9,48 @@
 use std::sync::Arc;
 
 use bf_fpga::{FpgaError, Payload};
+use bf_metrics::{Counter, Histogram};
 use bf_rpc::{DataRef, ErrorCode, Response, ResponseEnvelope};
 
 use crate::lock_order;
 use crate::manager::Shared;
 use crate::task::{Operation, Task};
+
+/// The manager's per-operation series, each resolved once, at its first
+/// use, so a scrape lists exactly the series it listed when every op
+/// looked them up by name. Owned by the event loop, the one caller of
+/// [`execute_task`].
+#[derive(Default)]
+pub(crate) struct OpMetrics {
+    latency: Option<Histogram>,
+    ops: Option<Counter>,
+    tasks: Option<Counter>,
+}
+
+impl OpMetrics {
+    fn latency(&mut self, shared: &Shared) -> &Histogram {
+        self.latency.get_or_insert_with(|| {
+            let device = [("device", shared.config.device_id.as_str())];
+            shared
+                .metrics
+                .histogram("bf_manager_op_latency_ms", &device)
+        })
+    }
+
+    fn ops(&mut self, shared: &Shared) -> &Counter {
+        self.ops.get_or_insert_with(|| {
+            let device = [("device", shared.config.device_id.as_str())];
+            shared.metrics.counter("bf_manager_ops_total", &device)
+        })
+    }
+
+    fn tasks(&mut self, shared: &Shared) -> &Counter {
+        self.tasks.get_or_insert_with(|| {
+            let device = [("device", shared.config.device_id.as_str())];
+            shared.metrics.counter("bf_manager_tasks_total", &device)
+        })
+    }
+}
 
 /// Executes every operation of `task` and returns the completion (or
 /// error) envelope for each, plus the fence completion when the task
@@ -21,8 +58,11 @@ use crate::task::{Operation, Task};
 ///
 /// Execution never stops early: a vanished client still advances the board
 /// timeline so utilization accounting stays consistent.
-pub(crate) fn execute_task(shared: &Arc<Shared>, task: &Task) -> Vec<ResponseEnvelope> {
-    let device = shared.config.device_id.clone();
+pub(crate) fn execute_task(
+    shared: &Arc<Shared>,
+    metrics: &mut OpMetrics,
+    task: &Task,
+) -> Vec<ResponseEnvelope> {
     let mut out = Vec::with_capacity(task.len() + 1);
     let mut last_end = task.arrival;
     for op in &task.ops {
@@ -31,9 +71,8 @@ pub(crate) fn execute_task(shared: &Arc<Shared>, task: &Task) -> Vec<ResponseEnv
         let (sent_at, body) = match response {
             Ok((started, ended, data)) => {
                 last_end = last_end.max(ended);
-                shared
-                    .metrics
-                    .histogram("bf_manager_op_latency_ms", &[("device", device.as_str())])
+                metrics
+                    .latency(shared)
                     .observe((ended - started).as_millis_f64());
                 (
                     ended,
@@ -47,10 +86,7 @@ pub(crate) fn execute_task(shared: &Arc<Shared>, task: &Task) -> Vec<ResponseEnv
             Err((code, message)) => (last_end, Response::Error { code, message }),
         };
         out.push(ResponseEnvelope { tag, sent_at, body });
-        shared
-            .metrics
-            .counter("bf_manager_ops_total", &[("device", device.as_str())])
-            .inc();
+        metrics.ops(shared).inc();
     }
     if let Some(finish_tag) = task.finish_tag {
         // A finish fence drains everything ahead of it in the central
@@ -69,10 +105,7 @@ pub(crate) fn execute_task(shared: &Arc<Shared>, task: &Task) -> Vec<ResponseEnv
             },
         });
     }
-    shared
-        .metrics
-        .counter("bf_manager_tasks_total", &[("device", device.as_str())])
-        .inc();
+    metrics.tasks(shared).inc();
     out
 }
 

@@ -61,6 +61,7 @@ pub const ENTRY_CLASSES: &[(&str, &str)] = &[
     ("batcher", "functions"),
     ("shm", "segment"),
     ("gatherer", "registry"),
+    ("placement", "shard_map"),
 ];
 
 /// Crates excluded from the call-graph model: the bf-race facade *is* the

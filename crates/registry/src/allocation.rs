@@ -191,12 +191,10 @@ impl fmt::Display for AllocateError {
 
 impl Error for AllocateError {}
 
-/// Per-candidate sort key, computed exactly once per candidate (the sort
-/// itself compares precomputed values — no metric/compatibility/rank
-/// recomputation inside the comparator).
+/// Per-candidate sort key, computed exactly once per candidate. The
+/// policy's metrics are read inside the comparator instead: each is a
+/// field load, so a per-candidate `Vec` of them costs more than it saves.
 struct Score {
-    /// Metric values in `policy.metrics_order` order.
-    metrics: Vec<f64>,
     warmth: Warmth,
     node_rank: usize,
 }
@@ -222,8 +220,17 @@ pub fn allocate(
     devices: &[DeviceView],
     policy: &AllocationPolicy,
 ) -> Result<Allocation, AllocateError> {
-    // Steps 2-3: filters.
-    let candidates: Vec<&DeviceView> = devices
+    let node_rank = |n: &NodeId| {
+        policy
+            .node_priority
+            .iter()
+            .position(|p| p == n)
+            .unwrap_or(policy.node_priority.len())
+    };
+    // Steps 2-3 filter. Step 4 scores every survivor once, then orders by
+    // metrics, warmth (configured > warm-staged > cold) and the
+    // deterministic node priority.
+    let mut scored: Vec<(&DeviceView, Score)> = devices
         .iter()
         .filter(|d| query.hardware_matches(&d.vendor, &d.platform))
         .filter(|d| {
@@ -232,23 +239,8 @@ pub fn allocate(
                 .iter()
                 .all(|f| d.metric(f.key) <= f.max)
         })
-        .collect();
-
-    // Step 4: score every candidate once, then order by metrics, warmth
-    // (configured > warm-staged > cold) and the deterministic node
-    // priority.
-    let node_rank = |n: &NodeId| {
-        policy
-            .node_priority
-            .iter()
-            .position(|p| p == n)
-            .unwrap_or(policy.node_priority.len())
-    };
-    let mut scored: Vec<(&DeviceView, Score)> = candidates
-        .into_iter()
         .map(|d| {
             let score = Score {
-                metrics: policy.metrics_order.iter().map(|k| d.metric(*k)).collect(),
                 warmth: Warmth::of(
                     query.accelerator.as_deref(),
                     |acc| d.bitstream.as_deref() == Some(acc),
@@ -260,8 +252,8 @@ pub fn allocate(
         })
         .collect();
     scored.sort_by(|(a, sa), (b, sb)| {
-        for (ma, mb) in sa.metrics.iter().zip(&sb.metrics) {
-            match ma.partial_cmp(mb) {
+        for &key in &policy.metrics_order {
+            match a.metric(key).partial_cmp(&b.metric(key)) {
                 Some(std::cmp::Ordering::Equal) | None => continue,
                 Some(other) => return other,
             }
@@ -271,13 +263,11 @@ pub fn allocate(
             .then_with(|| sa.node_rank.cmp(&sb.node_rank))
             .then_with(|| a.id.cmp(&b.id))
     });
-    let candidates: Vec<&DeviceView> = scored.iter().map(|(d, _)| *d).collect();
 
     // Steps 5-12: skip incompatible devices whose tenants cannot move.
-    let survived = candidates.len();
     for (i, (dev, score)) in scored.iter().enumerate() {
         let compatible = score.warmth == Warmth::Configured;
-        if !compatible && (dev.pending_reconfiguration || !redistributable(dev, &candidates, i)) {
+        if !compatible && (dev.pending_reconfiguration || !redistributable(dev, &scored, i)) {
             continue;
         }
         // Steps 13-15.
@@ -292,26 +282,30 @@ pub fn allocate(
             displaced: if compatible {
                 Vec::new()
             } else {
-                dev.connected.keys().cloned().collect()
+                // Sorted: `connected` is a hash map, and its key order
+                // differs from one process to the next.
+                let mut displaced: Vec<String> = dev.connected.keys().cloned().collect();
+                displaced.sort_unstable();
+                displaced
             },
             warmth: score.warmth,
         });
     }
     Err(AllocateError::DeviceNotFound {
-        candidates: survived,
+        candidates: scored.len(),
         query: format!("{query:?}"),
     })
 }
 
 /// Whether every workload currently on `dev` could run on some *other*
 /// candidate device whose configured bitstream serves it.
-fn redistributable(dev: &DeviceView, candidates: &[&DeviceView], dev_idx: usize) -> bool {
+fn redistributable(dev: &DeviceView, candidates: &[(&DeviceView, Score)], dev_idx: usize) -> bool {
     dev.connected.values().all(|needs| match needs {
         None => true,
         Some(bitstream) => candidates
             .iter()
             .enumerate()
-            .any(|(j, other)| j != dev_idx && other.bitstream.as_deref() == Some(bitstream)),
+            .any(|(j, (other, _))| j != dev_idx && other.bitstream.as_deref() == Some(bitstream)),
     })
 }
 
@@ -421,6 +415,29 @@ mod tests {
         let got = allocate(&sobel_query(), &devices, &AllocationPolicy::paper()).expect("alloc");
         assert_eq!(got.device_id, "fpga-c");
         assert_eq!(got.reconfigure.as_deref(), Some("sobel"));
+    }
+
+    #[test]
+    fn displaced_tenants_come_back_sorted_whatever_the_fill_order() {
+        // fpga-b must be reprogrammed for sobel; its mm tenants can move
+        // to fpga-c. The two view sets differ only in the order fpga-b's
+        // `connected` map was filled.
+        let view_set = |tenants: Vec<usize>| {
+            let mut busy = dev("fpga-b", "B", Some("mm"), 0, 0.0);
+            for t in tenants {
+                busy.connected
+                    .insert(format!("tenant-{t:02}"), Some("mm".to_string()));
+            }
+            vec![busy, dev("fpga-c", "C", Some("mm"), 40, 0.0)]
+        };
+        let policy = AllocationPolicy::paper();
+        let forward = allocate(&sobel_query(), &view_set((0..32).collect()), &policy);
+        let backward = allocate(&sobel_query(), &view_set((0..32).rev().collect()), &policy);
+        let forward = forward.expect("fpga-b's tenants can move");
+        assert_eq!(Ok(forward.clone()), backward);
+        assert_eq!(forward.device_id, "fpga-b");
+        let expected: Vec<String> = (0..32).map(|t| format!("tenant-{t:02}")).collect();
+        assert_eq!(forward.displaced, expected);
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub use registry::{
 };
 pub use service::{
     admission_hook, attach_placement, reconfig_validator, ContentionReport, PlacementOutcomes,
-    PlacementService, ShardLoadSummary,
+    PlacementService, RouteKey, ShardLoadSummary,
 };
 pub use shard::{hrw_owner, FederatedAllocator, ShardedRegistry};
 

@@ -6,11 +6,12 @@
 //! release / reconfigure / failure / views — as a trait, so callers hold
 //! a `dyn PlacementService` and a test or harness can stand a fake in
 //! for [`ShardedRegistry`](crate::ShardedRegistry), its one implementor.
-//! Cross-shard coordination happens only through [`ShardLoadSummary`]
-//! aggregates:
-//! a federated router never sees per-device state, mirroring funcX's
-//! endpoint federation, and the warm-bitstream hint sets keep Cloudburst
-//! style locality (and the PR-8 cache wins) across the shard boundary.
+//! Cross-shard routing reads one [`RouteKey`] per shard: counts and the
+//! shard's warmth for the placement's accelerator. A federated router
+//! never sees per-device state, mirroring funcX's endpoint federation,
+//! and the warmth keeps Cloudburst style locality (and the warm
+//! bitstream cache's wins) across the shard boundary. [`ShardLoadSummary`] is the fuller
+//! aggregate, for diagnostics.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -25,12 +26,10 @@ use crate::registry::{
     ContentionStats, FunctionRecord, RegistryError, ENV_DEVICE_MANAGER, SHM_VOLUME_PREFIX,
 };
 
-/// The aggregate load a federated router sees for one shard.
-///
-/// This is the *entire* cross-shard protocol: counts, a mean, and two
-/// bitstream hint sets. No device ids, no bindings, no per-instance
-/// state — a shard can change everything behind its lock without the
-/// federation layer noticing.
+/// The aggregate load of one shard, for diagnostics: counts, a mean, and
+/// two bitstream hint sets. No device ids, no bindings, no per-instance
+/// state. Its [`route_key`](Self::route_key) is what the federated router
+/// ranks, and a shard computes that key directly, without the sets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ShardLoadSummary {
     /// Shard index in the federation.
@@ -51,14 +50,9 @@ pub struct ShardLoadSummary {
 }
 
 impl ShardLoadSummary {
-    /// Mean bindings per device — the load metric the federated router
-    /// breaks warmth ties with.
+    /// Mean bindings per device (see [`RouteKey::load`]).
     pub fn load(&self) -> f64 {
-        if self.devices == 0 {
-            f64::INFINITY
-        } else {
-            self.bindings as f64 / self.devices as f64
-        }
+        self.route_key(None).load()
     }
 
     /// Routing warmth of this shard for `accelerator`: configured when
@@ -70,6 +64,45 @@ impl ShardLoadSummary {
             |acc| self.configured.contains(acc),
             |acc| self.warm.contains(acc),
         )
+    }
+
+    /// What the federated router reads of this summary for a placement
+    /// of `accelerator`.
+    pub fn route_key(&self, accelerator: Option<&str>) -> RouteKey {
+        RouteKey {
+            shard: self.shard,
+            devices: self.devices,
+            bindings: self.bindings,
+            warmth: self.warmth_for(accelerator),
+        }
+    }
+}
+
+/// What the federated router reads of one shard for one placement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RouteKey {
+    /// Shard index in the federation.
+    pub shard: usize,
+    /// Registered devices.
+    pub devices: usize,
+    /// Live instance bindings.
+    pub bindings: usize,
+    /// The shard's warmth for the placement's accelerator: configured
+    /// when some board is configured with it or has it pending, warm when
+    /// some board has it staged, else cold.
+    pub warmth: Warmth,
+}
+
+impl RouteKey {
+    /// Mean bindings per device — the load metric the federated router
+    /// breaks warmth ties with. A shard with no devices is infinitely
+    /// loaded.
+    pub fn load(&self) -> f64 {
+        if self.devices == 0 {
+            f64::INFINITY
+        } else {
+            self.bindings as f64 / self.devices as f64
+        }
     }
 }
 
@@ -104,7 +137,7 @@ pub struct ContentionReport {
 /// The typed placement API the rest of the system programs against.
 ///
 /// [`ShardedRegistry`](crate::ShardedRegistry) implements it by routing
-/// on [`ShardLoadSummary`] aggregates and running the paper's
+/// on per-shard [`RouteKey`]s and running the paper's
 /// Algorithm 1 inside the chosen shard; with one shard that is the
 /// paper's single Accelerators Registry. Callers take
 /// `&dyn PlacementService` (or an `Arc<dyn PlacementService>`).

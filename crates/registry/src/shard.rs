@@ -12,7 +12,7 @@
 //! bookkeeping transfer, never a re-placement or a reprogram.
 //!
 //! Placement routes through [`FederatedAllocator`]: a stateless ranking
-//! over per-shard [`ShardLoadSummary`] aggregates that prefers shards
+//! over per-shard [`RouteKey`]s that prefers shards
 //! already configured with (then warm for) the function's accelerator —
 //! the funcX-style thin coordinator, with Cloudburst-style locality
 //! hints so cross-shard routing doesn't forfeit bitstream-cache wins.
@@ -30,7 +30,9 @@ use crate::allocation::{Allocation, AllocationPolicy, DeviceView};
 use crate::device::RegistryDevice;
 use crate::query::DeviceQuery;
 use crate::registry::{FunctionRecord, RegistryError, Shard};
-use crate::service::{ContentionReport, PlacementOutcomes, PlacementService, ShardLoadSummary};
+use crate::service::{
+    ContentionReport, PlacementOutcomes, PlacementService, RouteKey, ShardLoadSummary,
+};
 
 /// FNV-1a over the shard id and key (separated so `("ab","c")` and
 /// `("a","bc")` score differently), run through a splitmix64-style
@@ -63,8 +65,8 @@ pub fn hrw_owner(shard_ids: &[String], key: &str) -> Option<usize> {
         .map(|(i, _)| i)
 }
 
-/// Stateless federated router: ranks shards for a placement from their
-/// aggregate summaries alone.
+/// Stateless federated router: ranks shards for a placement from one
+/// [`RouteKey`] each.
 ///
 /// Within the **load bound** — mean federation load scaled by
 /// [`FederatedAllocator::LOAD_BOUND`], plus one binding of slack — the
@@ -84,26 +86,32 @@ impl FederatedAllocator {
     /// warmth affinity.
     pub const LOAD_BOUND: f64 = 1.1;
 
-    /// Shard indexes in routing order for `accelerator`.
+    /// Shard indexes in routing order for `accelerator`, ranked from the
+    /// summaries' [`route_key`](ShardLoadSummary::route_key)s.
     pub fn route(accelerator: Option<&str>, summaries: &[ShardLoadSummary]) -> Vec<usize> {
-        let devices: usize = summaries.iter().map(|s| s.devices).sum();
-        let bindings: usize = summaries.iter().map(|s| s.bindings).sum();
+        let keys: Vec<RouteKey> = summaries.iter().map(|s| s.route_key(accelerator)).collect();
+        Self::rank(&keys)
+    }
+
+    /// Positions in `keys` in routing order.
+    pub fn rank(keys: &[RouteKey]) -> Vec<usize> {
+        let devices: usize = keys.iter().map(|k| k.devices).sum();
+        let bindings: usize = keys.iter().map(|k| k.bindings).sum();
         let mean = if devices == 0 {
             0.0
         } else {
             bindings as f64 / devices as f64
         };
         let bound = mean * Self::LOAD_BOUND + 1.0;
-        let mut order: Vec<usize> = (0..summaries.len()).collect();
-        order.sort_by(|&a, &b| {
-            let (sa, sb) = (&summaries[a], &summaries[b]);
-            let (ia, ib) = (sa.load() <= bound, sb.load() <= bound);
+        let mut order: Vec<(usize, &RouteKey)> = keys.iter().enumerate().collect();
+        order.sort_by(|(_, a), (_, b)| {
+            let (ia, ib) = (a.load() <= bound, b.load() <= bound);
             ib.cmp(&ia)
-                .then(sb.warmth_for(accelerator).cmp(&sa.warmth_for(accelerator)))
-                .then(sa.load().partial_cmp(&sb.load()).unwrap_or(Ordering::Equal))
-                .then(sa.shard.cmp(&sb.shard))
+                .then(b.warmth.cmp(&a.warmth))
+                .then(a.load().partial_cmp(&b.load()).unwrap_or(Ordering::Equal))
+                .then(a.shard.cmp(&b.shard))
         });
-        order
+        order.into_iter().map(|(i, _)| i).collect()
     }
 }
 
@@ -148,14 +156,14 @@ impl ShardMapState {
         self.shards.get(idx)
     }
 
-    /// Aggregate summaries only: the federation layer never reads a
-    /// shard's per-device state to route.
-    fn summaries(&self) -> Vec<ShardLoadSummary> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(i, shard)| shard.load_summary(i))
-            .collect()
+    /// One route key per shard for a placement of `accelerator`: the
+    /// federation layer never reads a shard's per-device state to route.
+    fn route_keys(&self, accelerator: Option<&str>) -> Vec<RouteKey> {
+        let mut keys = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            keys.push(shard.route_key(i, accelerator));
+        }
+        keys
     }
 
     /// Moves each of `src`'s devices whose HRW owner under the current
@@ -286,10 +294,23 @@ impl ShardedRegistry {
         Some(state.rehome_devices(&removed, None, &self.federation))
     }
 
-    /// Routes a placement over the shards' summaries and records it in
+    /// Every shard's aggregate load summary, in shard index order
+    /// (diagnostics: routing reads [`RouteKey`]s instead).
+    pub fn load_summaries(&self) -> Vec<ShardLoadSummary> {
+        let state = self.shard_map.lock();
+        state
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(i, shard)| shard.load_summary(i))
+            .collect()
+    }
+
+    /// Routes a placement over the shards' route keys and records it in
     /// the first shard whose Algorithm 1 accepts it, all under
     /// `shard_map` so a rebalance sees the placement entirely or not at
     /// all. Returns the allocation and the chosen device's handle.
+    // bf-flow: entry(placement)
     fn place_on_a_shard(
         &self,
         instance: &str,
@@ -303,16 +324,21 @@ impl ShardedRegistry {
                 None => return Err(RegistryError::UnknownFunction(function.to_string())),
             }
         };
-        let summaries = state.summaries();
+        let keys = state.route_keys(accelerator.as_deref());
         let mut last_err = None;
-        for idx in FederatedAllocator::route(accelerator.as_deref(), &summaries) {
-            match state.shards[idx].place_instance(instance, function) {
+        for idx in FederatedAllocator::rank(&keys) {
+            let (Some(shard), Some(shard_id)) = (state.shards.get(idx), state.ids.get(idx)) else {
+                continue;
+            };
+            match shard.place_instance(instance, function) {
                 Ok(placed) => {
-                    let shard_id = state.ids[idx].clone();
+                    // bf-flow: allow(hot_alloc): one entry per live
+                    // instance, removed on release — bounded by the
+                    // instances the cluster runs
                     self.federation
                         .lock()
                         .instances
-                        .insert(instance.to_string(), shard_id);
+                        .insert(instance.to_string(), shard_id.clone());
                     return Ok(placed);
                 }
                 // This shard can't host it (no device passed the filter);
@@ -681,6 +707,205 @@ mod tests {
         let id = sharded.shard_ids()[0].clone();
         assert_eq!(sharded.remove_shard(&id), None);
         assert_eq!(sharded.device_ids().len(), 2);
+    }
+
+    /// A board whose configured image and warm cache the test sets
+    /// directly — what a session programming its board does behind the
+    /// registry's back.
+    struct TestBoard {
+        id: String,
+        node: bf_model::NodeSpec,
+        board: Mutex<crate::device::BoardState>,
+    }
+
+    impl RegistryDevice for TestBoard {
+        fn device_id(&self) -> &str {
+            &self.id
+        }
+
+        fn node(&self) -> &bf_model::NodeSpec {
+            &self.node
+        }
+
+        fn board_state(&self) -> crate::device::BoardState {
+            self.board.lock().clone()
+        }
+
+        fn program(&self, bitstream: &str) -> Result<(), String> {
+            self.board.lock().configured = Some(bitstream.to_string());
+            Ok(())
+        }
+
+        fn scrape(&self) -> String {
+            String::new()
+        }
+    }
+
+    const ACCS: [&str; 3] = ["acc-0", "acc-1", "acc-2"];
+
+    /// Function `f`'s query: `fn-3` takes any image.
+    fn query_of(f: usize, acc: usize) -> DeviceQuery {
+        if f == 3 {
+            DeviceQuery::any()
+        } else {
+            DeviceQuery::for_accelerator(ACCS[acc % ACCS.len()])
+        }
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        Register(usize, usize),
+        Function(usize, usize),
+        Place(usize),
+        Release(usize),
+        Reconfigure(usize, usize),
+        BeginReconfiguration(usize, usize),
+        FinishReconfiguration(usize),
+        Program(usize, usize),
+        Stage(usize, usize),
+        Fail(usize),
+        AddShard,
+        RemoveShard(usize),
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        prop_oneof![
+            (0usize..10, 0usize..4).prop_map(|(d, a)| Step::Register(d, a)),
+            (0usize..4, 0usize..3).prop_map(|(f, a)| Step::Function(f, a)),
+            (0usize..4).prop_map(Step::Place),
+            (0usize..4).prop_map(Step::Place),
+            (0usize..4).prop_map(Step::Place),
+            (0usize..32).prop_map(Step::Release),
+            (0usize..10, 0usize..3).prop_map(|(d, a)| Step::Reconfigure(d, a)),
+            (0usize..10, 0usize..3).prop_map(|(d, a)| Step::BeginReconfiguration(d, a)),
+            (0usize..10).prop_map(Step::FinishReconfiguration),
+            (0usize..10, 0usize..3).prop_map(|(d, a)| Step::Program(d, a)),
+            (0usize..10, 0usize..3).prop_map(|(d, a)| Step::Stage(d, a)),
+            (0usize..10).prop_map(Step::Fail),
+            Just(Step::AddShard),
+            (0usize..4).prop_map(Step::RemoveShard),
+        ]
+    }
+
+    /// Drives one step against the registry; errors (unknown devices,
+    /// refused placements) are outcomes like any other.
+    fn apply(
+        registry: &ShardedRegistry,
+        boards: &mut BTreeMap<usize, Arc<TestBoard>>,
+        placed: &mut Vec<String>,
+        next: &mut usize,
+        step: &Step,
+    ) {
+        let id = |d: usize| format!("fpga-{d}");
+        match *step {
+            Step::Register(d, a) => {
+                let board = Arc::new(TestBoard {
+                    id: id(d),
+                    node: if d % 2 == 0 { node_a() } else { node_b() },
+                    board: Mutex::new(crate::device::BoardState {
+                        configured: ACCS.get(a).map(|acc| acc.to_string()),
+                        warm: Vec::new(),
+                    }),
+                });
+                registry.register_device_handle(board.clone());
+                boards.insert(d, board);
+            }
+            Step::Function(f, a) => registry.register_function(&format!("fn-{f}"), query_of(f, a)),
+            Step::Place(f) => {
+                let instance = format!("inst-{next}");
+                *next += 1;
+                if registry
+                    .place_instance(&instance, &format!("fn-{f}"))
+                    .is_ok()
+                {
+                    placed.push(instance);
+                }
+            }
+            Step::Release(i) => {
+                if !placed.is_empty() {
+                    let instance = placed.remove(i % placed.len());
+                    registry.release_instance(&instance);
+                }
+            }
+            Step::Reconfigure(d, a) => {
+                let _ = registry.reconfigure_device(&id(d), ACCS[a]);
+            }
+            Step::BeginReconfiguration(d, a) => {
+                let state = registry.shard_map.lock();
+                if let Some(shard) = state.owner_of(&id(d)) {
+                    let _ = shard.begin_reconfiguration(&id(d), ACCS[a]);
+                }
+            }
+            Step::FinishReconfiguration(d) => {
+                let state = registry.shard_map.lock();
+                if let Some(shard) = state.owner_of(&id(d)) {
+                    shard.finish_reconfiguration(&id(d));
+                }
+            }
+            Step::Program(d, a) => {
+                if let Some(board) = boards.get(&d) {
+                    board.board.lock().configured = Some(ACCS[a].to_string());
+                }
+            }
+            Step::Stage(d, a) => {
+                if let Some(board) = boards.get(&d) {
+                    let mut state = board.board.lock();
+                    if !state.warm.iter().any(|w| w == ACCS[a]) {
+                        state.warm.push(ACCS[a].to_string());
+                    }
+                }
+            }
+            Step::Fail(d) => {
+                if registry.handle_device_failure(&id(d)).is_ok() {
+                    boards.remove(&d);
+                }
+            }
+            Step::AddShard => {
+                registry.add_shard();
+            }
+            Step::RemoveShard(i) => {
+                let ids = registry.shard_ids();
+                registry.remove_shard(&ids[i % ids.len()]);
+            }
+        }
+    }
+
+    proptest! {
+        /// Every shard's kept views equal the views rebuilt from its
+        /// tables, and its route key's warmth equals its load summary's,
+        /// after every step of any register / place / release /
+        /// reconfigure / program / failure / rebalance sequence.
+        #[test]
+        fn kept_views_match_the_rebuilt_views_and_route_keys_match_summaries(
+            shards in prop_oneof![Just(1usize), Just(3usize)],
+            steps in proptest::collection::vec(step(), 1..48),
+        ) {
+            let registry = ShardedRegistry::new(AllocationPolicy::paper(), shards);
+            for f in 0..4 {
+                registry.register_function(&format!("fn-{f}"), query_of(f, f));
+            }
+            let mut boards = BTreeMap::new();
+            for d in 0..4 {
+                apply(&registry, &mut boards, &mut Vec::new(), &mut 0, &Step::Register(d, d));
+            }
+            let (mut placed, mut next) = (Vec::new(), 0usize);
+            for (n, step) in steps.iter().enumerate() {
+                apply(&registry, &mut boards, &mut placed, &mut next, step);
+                let summaries = registry.load_summaries();
+                let state = registry.shard_map.lock();
+                for ((i, shard), summary) in state.shards.iter().enumerate().zip(&summaries) {
+                    let (kept, rebuilt) = shard.kept_and_rebuilt_views();
+                    prop_assert_eq!(kept, rebuilt, "shard {} after step {} {:?}", i, n, step);
+                    for acc in [None, Some("acc-0"), Some("acc-1"), Some("acc-2"), Some("acc-9")] {
+                        prop_assert_eq!(
+                            shard.route_key(i, acc),
+                            summary.route_key(acc),
+                            "shard {} accelerator {:?} after step {} {:?}", i, acc, n, step
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
