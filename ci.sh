@@ -36,10 +36,21 @@ if [ -n "$layering" ]; then
   exit 1
 fi
 
-# Workspace lints are deny-level for clippy::unwrap_used (tests exempt via
-# clippy.toml); the full-target pass keeps benches and examples honest too.
-echo "==> cargo clippy"
-cargo clippy -q --workspace --all-targets
+# Workspace lints deny clippy::unwrap_used (tests exempt) and the
+# clippy.toml bans: std::sync locks, wall-clock reads, unbounded channels.
+# -D warnings also fails a stale #[expect(..)] exemption. The second pass
+# compiles bf-race's `model` feature, which no other pass sees. A
+# clippy.toml path that stops resolving only warns, and -D warnings does
+# not escalate that warning, so it is caught here: it would lift its ban.
+mkdir -p target
+for pass in "--workspace" "-p bf-race --features model"; do
+  echo "==> cargo clippy $pass"
+  cargo clippy -q $pass --all-targets -- -D warnings 2>&1 | tee target/clippy.log
+  if grep -q 'does not refer to a reachable' target/clippy.log; then
+    echo "clippy.toml names a path that no longer resolves; its ban is lifted"
+    exit 1
+  fi
+done
 
 echo "==> cargo build --release"
 cargo build --release --workspace
@@ -76,7 +87,6 @@ cargo test -q --offline --manifest-path e2e/Cargo.toml
 # new tag without a regenerated wire-schema.json, fails here too. The
 # JSON report is kept as a CI artifact.
 echo "==> bf-lint (baseline-gated, report at target/lint-report.json)"
-mkdir -p target
 cargo run -q --release -p bf-lint -- --json | tee target/lint-report.json
 
 # Deterministic schedule exploration: the bounded transport, poller,

@@ -113,9 +113,11 @@ fn measure_one(system: System, bytes: u64) -> ClResult<DatapathRow> {
     let _ = queue.read_vec(&buf)?;
 
     let before = bf_metrics::copy_counters();
-    // bf-lint: allow(wall_clock): this benchmark measures real host time
-    // spent moving payload bytes; the virtual clock models device/network
-    // latency, not host memcpy throughput.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "this benchmark measures real host time spent moving payload bytes; \
+                  the virtual clock models device/network latency, not host memcpy throughput"
+    )]
     let t0 = std::time::Instant::now();
     for _ in 0..iterations {
         queue.write(&buf, payload.clone())?;

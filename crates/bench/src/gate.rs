@@ -26,6 +26,9 @@ pub enum Rung<P> {
 /// A ladder point that is a label and the configuration it names.
 pub type Named<C> = (&'static str, fn() -> C);
 
+/// A harness's archive-independent check on its fresh rows.
+pub type Invariants<R> = fn(&[R]) -> Result<(), String>;
+
 /// One harness, described by its own functions: `P` is a ladder point,
 /// `R` a measured row.
 pub struct ArchiveGate<P: 'static, R> {
@@ -41,7 +44,7 @@ pub struct ArchiveGate<P: 'static, R> {
     pub render: fn(&str, &[R]) -> String,
     /// The archive-independent gate on the fresh rows, if the harness
     /// has one …
-    pub invariants: Option<fn(&[R]) -> Result<(), String>>,
+    pub invariants: Option<Invariants<R>>,
     /// … and the prefix its failure is reported under.
     pub violated: &'static str,
     /// The fields that identify a row: a fresh row is compared against

@@ -80,8 +80,11 @@ fn quality(r: &ScaleResult) -> f64 {
 /// Runs the sweep over the given ladder points.
 pub fn scale_rows(points: &[Named<ScaleConfig>]) -> Vec<ScaleBenchRow> {
     let row = |&(label, config): &Named<ScaleConfig>| {
-        // bf-lint: allow(wall_clock): the row archives the host time the
-        // day took to simulate, as a trajectory; no gate compares it.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the row archives the host time the day took to simulate, \
+                      as a trajectory; no gate compares it"
+        )]
         let t0 = std::time::Instant::now();
         let result = run_scale(&config());
         Labelled {

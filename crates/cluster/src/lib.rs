@@ -253,10 +253,12 @@ impl Cluster {
 
     /// Opens a watch stream; events from now on are delivered in order.
     pub fn watch(&self) -> WatchStream {
-        // bf-lint: allow(unbounded_channel): control-plane watch stream —
-        // event volume is bounded by deployment churn, not the data path,
-        // and a bounded queue would let one stalled watcher drop or block
-        // cluster events for every other consumer.
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "control-plane watch stream: event volume is bounded by deployment churn, \
+                      not the data path, and a bounded queue would let one stalled watcher \
+                      drop or block cluster events for every other consumer"
+        )]
         let (tx, rx) = unbounded();
         let mut inner = self.cluster_state.lock();
         // Flush first so a pending coalescing window never leaks events

@@ -33,12 +33,18 @@ fn req(endpoint: &bf_devmgr::ManagerEndpoint, tag: u64, body: Request) -> Reques
 
 /// Spins (wall clock, host-side only) until `cond` holds or 5s elapse.
 fn wait_until(what: &str, cond: impl Fn() -> bool) {
-    // bf-lint: allow(wall_clock): bounds host-side waiting on the real
-    // event-loop thread; the virtual timeline is untouched.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "bounds host-side waiting on the real event-loop thread; the virtual timeline is untouched"
+    )]
     let deadline = Instant::now() + Duration::from_secs(5);
     while !cond() {
-        // bf-lint: allow(wall_clock): same host-side liveness deadline.
-        assert!(Instant::now() < deadline, "timed out waiting for {what}");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "same host-side liveness deadline"
+        )]
+        let now = Instant::now();
+        assert!(now < deadline, "timed out waiting for {what}");
         std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -57,25 +57,6 @@ const REGISTRY: &[(&str, &str, &str)] = &[
          `// bf-lint: allow(panic): <why the Err/None case is impossible>`.",
     ),
     (
-        "std_sync",
-        LINT,
-        "`parking_lot` locks only — `std::sync::{Mutex, RwLock}` are banned.\n\
-         \n\
-         std locks poison on panic, turning one failure into a cascade of\n\
-         `PoisonError`s; parking_lot locks are smaller, fairer under the\n\
-         poller's contention pattern, and poison-free.",
-    ),
-    (
-        "wall_clock",
-        LINT,
-        "`Instant::now()` / `SystemTime::now()` only inside the clock module.\n\
-         \n\
-         The simulation and the model checker replace time with a virtual\n\
-         clock; a stray wall-clock read desynchronizes replayed schedules\n\
-         and makes figures non-reproducible. Route all time through\n\
-         `bf_model::clock`.",
-    ),
-    (
         "lock_order",
         LINT,
         "Within one function, locks must be acquired in declared-hierarchy\n\
@@ -106,14 +87,6 @@ const REGISTRY: &[(&str, &str, &str)] = &[
          enum variant must be a compile error at every consumer, not a\n\
          silently-absorbed default — that is how protocol drift between the\n\
          gateway and the device manager stays visible.",
-    ),
-    (
-        "unbounded_channel",
-        LINT,
-        "No `unbounded()` queues in library code. Every queue on the\n\
-         invocation path has a declared depth and a backpressure story\n\
-         (ISSUE 5's admission control depends on it); an unbounded channel\n\
-         is a hidden infinite buffer that converts overload into OOM.",
     ),
     (
         "payload_copy",

@@ -958,10 +958,14 @@ fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
             });
         }
 
-        // Call sites: every `ident(` with its receiver/path context.
-        for pos in find_all(code, "(") {
+        // Call sites: every `ident(` with its receiver/path context, and
+        // every `Type::method` passed as a value (followed by `,` or `)`),
+        // since whoever receives it calls it.
+        let values = find_all(code, ",").into_iter().chain(find_all(code, ")"));
+        let opens = find_all(code, "(").into_iter().map(|pos| (pos, false));
+        for (pos, value) in opens.chain(values.map(|pos| (pos, true))) {
             // Macro invocations: the `!` sits between the name and `(`.
-            if pos >= 1 && code.as_bytes()[pos - 1] == b'!' {
+            if !value && pos >= 1 && code.as_bytes()[pos - 1] == b'!' {
                 if let Some(name) = ident_before(code, pos - 1) {
                     if PANIC_MACROS.contains(&name) {
                         facts.offenses.push(Offense {
@@ -1000,6 +1004,14 @@ fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
                 }
                 _ => continue,
             };
+            let is_type = |seg: &String| seg.starts_with(char::is_uppercase);
+            if value
+                && !(kind == CallKind::Path
+                    && name.starts_with(char::is_lowercase)
+                    && path.last().is_some_and(is_type))
+            {
+                continue;
+            }
             // Like every receiver, a lock's is only known with its chain.
             let offense = match kind {
                 CallKind::Method if name == "lock" && !chain.is_empty() => locks
@@ -1015,7 +1027,7 @@ fn extract_fn_facts(unit: &Unit, def: &FnDef) -> FnFacts {
                 kind,
                 line: lineno,
                 column: start_pos + 1,
-                discarded,
+                discarded: discarded && !value,
                 targets: Vec::new(),
                 offense,
             });
@@ -1697,6 +1709,32 @@ mod tests {
         for d in out.iter().filter(|d| d.rule == "hot_panic") {
             assert_eq!(d.witness[0].function, "S::run_event_loop", "{d:#?}");
         }
+    }
+
+    #[test]
+    fn hot_panic_follows_a_method_passed_as_a_value() {
+        let src = "pub struct S { m: MetricsRegistry }\n\
+                   impl S {\n\
+                       // bf-flow: entry(devmgr_events)\n\
+                       pub fn run_event_loop(&self) { series(&self.m, MetricsRegistry::counter); }\n\
+                   }\n\
+                   pub struct MetricsRegistry;\n\
+                   impl MetricsRegistry {\n\
+                       pub fn counter(&self) -> u64 { panic!(\"another kind\") }\n\
+                   }\n";
+        let (out, _) = flow_check(&[("crates/devmgr/src/event_loop.rs", src)]);
+        let hops: Vec<&str> = out
+            .iter()
+            .filter(|d| d.rule == "hot_panic")
+            .flat_map(|d| &d.witness)
+            .map(|h| h.function.as_str())
+            .collect();
+        let via = [
+            "S::run_event_loop",
+            "MetricsRegistry::counter",
+            "MetricsRegistry::counter [panic!]",
+        ];
+        assert_eq!(hops, via, "{out:#?}");
     }
 
     #[test]

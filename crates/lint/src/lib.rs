@@ -9,13 +9,14 @@
 //! | rule | meaning |
 //! |---|---|
 //! | `panic` | no `.unwrap()` / `.expect()` in non-test library code |
-//! | `std_sync` | `parking_lot` locks only — `std::sync::{Mutex, RwLock}` banned |
-//! | `wall_clock` | `Instant::now()` / `SystemTime::now()` only in `crates/model/src/clock.rs` |
 //! | `lock_order` | acquisitions must follow the declared lock hierarchy |
 //! | `lock_graph` | whole-program: every lock ranked, no static acquisition cycle, hierarchy fully covered |
 //! | `raw_sync` | instrumented crates use the bf-sync facade, not raw parking_lot/std primitives |
 //! | `wildcard_match` | `match`es over status enums must not use `_` arms |
-//! | `unbounded_channel` | no `unbounded()` queues in library code — bounded depths + backpressure |
+//! | `payload_copy` | no unjustified payload byte copies in datapath modules |
+//!
+//! `std::sync` locks, wall-clock reads and unbounded channels are
+//! `clippy.toml` bans, enforced by `cargo clippy` instead.
 //!
 //! On top of the per-file rules, the [`flow`] module runs **bf-flow**:
 //! a workspace-wide call graph with reachability passes (`hot_blocking`,
@@ -80,7 +81,7 @@ pub mod wire_schema;
 
 pub use explain::Family;
 pub use flow::{build_model, EntryPoint, Model, ENTRY_CLASSES, FLOW_RULES};
-pub use rules::{Diagnostic, Hop, Unit, CLOCK_MODULE, RULES, STATUS_ENUMS};
+pub use rules::{Diagnostic, Hop, Unit, RULES, STATUS_ENUMS};
 pub use taint::TAINT_RULES;
 pub use wire_schema::WIRE_SCHEMA_RULE;
 
@@ -178,7 +179,10 @@ pub fn check_source(path: &str, text: &str) -> Vec<Diagnostic> {
 ///
 /// Returns an I/O description when the tree cannot be read.
 pub fn run(root: &Path) -> Result<Report, String> {
-    // bf-lint: allow(wall_clock): lint tooling self-timing, not simulation state
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "lint tooling self-timing, not simulation state"
+    )]
     let started = std::time::Instant::now();
     let mut diagnostics = Vec::new();
     let units = parse_tree(root, &mut diagnostics)?;

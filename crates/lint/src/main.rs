@@ -11,7 +11,7 @@
 //! cargo run -p bf-lint -- --write-wire-schema  # snapshot wire enum tags
 //! ```
 //!
-//! Rule families: per-file rules (`panic`, `std_sync`, …), the bf-flow
+//! Rule families: per-file rules (`panic`, `raw_sync`, …), the bf-flow
 //! reachability passes (`hot_blocking`, `hot_alloc`, `hot_panic`,
 //! `error_drop`), the bf-taint trust-boundary dataflow passes
 //! (`taint_alloc`, `taint_index`, `taint_loop`, `taint_auth`), and the
@@ -26,6 +26,8 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+use bf_lint::explain::explain;
 
 fn main() -> ExitCode {
     let mut json = false;
@@ -54,28 +56,17 @@ fn main() -> ExitCode {
             "--write-baseline" => write_baseline = true,
             "--write-wire-schema" => write_wire_schema = true,
             "--explain" => {
-                return match args.next() {
-                    Some(rule) => match bf_lint::explain::explain(&rule) {
-                        Some(text) => {
-                            println!("{rule}\n{}\n\n{text}", "-".repeat(rule.len()));
-                            ExitCode::SUCCESS
-                        }
-                        None => {
-                            eprintln!(
-                                "bf-lint: unknown rule {rule:?}; known rules: {}",
-                                bf_lint::explain::rules().join(", ")
-                            );
-                            ExitCode::from(2)
-                        }
-                    },
-                    None => {
-                        eprintln!(
-                            "bf-lint: --explain requires a rule name; known rules: {}",
-                            bf_lint::explain::rules().join(", ")
-                        );
-                        ExitCode::from(2)
-                    }
-                };
+                let rule = args.next();
+                if let (Some(rule), Some(text)) = (&rule, rule.as_deref().and_then(explain)) {
+                    println!("{rule}\n{}\n\n{text}", "-".repeat(rule.len()));
+                    return ExitCode::SUCCESS;
+                }
+                let what = rule.map_or("--explain requires a rule name".to_string(), |r| {
+                    format!("unknown rule {r:?}")
+                });
+                let known = bf_lint::explain::rules().join(", ");
+                eprintln!("bf-lint: {what}; known rules: {known}");
+                return ExitCode::from(2);
             }
             "--help" | "-h" => {
                 println!(

@@ -45,9 +45,6 @@ pub const LOCK_TABLE_MODULE: &str = "crates/devmgr/src/lock_order.rs";
 /// state forces every consumer to take a position.
 pub const STATUS_ENUMS: &[&str] = &["EventStatus"];
 
-/// The one file allowed to read the host's clocks.
-pub const CLOCK_MODULE: &str = "crates/model/src/clock.rs";
-
 /// Datapath modules where payload bytes are refcounted `Bytes` end-to-end:
 /// any byte copy here must be deliberate and justified.
 pub const DATAPATH_MODULES: &[&str] = &[
@@ -263,7 +260,7 @@ fn read_annotations(file: &SourceFile, out: &mut Vec<Diagnostic>) -> Directives 
                         continue;
                     };
                     // A directive may name several rules: `allow(panic,
-                    // wall_clock)`. Unknown names are reported individually;
+                    // payload_copy)`. Unknown names are reported individually;
                     // the known ones still take effect so one typo cannot
                     // silently unguard its neighbours.
                     let mut rules = Vec::new();
@@ -347,15 +344,12 @@ fn bound_lines(file: &SourceFile, idx: usize) -> Vec<usize> {
 
 /// How a per-file rule inspects a file.
 enum Check {
-    /// A line-pattern rule: the first hit on each line fires.
+    /// A line-pattern rule: the first hit on each non-test line fires.
     Line {
         /// Whether the rule looks at a file (by path) at all.
         scope: fn(&str) -> bool,
-        /// Whether `#[cfg(test)]` lines (and test targets) are exempt.
-        skip_tests: bool,
-        /// The line's first offending token as `(what, byte offset)`; the
-        /// flag carries state across lines (`std_sync`'s open `use` group).
-        hit: fn(&str, &mut bool) -> Option<(&'static str, usize)>,
+        /// The line's first offending token as `(what, byte offset)`.
+        hit: fn(&str) -> Option<(&'static str, usize)>,
         /// The finding's message, given the `what` of the hit.
         message: fn(&str) -> String,
     },
@@ -364,13 +358,12 @@ enum Check {
 }
 
 /// The per-file rules, in report order.
-const PER_FILE: [(&str, Check); 8] = [
+const PER_FILE: [(&str, Check); 5] = [
     (
         "panic",
         Check::Line {
             scope: |_| true,
-            skip_tests: true,
-            hit: |code, _| match code.find(".unwrap()") {
+            hit: |code| match code.find(".unwrap()") {
                 Some(p) => Some((".unwrap()", p)),
                 None => code.find(".expect(").map(|p| (".expect(..)", p)),
             },
@@ -382,48 +375,6 @@ const PER_FILE: [(&str, Check); 8] = [
             },
         },
     ),
-    // `parking_lot` only: no poisoning to unwrap, const `new`. The flag
-    // tracks a multi-line `use std::sync::{ ... };` group.
-    (
-        "std_sync",
-        Check::Line {
-            scope: |_| true,
-            skip_tests: false,
-            hit: |code, in_use| {
-                let relevant = code.contains("std::sync::") || *in_use;
-                if code.contains("use std::sync::") && !code.contains(';') {
-                    *in_use = true;
-                } else if *in_use && code.contains(';') {
-                    *in_use = false;
-                }
-                let pos = find_keyword(code, "Mutex")
-                    .into_iter()
-                    .chain(find_keyword(code, "RwLock"))
-                    .min();
-                pos.filter(|_| relevant).map(|p| ("", p))
-            },
-            message: |_| {
-                "std::sync lock detected: use parking_lot::{Mutex, RwLock} instead".to_string()
-            },
-        },
-    ),
-    // The host's clocks only tick inside the virtual-clock module.
-    (
-        "wall_clock",
-        Check::Line {
-            scope: |path| path != CLOCK_MODULE,
-            skip_tests: false,
-            hit: |code, _| match code.find("Instant::now") {
-                Some(p) => Some(("Instant::now()", p)),
-                None => code
-                    .find("SystemTime::now")
-                    .map(|p| ("SystemTime::now()", p)),
-            },
-            message: |what| {
-                format!("{what} outside {CLOCK_MODULE}: simulated code must use VirtualClock")
-            },
-        },
-    ),
     ("lock_order", Check::File(rule_lock_order)),
     // Inside the instrumented crates every lock, condvar, atomic and
     // channel goes through the bf-sync facade, so the whole crate runs
@@ -432,8 +383,7 @@ const PER_FILE: [(&str, Check); 8] = [
         "raw_sync",
         Check::Line {
             scope: |path| INSTRUMENTED_CRATES.iter().any(|p| path.starts_with(p)),
-            skip_tests: true,
-            hit: |code, _| {
+            hit: |code| {
                 if code.contains("use parking_lot") || code.contains("parking_lot::") {
                     code.find("parking_lot")
                         .map(|p| ("parking_lot primitive", p))
@@ -453,30 +403,6 @@ const PER_FILE: [(&str, Check); 8] = [
         },
     ),
     ("wildcard_match", Check::File(rule_wildcard_match)),
-    // Every hot-path queue is bounded so overload surfaces as explicit
-    // backpressure; imports are fine, only constructions fire.
-    (
-        "unbounded_channel",
-        Check::Line {
-            scope: |_| true,
-            skip_tests: true,
-            hit: |code, _| {
-                find_keyword(code, "unbounded")
-                    .into_iter()
-                    .find(|&pos| {
-                        let after = code[pos + "unbounded".len()..].trim_start();
-                        after.starts_with('(') || after.starts_with("::<")
-                    })
-                    .map(|p| ("", p))
-            },
-            message: |_| {
-                "unbounded channel constructed in library code: use \
-                 `bounded(depth)` so overload surfaces as backpressure, or \
-                 justify with `// bf-lint: allow(unbounded_channel): ...`"
-                    .to_string()
-            },
-        },
-    ),
     // Datapath payloads travel as refcounted `Bytes`: `.to_vec()` and
     // `.clone()` on a payload-named receiver are conscious copies, counted
     // with `bf_metrics::record_memcpy` and justified.
@@ -484,8 +410,7 @@ const PER_FILE: [(&str, Check); 8] = [
         "payload_copy",
         Check::Line {
             scope: |path| DATAPATH_MODULES.contains(&path),
-            skip_tests: true,
-            hit: |code, _| match code.find(".to_vec()") {
+            hit: |code| match code.find(".to_vec()") {
                 Some(p) => Some((".to_vec()", p)),
                 None => find_all(code, ".clone()")
                     .into_iter()
@@ -514,18 +439,12 @@ pub fn check_file(unit: &Unit, lock_hierarchy: &[&str], out: &mut Vec<Diagnostic
         match check {
             Check::File(run) => run(unit, lock_hierarchy, out),
             Check::Line { scope, .. } if !scope(&file.path) => {}
-            Check::Line {
-                skip_tests,
-                hit,
-                message,
-                ..
-            } => {
-                let mut state = false;
+            Check::Line { hit, message, .. } => {
                 for (idx, line) in file.lines.iter().enumerate() {
-                    if *skip_tests && line.in_test {
+                    if line.in_test {
                         continue;
                     }
-                    let Some((what, pos)) = hit(&line.code, &mut state) else {
+                    let Some((what, pos)) = hit(&line.code) else {
                         continue;
                     };
                     if !unit.permits(idx + 1, rule) {
@@ -957,35 +876,6 @@ mod tests {
     }
 
     #[test]
-    fn flags_std_sync_locks_but_not_arc() {
-        let out = check("use std::sync::{Arc, Mutex};\n");
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "std_sync");
-        assert!(check("use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n").is_empty());
-    }
-
-    #[test]
-    fn flags_std_sync_locks_inside_a_multi_line_use_group() {
-        let out = check("use std::sync::{\n    Arc,\n    Mutex,\n};\nfn f() {}\n");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "std_sync");
-        assert_eq!(out[0].line, 3);
-    }
-
-    #[test]
-    fn flags_wall_clock_outside_clock_module() {
-        let out = check("fn f() { let t = std::time::Instant::now(); }\n");
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "wall_clock");
-        let ok = check_at(
-            CLOCK_MODULE,
-            "fn f() { let t = std::time::Instant::now(); }\n",
-            &[],
-        );
-        assert!(ok.is_empty());
-    }
-
-    #[test]
     fn flags_inverted_lock_acquisition() {
         let src = "fn f() {\n let a = inner.lock();\n let b = outer.lock();\n}\n";
         let out = check(src);
@@ -1029,36 +919,6 @@ mod tests {
     fn nested_match_does_not_taint_outer() {
         let src = "fn f(x: u8, s: EventStatus) -> u8 {\n match x {\n  0 => { match s { EventStatus::Queued => 0, EventStatus::Submitted => 1, EventStatus::Running => 2, EventStatus::Complete => 3, EventStatus::Failed => 4 } }\n  _ => 1,\n }\n}\n";
         assert!(check(src).is_empty(), "{:?}", check(src));
-    }
-
-    #[test]
-    fn flags_unbounded_channel_construction() {
-        let out = check("fn f() { let (tx, rx) = unbounded(); }\n");
-        assert_eq!(out.len(), 1, "{out:?}");
-        assert_eq!(out[0].rule, "unbounded_channel");
-        assert_eq!(out[0].line, 1);
-        let turbofish = check("fn f() { let (tx, rx) = unbounded::<u64>(); }\n");
-        assert_eq!(turbofish.len(), 1, "{turbofish:?}");
-        assert_eq!(turbofish[0].rule, "unbounded_channel");
-        let qualified = check("fn f() { let p = bf_race::sync::channel::unbounded(); }\n");
-        assert_eq!(qualified.len(), 1, "{qualified:?}");
-    }
-
-    #[test]
-    fn bounded_channels_and_imports_do_not_fire() {
-        assert!(check("fn f() { let (tx, rx) = bounded(64); }\n").is_empty());
-        // The import alone is not a construction site.
-        assert!(check("use bf_race::sync::channel::{unbounded, Sender};\n").is_empty());
-        // Identifiers merely containing the word are untouched.
-        assert!(check("fn f() { unbounded_growth(); let x = my_unbounded(); }\n").is_empty());
-    }
-
-    #[test]
-    fn unbounded_channels_are_allowed_in_tests_and_with_directives() {
-        let in_test = "#[cfg(test)]\nmod tests {\n fn t() { let (tx, rx) = unbounded(); }\n}\n";
-        assert!(check(in_test).is_empty(), "{:?}", check(in_test));
-        let allowed = "fn f() {\n // bf-lint: allow(unbounded_channel): cold control path\n let (tx, rx) = unbounded();\n}\n";
-        assert!(check(allowed).is_empty(), "{:?}", check(allowed));
     }
 
     fn check_datapath(src: &str) -> Vec<Diagnostic> {
@@ -1105,8 +965,15 @@ mod tests {
 
     #[test]
     fn multi_rule_allow_lists_exempt_every_named_rule() {
-        let src = "fn f() {\n // bf-lint: allow(panic, wall_clock): harness probe\n let t = Instant::now(); t.elapsed().unwrap();\n}\n";
-        assert!(check(src).is_empty(), "{:?}", check(src));
+        let src = "fn f(bytes: &[u8]) {\n // bf-lint: allow(panic, payload_copy): harness probe\n let v = bytes.to_vec(); v.first().unwrap();\n}\n";
+        assert!(check_datapath(src).is_empty(), "{:?}", check_datapath(src));
+        let bare = src.replace("panic, payload_copy", "lock_order");
+        assert_eq!(
+            check_datapath(&bare).len(),
+            2,
+            "{:?}",
+            check_datapath(&bare)
+        );
     }
 
     #[test]

@@ -558,7 +558,7 @@ mod tests {
         assert_eq!(reg.shard_count(), SHARDS);
         let max = reg.max_shard_len();
         assert!(
-            max < 200 && max >= 200 / SHARDS,
+            (200 / SHARDS..200).contains(&max),
             "200 series over {SHARDS} shards, max {max}"
         );
         let text = reg.scrape();

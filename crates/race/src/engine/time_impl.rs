@@ -68,7 +68,10 @@ pub(crate) fn dur_ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fallback for MonoTime created outside a model execution"
+)]
 fn now_instant() -> Instant {
-    // bf-lint: allow(wall_clock): fallback for MonoTime created outside a model execution
     Instant::now()
 }

@@ -47,8 +47,9 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
     Chan::open(cap.max(1))
 }
 
-/// A channel that never reports full. Library code must justify each one
-/// with a `bf-lint: allow(unbounded_channel)`.
+/// A channel that never reports full. `clippy.toml` bans it workspace-wide,
+/// so each use carries an `#[expect(clippy::disallowed_methods, reason =
+/// "...")]` that justifies it.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     Chan::open(usize::MAX)
 }
@@ -101,7 +102,7 @@ impl<T> Chan<T> {
         }
         // bf-flow: allow(hot_alloc): a bounded channel is a depth-capped
         // ring — a full queue parks or returns Full instead of growing;
-        // each unbounded one carries its caller's allow(unbounded_channel)
+        // each unbounded one carries its caller's `#[expect(clippy::disallowed_methods)]`
         q.items.push_back(item);
         let watch = q.watch.clone();
         drop(q);
@@ -333,6 +334,10 @@ mod tests {
 
     #[test]
     fn unbounded_never_reports_full() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test exercises the unbounded constructor itself"
+        )]
         let (tx, rx) = unbounded();
         for i in 0..1000 {
             tx.try_send(i).expect("unbounded");

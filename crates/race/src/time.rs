@@ -40,8 +40,11 @@ impl MonoTime {
 }
 
 #[cfg(not(feature = "model"))]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "monotonic deadline source for bounded waits; virtualized under the model feature"
+)]
 fn now_instant() -> std::time::Instant {
-    // bf-lint: allow(wall_clock): monotonic deadline source for bounded waits; virtualized under the model feature
     std::time::Instant::now()
 }
 

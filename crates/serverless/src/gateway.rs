@@ -741,7 +741,7 @@ mod tests {
         gw.deploy(
             "tiny",
             Batcher::new().with_queue_capacity(1).with_max_batch_size(1),
-            Arc::new(SingleRequest::new(|at| Ok(at))),
+            Arc::new(SingleRequest::new(Ok)),
         );
         gw.submit("tiny", Invocation::at(t(0))).expect("first fits");
         let err = gw.submit("tiny", Invocation::at(t(0))).expect_err("full");

@@ -131,7 +131,7 @@ mod proptests {
             let mut drained = 0u64;
             let mut tickets = std::collections::BTreeSet::new();
             for (gap_ms, drain) in script {
-                now = now + VirtualDuration::from_millis(gap_ms);
+                now += VirtualDuration::from_millis(gap_ms);
                 if drain {
                     if let Some(batch) = batcher.drain_due(now) {
                         prop_assert!(batch.len() <= max_batch, "oversized batch");
