@@ -26,12 +26,12 @@ fi
 # Layering: as in the paper, only the Accelerators Registry knows about
 # boards. The serverless substrate (gateway, batcher, autoscaler) reaches
 # them through the cluster's admission hook, never by linking the
-# registry or the Device Manager.
-echo "==> layering (bf-serverless links neither bf-registry nor bf-devmgr)"
+# registry, the Device Manager, the board model or the accelerators.
+echo "==> layering (bf-serverless links no bf-registry, bf-devmgr, bf-fpga or bf-workloads)"
 layering=$(cargo tree --offline -q -p bf-serverless -e normal |
-  grep -E ' bf-(registry|devmgr) ' || true)
+  grep -E ' bf-(registry|devmgr|fpga|workloads) ' || true)
 if [ -n "$layering" ]; then
-  echo "bf-serverless must not depend on the registry or the device manager; found:"
+  echo "bf-serverless must not depend on boards or accelerators; found:"
   printf '%s\n' "$layering"
   exit 1
 fi

@@ -20,9 +20,9 @@ use std::sync::Arc;
 use bf_model::{node_b, VirtualClock, VirtualDuration, VirtualTime};
 use bf_rpc::PathCosts;
 use bf_serverless::{
-    run_open_loop, BatchHandler, Batcher, Completion, Gateway, HandlerError, Invocation, UseCase,
+    run_open_loop, BatchHandler, Batcher, Completion, Gateway, HandlerError, Invocation,
 };
-use bf_sim::request_profile;
+use bf_workloads::UseCase;
 
 use crate::gate::ArchiveGate;
 use crate::gate::Rung::{self, Full, Smoke};
@@ -97,7 +97,7 @@ impl ProfileBatchHandler {
             // Function host wrapper + submit/complete control hops, paid
             // once per dispatch regardless of batch size.
             dispatch_overhead: node.host_overhead() + costs.control_hop() * 2,
-            service_time: request_profile(UseCase::Sobel).service_time(&node),
+            service_time: UseCase::Sobel.request_profile().service_time(&node),
         }
     }
 }

@@ -28,9 +28,8 @@ use bf_model::{node_b, DataPathKind, VirtualClock, VirtualDuration};
 use bf_ocl::{ArgValue, BitstreamCatalog, ClResult, Device, NativeBackend, NdRange};
 use bf_remote::Router;
 use bf_rpc::PathCosts;
-use bf_serverless::{table1_rates, LoadLevel, UseCase};
 use bf_sim::{run_scenario, Deployment, ScenarioConfig, ScenarioResult};
-use bf_workloads::{mm, sobel, CnnNetwork};
+use bf_workloads::{mm, sobel, table1_rates, CnnNetwork, LoadLevel, UseCase};
 use parking_lot::Mutex;
 use serde::Serialize;
 
@@ -407,8 +406,8 @@ pub struct Table1Row {
 /// Table I: the test-configuration matrix.
 pub fn table1_rows() -> Vec<Table1Row> {
     let mut rows = Vec::new();
-    for use_case in [UseCase::Sobel, UseCase::Mm, UseCase::AlexNet] {
-        for level in LEVELS {
+    for use_case in UseCase::ALL {
+        for level in LoadLevel::ALL {
             if let Some(rates) = table1_rates(use_case, level) {
                 rows.push(Table1Row {
                     use_case: use_case.to_string(),
@@ -439,9 +438,6 @@ fn table1() -> String {
     publish("table1", text, &rows)
 }
 
-/// The three load levels of Table I.
-const LEVELS: [LoadLevel; 3] = [LoadLevel::Low, LoadLevel::Medium, LoadLevel::High];
-
 /// BlastFunction over the shared-memory data path, as Tables II–IV and
 /// the ablations deploy it.
 const BF_SHM: Deployment = Deployment::BlastFunction {
@@ -458,12 +454,12 @@ fn scenario(use_case: UseCase, level: LoadLevel, deployment: Deployment) -> Scen
 }
 
 /// The rows of Tables II–IV: BlastFunction (shm) then Native, at each
-/// of `levels`.
-fn scenarios(use_case: UseCase, levels: &[LoadLevel]) -> Vec<ScenarioResult> {
+/// load level Table I defines for `use_case`.
+fn scenarios(use_case: UseCase) -> Vec<ScenarioResult> {
     let at_levels = |deployment| {
-        levels
-            .iter()
-            .map(move |&level| scenario(use_case, level, deployment))
+        use_case
+            .levels()
+            .map(move |level| scenario(use_case, level, deployment))
     };
     [BF_SHM, Deployment::Native]
         .into_iter()
@@ -475,7 +471,7 @@ fn scenarios(use_case: UseCase, levels: &[LoadLevel]) -> Vec<ScenarioResult> {
 fn table2() -> String {
     let mut text =
         "Table II — Sobel multi-function results (utilization max 300% overall)\n\n".to_string();
-    let results = scenarios(UseCase::Sobel, &LEVELS);
+    let results = scenarios(UseCase::Sobel);
     for result in &results {
         let a = &result.aggregate;
         text += &result.render_per_function();
@@ -506,13 +502,13 @@ fn aggregates(name: &str, title: &str, results: Vec<ScenarioResult>, note: &str)
 /// Table III: MM aggregates.
 fn table3() -> String {
     let title = "Table III — MM aggregates (utilization max 300%)";
-    aggregates("table3", title, scenarios(UseCase::Mm, &LEVELS), "")
+    aggregates("table3", title, scenarios(UseCase::Mm), "")
 }
 
 /// Table IV: AlexNet aggregates (medium and high only, as in the paper).
 fn table4() -> String {
     let title = "Table IV — PipeCNN/AlexNet aggregates (utilization max 300%)";
-    let results = scenarios(UseCase::AlexNet, &LEVELS[1..]);
+    let results = scenarios(UseCase::AlexNet);
     let note = "The BlastFunction latency gap is the per-layer control RTTs of\n\
                 PipeCNN's host loop (~30 synchronized kernel invocations/inference).\n";
     aggregates("table4", title, results, note)
@@ -607,7 +603,7 @@ fn ablation_alloc() -> String {
 /// Data-path ablation: shm vs gRPC for every use case at medium load.
 fn ablation_transport() -> String {
     let mut rows = Vec::new();
-    for use_case in [UseCase::Sobel, UseCase::Mm, UseCase::AlexNet] {
+    for use_case in UseCase::ALL {
         for (label, data_path) in [
             ("shm", DataPathKind::SharedMemory),
             ("grpc", DataPathKind::Grpc),

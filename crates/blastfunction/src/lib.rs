@@ -96,10 +96,11 @@ pub mod prelude {
     pub use bf_remote::{RemoteBackend, Router};
     pub use bf_rpc::PathCosts;
     pub use bf_serverless::{
-        table1_rates, BatchHandler, Batcher, ClosedLoopPacer, Completion, Gateway, HandlerError,
-        Invocation, LoadLevel, OpenLoopPacer, SingleRequest, UseCase,
+        BatchHandler, Batcher, ClosedLoopPacer, Completion, Gateway, HandlerError, Invocation,
+        OpenLoopPacer, SingleRequest,
     };
     pub use bf_sim::{run_scenario, Deployment, ScenarioConfig};
+    pub use bf_workloads::{table1_rates, LoadLevel, UseCase};
 }
 
 #[cfg(test)]

@@ -23,7 +23,6 @@
 //!   behind Tables II–IV's processed-vs-target gaps;
 //! * [`OpenLoopPacer`] — fixed-rate arrivals decoupled from completions,
 //!   under which overload surfaces as queue growth and sheds instead;
-//! * [`table1_rates`] — the paper's Table I load matrix;
 //! * [`Autoscaler`] — the gateway-side replica scaler (OpenFaaS-style
 //!   per-replica load targets with scale-down hysteresis, plus
 //!   queue-depth/shed-rate pressure from the batching pipeline via
@@ -73,7 +72,7 @@ pub use gateway::{
     OpenLoopResult, Outcome,
 };
 pub use invoke::{BatchHandler, Completion, HandlerError, Invocation, SingleRequest};
-pub use load::{native_rates, table1_rates, ClosedLoopPacer, LoadLevel, OpenLoopPacer, UseCase};
+pub use load::{ClosedLoopPacer, OpenLoopPacer};
 
 #[cfg(test)]
 mod proptests {

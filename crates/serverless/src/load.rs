@@ -1,72 +1,7 @@
-//! Load configurations (paper Table I) and the `hey`-like closed-loop
-//! request pacer.
+//! The `hey`-like closed-loop request pacer and its open-loop
+//! counterpart.
 
 use bf_model::{VirtualDuration, VirtualTime};
-
-/// The three benchmark functions of the evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum UseCase {
-    /// Spector Sobel edge detector.
-    Sobel,
-    /// Spector matrix multiply.
-    Mm,
-    /// PipeCNN running AlexNet.
-    AlexNet,
-}
-
-impl std::fmt::Display for UseCase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            UseCase::Sobel => write!(f, "Sobel"),
-            UseCase::Mm => write!(f, "MM"),
-            UseCase::AlexNet => write!(f, "AlexNet"),
-        }
-    }
-}
-
-/// Load levels of Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum LoadLevel {
-    /// "Low load".
-    Low,
-    /// "Medium load".
-    Medium,
-    /// "High load".
-    High,
-}
-
-impl std::fmt::Display for LoadLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LoadLevel::Low => write!(f, "Low Load"),
-            LoadLevel::Medium => write!(f, "Medium Load"),
-            LoadLevel::High => write!(f, "High Load"),
-        }
-    }
-}
-
-/// Table I: requests per second sent to each of the five functions.
-/// Returns `None` for the configurations the paper does not test
-/// (AlexNet low load).
-pub fn table1_rates(use_case: UseCase, level: LoadLevel) -> Option<[f64; 5]> {
-    Some(match (use_case, level) {
-        (UseCase::Sobel, LoadLevel::Low) => [20.0, 15.0, 10.0, 5.0, 5.0],
-        (UseCase::Sobel, LoadLevel::Medium) => [35.0, 30.0, 25.0, 20.0, 15.0],
-        (UseCase::Sobel, LoadLevel::High) => [60.0, 50.0, 35.0, 30.0, 15.0],
-        (UseCase::Mm, LoadLevel::Low) => [28.0, 21.0, 14.0, 7.0, 7.0],
-        (UseCase::Mm, LoadLevel::Medium) => [49.0, 42.0, 35.0, 28.0, 21.0],
-        (UseCase::Mm, LoadLevel::High) => [84.0, 70.0, 49.0, 42.0, 21.0],
-        (UseCase::AlexNet, LoadLevel::Medium) => [6.0, 3.0, 3.0, 3.0, 3.0],
-        (UseCase::AlexNet, LoadLevel::High) => [9.0, 9.0, 6.0, 6.0, 3.0],
-        (UseCase::AlexNet, LoadLevel::Low) => return None,
-    })
-}
-
-/// Rates used in the Native scenario: "only the first 3 columns" (one
-/// function per device).
-pub fn native_rates(use_case: UseCase, level: LoadLevel) -> Option<[f64; 3]> {
-    table1_rates(use_case, level).map(|r| [r[0], r[1], r[2]])
-}
 
 /// Models `hey -c 1 -q rate`: one connection paced at a target rate.
 /// Requests are issued at fixed interval ticks, but a new request never
@@ -159,27 +94,6 @@ mod tests {
 
     fn t(ms: u64) -> VirtualTime {
         VirtualTime::ZERO + VirtualDuration::from_millis(ms)
-    }
-
-    #[test]
-    fn table1_matches_the_paper() {
-        assert_eq!(
-            table1_rates(UseCase::Sobel, LoadLevel::High),
-            Some([60.0, 50.0, 35.0, 30.0, 15.0])
-        );
-        assert_eq!(
-            table1_rates(UseCase::Mm, LoadLevel::Low),
-            Some([28.0, 21.0, 14.0, 7.0, 7.0])
-        );
-        assert_eq!(
-            table1_rates(UseCase::AlexNet, LoadLevel::Medium),
-            Some([6.0, 3.0, 3.0, 3.0, 3.0])
-        );
-        assert_eq!(table1_rates(UseCase::AlexNet, LoadLevel::Low), None);
-        assert_eq!(
-            native_rates(UseCase::Sobel, LoadLevel::Medium),
-            Some([35.0, 30.0, 25.0])
-        );
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Scenario configuration for the multi-tenant cluster experiments.
 
 use bf_model::{DataPathKind, VirtualDuration};
-use bf_serverless::{LoadLevel, UseCase};
-use bf_workloads::RequestProfile;
+use bf_workloads::{LoadLevel, RequestProfile, UseCase};
 
 /// How functions reach the FPGAs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,16 +137,6 @@ impl ScenarioConfig {
 }
 
 fn seed_component(use_case: UseCase, level: LoadLevel, deployment: Deployment) -> u64 {
-    let u = match use_case {
-        UseCase::Sobel => 1,
-        UseCase::Mm => 2,
-        UseCase::AlexNet => 3,
-    };
-    let l = match level {
-        LoadLevel::Low => 1,
-        LoadLevel::Medium => 2,
-        LoadLevel::High => 3,
-    };
     let d = match deployment {
         Deployment::BlastFunction {
             data_path: DataPathKind::SharedMemory,
@@ -157,7 +146,7 @@ fn seed_component(use_case: UseCase, level: LoadLevel, deployment: Deployment) -
         } => 2,
         Deployment::Native => 3,
     };
-    (u << 8) | (l << 4) | d
+    ((use_case as u64) << 8) | ((level as u64) << 4) | d
 }
 
 #[cfg(test)]

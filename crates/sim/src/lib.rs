@@ -10,8 +10,8 @@
 //!
 //! ```
 //! use bf_model::{DataPathKind, VirtualDuration};
-//! use bf_serverless::{LoadLevel, UseCase};
 //! use bf_sim::{run_scenario, Deployment, ScenarioConfig};
+//! use bf_workloads::{LoadLevel, UseCase};
 //!
 //! let cfg = ScenarioConfig::new(
 //!     UseCase::Sobel,
@@ -34,13 +34,13 @@ mod world;
 pub use config::{Deployment, ScenarioConfig};
 pub use result::{Aggregate, FunctionResult, ScenarioResult};
 pub use scale::{run_scale, FaultPlan, ScaleConfig, ScaleResult, ShedStorm, SimFpgaDevice, Window};
-pub use scenario::{request_profile, run_scenario};
+pub use scenario::run_scenario;
 pub use trace::{to_chrome_trace, TraceSpan};
 
 #[cfg(test)]
 mod tests {
     use bf_model::{DataPathKind, VirtualDuration};
-    use bf_serverless::{LoadLevel, UseCase};
+    use bf_workloads::{LoadLevel, UseCase};
 
     use super::*;
 

@@ -45,7 +45,7 @@ use bf_registry::{
 };
 use bf_rpc::{PollEvent, Poller, Token, Waker};
 use bf_simkit::{Engine, Samples, SimRng, ZipfSampler};
-use bf_workloads::{mm::MM_BITSTREAM, pipecnn::PIPECNN_BITSTREAM, sobel::SOBEL_BITSTREAM};
+use bf_workloads::UseCase;
 use serde::Serialize;
 
 use crate::digest::Digest;
@@ -67,12 +67,9 @@ const SLOW_BACKLOG_LIMIT: u32 = 32;
 const NODE_CACHE_SLOTS: usize = 256;
 
 /// Zipf exponent of function popularity, and of accelerator popularity
-/// over [`ACCELERATORS`].
+/// over the paper's three accelerators ([`UseCase::ALL`], most popular
+/// first).
 const ZIPF_EXPONENT: f64 = 1.2;
-
-/// The bitstream catalog: the paper's three accelerators, most popular
-/// first. Each function needs one.
-const ACCELERATORS: [&str; 3] = [SOBEL_BITSTREAM, MM_BITSTREAM, PIPECNN_BITSTREAM];
 
 /// Per-node in-system cap; arrivals beyond it are shed.
 const QUEUE_CAPACITY: u32 = 64;
@@ -798,11 +795,12 @@ fn simulate(cfg: &ScaleConfig) -> ScaleWorld {
 
     // Functions: each needs one accelerator, Zipf-popular.
     let mut accel = root.split(STREAM_ACCEL);
-    let popularity = ZipfSampler::new(ACCELERATORS.len(), ZIPF_EXPONENT);
+    let popularity = ZipfSampler::new(UseCase::ALL.len(), ZIPF_EXPONENT);
     let fn_labels: Vec<String> = (0..cfg.functions).map(|f| format!("f{f}")).collect();
     for name in &fn_labels {
         let a = popularity.sample(&mut accel);
-        registry.register_function(name, DeviceQuery::for_accelerator(ACCELERATORS[a]));
+        let bitstream = UseCase::ALL[a].bitstream_id();
+        registry.register_function(name, DeviceQuery::for_accelerator(bitstream));
         digest.u64(a as u64);
     }
 

@@ -1,62 +1,43 @@
 //! Scenario assembly and execution.
 
-use bf_model::{node_a, node_b, node_c, DataPathKind, VirtualDuration, VirtualTime};
+use bf_model::{paper_cluster, DataPathKind, VirtualDuration, VirtualTime};
 use bf_registry::{AllocationPolicy, DeviceQuery, PlacementService, ShardedRegistry, StaticDevice};
 use bf_rpc::PathCosts;
-use bf_serverless::{table1_rates, ClosedLoopPacer, UseCase};
+use bf_serverless::ClosedLoopPacer;
 use bf_simkit::{Engine, Samples, SimRng};
-use bf_workloads::{mm, sobel, CnnNetwork, RequestProfile};
+use bf_workloads::table1_rates;
 
 use crate::config::{Deployment, ScenarioConfig};
 use crate::result::{Aggregate, FunctionResult, ScenarioResult};
 use crate::world::{schedule_request, PathMode, SimDevice, SimFunction, World};
 
-/// The workload parameters the paper's Tables II–IV run with.
-///
-/// * Sobel: 1920×1080 frames (the largest Fig. 4(b) point);
-/// * MM: 448×448 matrices (service times consistent with Table III);
-/// * AlexNet: the standard 227×227×3 network.
-pub fn request_profile(use_case: UseCase) -> RequestProfile {
-    match use_case {
-        UseCase::Sobel => sobel::request_profile(1920, 1080),
-        UseCase::Mm => mm::request_profile(448),
-        UseCase::AlexNet => CnnNetwork::alexnet().request_profile(),
-    }
-}
-
-fn function_prefix(use_case: UseCase) -> &'static str {
-    match use_case {
-        UseCase::Sobel => "sobel",
-        UseCase::Mm => "mm",
-        UseCase::AlexNet => "alexnet",
-    }
-}
-
-fn accelerator_id(use_case: UseCase) -> &'static str {
-    match use_case {
-        UseCase::Sobel => sobel::SOBEL_BITSTREAM,
-        UseCase::Mm => mm::MM_BITSTREAM,
-        UseCase::AlexNet => "pipecnn-alexnet",
-    }
+/// The paper's three boards, one per node of [`paper_cluster`]
+/// (`fpga-a` on node A, `fpga-b` on B, `fpga-c` on C), each split into
+/// `slots` accelerator regions.
+fn paper_devices(slots: u32, kernel_slowdown: f64) -> Vec<SimDevice> {
+    paper_cluster()
+        .into_iter()
+        .map(|node| {
+            let id = format!("fpga-{}", node.id().as_str().to_ascii_lowercase());
+            SimDevice::with_slots(id, node, slots, kernel_slowdown)
+        })
+        .collect()
 }
 
 /// Places the BlastFunction functions onto the three devices by running
 /// the registry's Algorithm 1 (paper policy) as each function is created,
 /// through the same typed [`PlacementService`] surface the cluster uses —
 /// so the scenario exercises the production admission path, not a replay
-/// of it. Returns device indices (0 = A, 1 = B, 2 = C) per function.
-fn blastfunction_placement(use_case: UseCase, count: usize) -> Vec<usize> {
-    let bitstream = accelerator_id(use_case);
-    let ids = ["fpga-a", "fpga-b", "fpga-c"];
-    let nodes = [node_a(), node_b(), node_c()];
+/// of it. Returns indices into `devices` per function.
+fn blastfunction_placement(devices: &[SimDevice], bitstream: &str, count: usize) -> Vec<usize> {
     // One shard: the paper's single Accelerators Registry.
     let registry = ShardedRegistry::new(AllocationPolicy::paper(), 1);
     let placement_service: &dyn PlacementService = &registry;
-    for (id, node) in ids.iter().zip(nodes) {
+    for device in devices {
         // Each board starts with the use case's bitstream configured, as
         // the hand-rolled views did before: placement never reprograms.
-        placement_service
-            .register_device_handle(StaticDevice::new(*id, node, Some(bitstream)).handle());
+        let board = StaticDevice::new(device.id.as_str(), device.node.clone(), Some(bitstream));
+        placement_service.register_device_handle(board.handle());
     }
     let mut placement = Vec::with_capacity(count);
     for i in 0..count {
@@ -71,10 +52,10 @@ fn blastfunction_placement(use_case: UseCase, count: usize) -> Vec<usize> {
             allocation.reconfigure.is_none(),
             "pre-configured boards never reprogram"
         );
-        // bf-lint: allow(panic): `allocation.device_id` is drawn from `ids`.
-        let idx = ids
+        // bf-lint: allow(panic): `allocation.device_id` is drawn from `devices`.
+        let idx = devices
             .iter()
-            .position(|id| *id == allocation.device_id)
+            .position(|device| device.id == allocation.device_id)
             .expect("known id");
         placement.push(idx);
     }
@@ -93,26 +74,13 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioResult {
             config.use_case, config.level
         )
     });
-    let nodes = [node_a(), node_b(), node_c()];
-    let ids = ["fpga-a", "fpga-b", "fpga-c"];
-    let devices: Vec<SimDevice> = ids
-        .iter()
-        .zip(nodes.iter())
-        .map(|(id, node)| {
-            SimDevice::with_slots(
-                *id,
-                node.clone(),
-                config.space_slots,
-                config.space_kernel_slowdown,
-            )
-        })
-        .collect();
+    let devices = paper_devices(config.space_slots, config.space_kernel_slowdown);
 
     let profile = config
         .profile_override
         .clone()
-        .unwrap_or_else(|| request_profile(config.use_case));
-    let prefix = function_prefix(config.use_case);
+        .unwrap_or_else(|| config.use_case.request_profile());
+    let prefix = config.use_case.function_prefix();
     let count = config.deployment.function_count();
 
     let (placement, path): (Vec<usize>, PathMode) = match config.deployment {
@@ -123,7 +91,7 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioResult {
                 DataPathKind::Grpc => PathCosts::local_grpc(),
             };
             (
-                blastfunction_placement(config.use_case, count),
+                blastfunction_placement(&devices, config.use_case.bitstream_id(), count),
                 PathMode::Remote(costs),
             )
         }
@@ -135,7 +103,10 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioResult {
                 count,
                 "placement override must cover every function"
             );
-            assert!(explicit.iter().all(|d| *d < 3), "device indices are 0..3");
+            assert!(
+                explicit.iter().all(|d| *d < devices.len()),
+                "device indices index the paper's three boards"
+            );
             explicit.clone()
         }
         None => placement,
@@ -265,13 +236,13 @@ fn collect(config: &ScenarioConfig, world: World) -> ScenarioResult {
 
 #[cfg(test)]
 mod tests {
-    use bf_serverless::LoadLevel;
+    use bf_workloads::{LoadLevel, UseCase};
 
     use super::*;
 
     #[test]
     fn bf_placement_balances_two_two_one() {
-        let p = blastfunction_placement(UseCase::Sobel, 5);
+        let p = blastfunction_placement(&paper_devices(1, 1.0), UseCase::Sobel.bitstream_id(), 5);
         let count = |d: usize| p.iter().filter(|x| **x == d).count();
         assert_eq!(count(1), 2, "two on B: {p:?}");
         assert_eq!(count(0), 2, "two on A: {p:?}");

@@ -17,13 +17,19 @@
 //! reference implementation, and a [`RequestProfile`] describing the
 //! per-request task structure for the cluster simulation.
 //!
+//! The [`catalog`] names the three as the evaluation uses them: each
+//! [`UseCase`]'s bitstream id, function prefix, Tables II–IV request
+//! profile and Table I rates.
+//!
 //! [`KernelBehavior`]: bf_fpga::KernelBehavior
 
+pub mod catalog;
 pub mod mm;
 pub mod pipecnn;
 pub mod profile;
 pub mod sobel;
 
+pub use catalog::{table1_rates, LoadLevel, UseCase};
 pub use pipecnn::CnnNetwork;
 pub use profile::{OpProfile, RequestProfile, TaskProfile};
 

@@ -79,7 +79,8 @@ impl TaskProfile {
 /// The complete per-request structure of one workload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RequestProfile {
-    /// Workload name (`"sobel"`, `"mm"`, `"pipecnn-alexnet"`).
+    /// Workload name: `"sobel"`, `"mm"`, or `"pipecnn-<network>"`
+    /// (`"pipecnn-<network>-batched"` for the one-task variant).
     pub name: String,
     /// Tasks in order; each boundary is a host synchronization point
     /// (costing a control round trip on the remote path).

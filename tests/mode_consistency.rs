@@ -12,7 +12,6 @@ use std::sync::Arc;
 use blastfunction::model::DataPathKind;
 use blastfunction::prelude::*;
 use blastfunction::serverless::run_closed_loop;
-use blastfunction::sim::request_profile;
 use blastfunction::workloads::sobel;
 use parking_lot::Mutex;
 
@@ -132,7 +131,7 @@ fn profiles_describe_what_direct_mode_actually_does() {
     // The DES consumes RequestProfiles; sanity-check that the Sobel profile
     // matches the ops the direct-mode handler issues (1 task: write +
     // kernel + read of one frame each way).
-    let p = request_profile(UseCase::Sobel);
+    let p = UseCase::Sobel.request_profile();
     assert_eq!(p.sync_points(), 1);
     assert_eq!(p.op_count(), 3);
     assert_eq!(p.bytes_moved(), 2 * sobel::frame_bytes(1920, 1080));

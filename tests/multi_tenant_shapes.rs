@@ -32,16 +32,10 @@ fn native(use_case: UseCase, level: LoadLevel) -> ScenarioResult {
 
 /// Every configuration the paper evaluates (Table I).
 fn paper_configurations() -> Vec<(UseCase, LoadLevel)> {
-    vec![
-        (UseCase::Sobel, LoadLevel::Low),
-        (UseCase::Sobel, LoadLevel::Medium),
-        (UseCase::Sobel, LoadLevel::High),
-        (UseCase::Mm, LoadLevel::Low),
-        (UseCase::Mm, LoadLevel::Medium),
-        (UseCase::Mm, LoadLevel::High),
-        (UseCase::AlexNet, LoadLevel::Medium),
-        (UseCase::AlexNet, LoadLevel::High),
-    ]
+    UseCase::ALL
+        .into_iter()
+        .flat_map(|use_case| use_case.levels().map(move |level| (use_case, level)))
+        .collect()
 }
 
 #[test]
